@@ -26,7 +26,6 @@ from .construction import (
     admissible_ranges,
     build_cubic,
     construct_family,
-    construct_witness,
     digit_sum_offset,
     family_size,
     m1_upper,

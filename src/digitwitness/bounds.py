@@ -57,12 +57,6 @@ class RootRational:
             return False
         return self.num <= x**self.root * self.den
 
-    def lt_fraction(self, frac: Fraction) -> bool:
-        """value < frac, decided by cross-multiplied integer powers."""
-        if frac < 0:
-            return False
-        return self.num * frac.denominator**self.root < frac.numerator**self.root * self.den
-
     def ceil(self) -> int:
         """Smallest integer >= value."""
         r = nth_root_floor(self.num // self.den, self.root)

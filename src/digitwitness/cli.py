@@ -23,14 +23,15 @@ import itertools
 import json
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import IO, Iterator, Optional
+from functools import partial
+from typing import IO, Callable, Iterator, Optional
 
 from . import bounds, construction, oracle
 from .construction import CongruenceTarget, CubicParams, Witness
 from .intpoly import IntPolynomial
+from .parallel import chunked_map
 
 WITNESS_FIELDS = ["n", "k", "m0", "m1", "m2", "m3", "u", "M", "sq", "residue", "e"]
 
@@ -56,38 +57,11 @@ def parse_poly(text: str) -> IntPolynomial:
     )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs for one CLI invocation."""
-
-    command: str
-    q: int = 0
-    m: int = 0
-    g: int = 0
-    h: Optional[int] = None
-    poly: Optional[IntPolynomial] = None
-    u: Optional[int] = None
-    n_limit: Optional[int] = None
-    n_expr: Optional[str] = None
-    limit: Optional[int] = None
-    count: Optional[int] = None
-    l: Optional[int] = None
-    mode: Optional[str] = None
-    max_per_range: Optional[int] = None
-    seed: Optional[int] = None
-    tolerance: Fraction = Fraction(1, 50)
-    fmt: str = "json"
-    out: Optional[str] = None
-    workers: int = 1
-    input_path: Optional[str] = None
-
-
 class _Writer:
     """Streams records as JSON lines or CSV rows with a fixed header."""
 
     def __init__(self, stream: IO[str], fmt: str, fields: list[str]):
         self.stream = stream
-        self.fmt = fmt
         self.fields = fields
         self._csv = None
         if fmt == "csv":
@@ -101,11 +75,14 @@ class _Writer:
             self.stream.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
-def _with_output(config: RunConfig, fields: list[str]):
-    if config.out:
-        stream = open(config.out, "w")
-        return stream, _Writer(stream, config.fmt, fields), True
-    return sys.stdout, _Writer(sys.stdout, config.fmt, fields), False
+@contextmanager
+def _output(args: argparse.Namespace, fields: list[str]) -> Iterator[_Writer]:
+    """A writer on --out, closed on exit, or on stdout when --out is unset."""
+    if not args.out:
+        yield _Writer(sys.stdout, args.format, fields)
+        return
+    with open(args.out, "w") as stream:
+        yield _Writer(stream, args.format, fields)
 
 
 def witness_record(w: Witness) -> dict:
@@ -181,50 +158,29 @@ def read_witness_file(path: str) -> tuple[list[Witness], list[tuple[int, str]]]:
     return witnesses, malformed
 
 
-def _family_chunk(
-    args: tuple[int, int, int, tuple[int, ...], int, int, int]
-) -> list[dict]:
-    q, m, g, coeffs, u, start, stop = args
-    target = CongruenceTarget(q=q, m=m, g=g)
-    p = IntPolynomial.from_coeffs(coeffs)
-    plan = construction.make_plan(target, p, u)
-    box = construction.admissible_ranges(q, plan.h, plan.u)
+# Witnesses per construct chunk.  Smaller chunks cost measurably more CPU per
+# witness at 2 workers; at h=8 one chunk of records is still under 1 MB.
+_CONSTRUCT_CHUNK = 256
+
+
+def _witness_rows(plan, box, start: int, stop: int) -> list[dict]:
+    """witness/1 records for the quadruples at indices [start, stop) of box."""
     return [
         witness_record(construction.witness_for(plan, box.params_at(i)))
         for i in range(start, stop)
     ]
 
 
-def cmd_construct(config: RunConfig) -> int:
-    target = CongruenceTarget(q=config.q, m=config.m, g=config.g)
-    p = config.poly
-    assert p is not None
-    plan = construction.make_plan(target, p, config.u)
+def cmd_construct(args: argparse.Namespace) -> int:
+    target = CongruenceTarget(q=args.q, m=args.m, g=args.g)
+    plan = construction.make_plan(target, args.poly, args.u)
     box = construction.admissible_ranges(target.q, plan.h, plan.u)
-    total = box.size if config.limit is None else min(config.limit, box.size)
-    stream, writer, close = _with_output(config, WITNESS_FIELDS)
-    try:
-        if config.workers <= 1:
-            for index in range(total):
-                writer.write(
-                    witness_record(
-                        construction.witness_for(plan, box.params_at(index))
-                    )
-                )
-        else:
-            cuts = [total * i // config.workers for i in range(config.workers + 1)]
-            jobs = [
-                (target.q, target.m, target.g, p.coeffs, plan.u, cuts[i], cuts[i + 1])
-                for i in range(config.workers)
-                if cuts[i] < cuts[i + 1]
-            ]
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                for rows in pool.map(_family_chunk, jobs):
-                    for record in rows:
-                        writer.write(record)
-    finally:
-        if close:
-            stream.close()
+    total = box.size if args.limit is None else min(args.limit, box.size)
+    rows = partial(_witness_rows, plan, box)
+    with _output(args, WITNESS_FIELDS) as writer:
+        for chunk in chunked_map(rows, total, args.workers, _CONSTRUCT_CHUNK):
+            for record in chunk:
+                writer.write(record)
     return EXIT_OK
 
 
@@ -254,26 +210,22 @@ def _eval_n_expression(expr: str, q: int, m: int, h: int, n0: int) -> int:
     return value
 
 
-def cmd_certify(config: RunConfig) -> int:
-    h = config.h
+def cmd_certify(args: argparse.Namespace) -> int:
+    h = args.h
     if h is None:
-        p = config.poly
-        assert p is not None
+        p = args.poly
         if p.degree < 1 or p.coeffs != (0,) * p.degree + (1,):
             raise ValueError(
                 f"certification covers monomials x^h only, got {p}; "
                 f"use `construct` for general polynomials"
             )
         h = p.degree
-    constants = bounds.explicit_constants(config.q, config.m, h)
-    if config.n_expr is not None:
-        n_limit = _eval_n_expression(
-            config.n_expr, config.q, config.m, h, constants.n0
-        )
+    constants = bounds.explicit_constants(args.q, args.m, h)
+    if args.n_expr is not None:
+        n_limit = _eval_n_expression(args.n_expr, args.q, args.m, h, constants.n0)
     else:
-        assert config.n_limit is not None
-        n_limit = config.n_limit
-    report = bounds.certify_lower_bound(config.q, config.m, h, n_limit)
+        n_limit = args.n_limit
+    report = bounds.certify_lower_bound(args.q, args.m, h, n_limit)
     record = {
         "schema": "bounds/1",
         "q": report.q,
@@ -292,29 +244,21 @@ def cmd_certify(config: RunConfig) -> int:
         "required": str(report.required),
         "verdict": report.verdict,
     }
-    stream, writer, close = _with_output(config, BOUNDS_FIELDS)
-    try:
+    with _output(args, BOUNDS_FIELDS) as writer:
         writer.write(record)
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK if report.verdict else EXIT_FAIL
 
 
 VERIFY_FIELDS = ["line", "index", "ok", "detail"]
 
 
-def cmd_verify(config: RunConfig) -> int:
-    assert config.input_path is not None and config.poly is not None
-    witnesses, malformed = read_witness_file(config.input_path)
-    report = oracle.verify_witnesses(
-        witnesses, config.q, config.m, config.g, config.poly
-    )
+def cmd_verify(args: argparse.Namespace) -> int:
+    witnesses, malformed = read_witness_file(args.input_path)
+    report = oracle.verify_witnesses(witnesses, args.q, args.m, args.g, args.poly)
     by_index: dict[int, list[str]] = {}
     for failure in report.failures:
         by_index.setdefault(failure.index, []).append(failure.message)
-    stream, writer, close = _with_output(config, VERIFY_FIELDS)
-    try:
+    with _output(args, VERIFY_FIELDS) as writer:
         for lineno, message in malformed:
             writer.write(
                 {
@@ -349,9 +293,6 @@ def cmd_verify(config: RunConfig) -> int:
                 ),
             }
         )
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -360,17 +301,15 @@ DENSITY_FIELDS = [
 ]
 
 
-def cmd_density(config: RunConfig) -> int:
-    assert config.poly is not None and config.n_limit is not None
+def cmd_density(args: argparse.Namespace) -> int:
     table = oracle.density_table(
-        config.q, config.m, config.poly, config.n_limit, workers=config.workers
+        args.q, args.m, args.poly, args.n_limit, workers=args.workers
     )
     comparison = oracle.compare_to_main_term(table)
     all_within = True
-    stream, writer, close = _with_output(config, DENSITY_FIELDS)
-    try:
+    with _output(args, DENSITY_FIELDS) as writer:
         for row in comparison.rows:
-            within = row.deviation <= config.tolerance
+            within = row.deviation <= args.tolerance
             all_within = all_within and within
             writer.write(
                 {
@@ -387,9 +326,6 @@ def cmd_density(config: RunConfig) -> int:
                     "within_tolerance": within,
                 }
             )
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK if all_within else EXIT_FAIL
 
 
@@ -400,13 +336,12 @@ _EXHAUSTIVE_CAP = 10**7
 
 
 def _lemma_quadruples(
-    config: RunConfig, box: construction.AdmissibleBox
+    args: argparse.Namespace, box: construction.AdmissibleBox
 ) -> Iterator[CubicParams]:
-    if config.mode == "random":
-        assert config.seed is not None and config.count is not None
-        yield from box.sample(config.count, config.seed)
+    if args.mode == "random":
+        yield from box.sample(args.count, args.seed)
         return
-    per = config.max_per_range
+    per = args.max_per_range
     m_values = range(box.lo, box.hi if per is None else min(box.lo + per, box.hi))
     m1_values = range(1, (box.m1_max if per is None else min(per, box.m1_max)) + 1)
     total = len(m_values) ** 3 * len(m1_values)
@@ -419,14 +354,12 @@ def _lemma_quadruples(
         yield CubicParams(m0=m0, m1=m1, m2=m2, m3=m3, u=box.u)
 
 
-def cmd_lemma(config: RunConfig) -> int:
-    assert config.l is not None and config.u is not None
-    box = construction.admissible_ranges(config.q, config.l, config.u)
+def cmd_lemma(args: argparse.Namespace) -> int:
+    box = construction.admissible_ranges(args.q, args.l, args.u)
     total = passed = 0
-    stream, writer, close = _with_output(config, LEMMA_FIELDS)
-    try:
-        for params in _lemma_quadruples(config, box):
-            report = construction.verify_sign_pattern(config.q, config.l, params)
+    with _output(args, LEMMA_FIELDS) as writer:
+        for params in _lemma_quadruples(args, box):
+            report = construction.verify_sign_pattern(args.q, args.l, params)
             total += 1
             passed += report.ok
             writer.write(
@@ -448,7 +381,7 @@ def cmd_lemma(config: RunConfig) -> int:
                 "m1": "",
                 "m2": "",
                 "m3": "",
-                "u": config.u,
+                "u": args.u,
                 "ok": passed == total,
                 "first_violation": None,
                 "total": total,
@@ -456,9 +389,6 @@ def cmd_lemma(config: RunConfig) -> int:
                 "failed": total - passed,
             }
         )
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK if passed == total else EXIT_FAIL
 
 
@@ -472,7 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, workers: bool = False):
+    def add_common(
+        p: argparse.ArgumentParser,
+        run: Callable[[argparse.Namespace], int],
+        workers: bool = False,
+    ):
+        p.set_defaults(run=run)
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out", metavar="PATH", help="output path (default stdout)")
         if workers:
@@ -485,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--poly", required=True, help="x^H or high-to-low coefficients")
     c.add_argument("--u", type=int, help="scale override (default: minimum scale)")
     c.add_argument("--limit", type=int, help="stop after this many witnesses")
-    add_common(c, workers=True)
+    add_common(c, cmd_construct, workers=True)
 
     y = sub.add_parser("certify", help="certify the explicit lower bound")
     y.add_argument("--q", type=int, required=True)
@@ -498,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     n_group.add_argument(
         "--N-at", dest="n_expr", help="expression over N0, q, m, h, e.g. N0*q^(3h+1)"
     )
-    add_common(y)
+    add_common(y, cmd_certify)
 
     v = sub.add_parser("verify", help="recheck a witness file from scratch")
     v.add_argument("--q", type=int, required=True)
@@ -506,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--g", type=int, required=True)
     v.add_argument("--poly", required=True)
     v.add_argument("--in", dest="input_path", required=True, metavar="PATH")
-    add_common(v)
+    add_common(v, cmd_verify)
 
     d = sub.add_parser("density", help="brute-force residue densities")
     d.add_argument("--q", type=int, required=True)
@@ -519,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=Fraction(1, 50),
         help="max |density - prediction| (exact, default 0.02)",
     )
-    add_common(d, workers=True)
+    add_common(d, cmd_density, workers=True)
 
     le = sub.add_parser("lemma", help="certify sign patterns over quadruple grids")
     le.add_argument("--q", type=int, required=True)
@@ -533,59 +468,25 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="truncate each parameter range to its first K values (exhaustive mode)",
     )
-    add_common(le)
+    add_common(le, cmd_lemma)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    poly = None
+def _validate(args: argparse.Namespace) -> None:
+    """Reject values argparse lets through and parse --poly in place."""
     if getattr(args, "poly", None) is not None:
-        poly = parse_poly(args.poly)
-    tolerance = getattr(args, "tolerance", Fraction(1, 50))
-    if tolerance < 0:
+        args.poly = parse_poly(args.poly)
+    if getattr(args, "tolerance", 0) < 0:
         raise ValueError("tolerance must be nonnegative")
-    workers = getattr(args, "workers", 1)
-    if workers < 1:
+    if getattr(args, "workers", 1) < 1:
         raise ValueError("workers must be >= 1")
-    limit = getattr(args, "limit", None)
-    if limit is not None and limit < 0:
+    if getattr(args, "limit", None) is not None and args.limit < 0:
         raise ValueError("limit must be >= 0")
     if args.command == "lemma" and args.mode == "random":
         if args.seed is None or args.count is None:
             raise ValueError("random mode requires --seed and --count")
     if args.command == "density" and args.n_limit < 1:
         raise ValueError("N must be >= 1")
-    return RunConfig(
-        command=args.command,
-        q=getattr(args, "q", 0),
-        m=getattr(args, "m", 0),
-        g=getattr(args, "g", 0),
-        h=getattr(args, "h", None),
-        poly=poly,
-        u=getattr(args, "u", None),
-        n_limit=getattr(args, "n_limit", None),
-        n_expr=getattr(args, "n_expr", None),
-        limit=limit,
-        count=getattr(args, "count", None),
-        l=getattr(args, "l", None),
-        mode=getattr(args, "mode", None),
-        max_per_range=getattr(args, "max_per_range", None),
-        seed=getattr(args, "seed", None),
-        tolerance=tolerance,
-        fmt=args.format,
-        out=args.out,
-        workers=workers,
-        input_path=getattr(args, "input_path", None),
-    )
-
-
-_COMMANDS = {
-    "construct": cmd_construct,
-    "certify": cmd_certify,
-    "verify": cmd_verify,
-    "density": cmd_density,
-    "lemma": cmd_lemma,
-}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -595,8 +496,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        config = _config_from_args(args)
-        return _COMMANDS[args.command](config)
+        _validate(args)
+        return args.run(args)
+    except construction.ConsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -437,12 +437,6 @@ def witness_for(plan: ConstructionPlan, params: CubicParams) -> Witness:
     )
 
 
-def construct_witness(
-    target: CongruenceTarget, p: IntPolynomial, params: CubicParams
-) -> Witness:
-    return witness_for(make_plan(target, p, params.u), params)
-
-
 def construct_family(
     target: CongruenceTarget,
     p: IntPolynomial,

@@ -6,21 +6,28 @@ re-evaluates p(n) from scratch.  Enumeration advances p(n) with an exact
 finite-difference table (h additions per step); per-n Horner evaluation is
 kept around as the dumber cross-check path.
 
-Ranges may be partitioned across processes; tallies are exact integers, so
-any partition merges to identical results.
+[0, N) is cut into fixed-size chunks that `parallel.chunked_map` tallies,
+across processes when there are several workers (never more processes than
+chunks), and merges in order.  Memory is bounded by the chunks in flight,
+and since tallies are exact integers the counts are identical for any
+worker count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .construction import Witness, build_cubic
 from .digits import _sum_table, _TABLE_CAP, digit_sum
 from .intpoly import IntPolynomial, poly_eval
+from .parallel import chunked_map
+
+# Values of n per tally chunk: about 0.1 s of work for a result of m ints.
+_TALLY_CHUNK = 1 << 16
 
 
 def polynomial_values(p: IntPolynomial, start: int, stop: int) -> Iterator[int]:
@@ -60,10 +67,6 @@ def tally_range(
     return counts
 
 
-def _tally_chunk(args: tuple[int, int, tuple[int, ...], int, int]) -> list[int]:
-    return tally_range(*args)
-
-
 def _tally_parallel(
     q: int, m: int, p: IntPolynomial, n_limit: int, workers: int
 ) -> list[int]:
@@ -71,19 +74,11 @@ def _tally_parallel(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if n_limit < 1:
         raise ValueError(f"N must be >= 1, got {n_limit}")
-    if workers == 1:
-        return tally_range(q, m, p.coeffs, 0, n_limit)
-    cuts = [n_limit * i // workers for i in range(workers + 1)]
-    jobs = [
-        (q, m, p.coeffs, cuts[i], cuts[i + 1])
-        for i in range(workers)
-        if cuts[i] < cuts[i + 1]
-    ]
     counts = [0] * m
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_tally_chunk, jobs):
-            for r, c in enumerate(part):
-                counts[r] += c
+    tally = partial(tally_range, q, m, p.coeffs)
+    for part in chunked_map(tally, n_limit, workers, _TALLY_CHUNK):
+        for r, c in enumerate(part):
+            counts[r] += c
     return counts
 
 

@@ -1,0 +1,36 @@
+"""One ordered parallel map over [0, total), shared by construct and density."""
+
+from __future__ import annotations
+
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
+from itertools import islice
+from typing import Callable, Iterator, TypeVar
+
+T = TypeVar("T")
+
+
+def chunked_map(
+    fn: Callable[[int, int], T], total: int, workers: int, chunk: int
+) -> Iterator[T]:
+    """Yield fn(start, stop) over consecutive `chunk`-wide pieces of [0, total).
+
+    Results come in chunk order.  With one worker or one chunk, fn runs in
+    this process and no pool is created.  Otherwise a pool of
+    min(workers, chunks) processes runs the picklable fn with at most two
+    chunks per process in flight, so memory is bounded by the chunks in
+    flight, not by `total`.  An exception raised by fn reaches the caller.
+    """
+    chunks = ((start, min(start + chunk, total)) for start in range(0, total, chunk))
+    processes = min(workers, -(-total // chunk))
+    if processes <= 1:
+        for start, stop in chunks:
+            yield fn(start, stop)
+        return
+    with ProcessPoolExecutor(max_workers=processes) as pool:
+        pending = deque(pool.submit(fn, *c) for c in islice(chunks, 2 * processes))
+        while pending:
+            result = pending.popleft().result()
+            for c in islice(chunks, 1):  # one submitted per result taken
+                pending.append(pool.submit(fn, *c))
+            yield result

@@ -46,12 +46,6 @@ class TestRootRational:
         v = RootRational(8, 1, 3)
         assert v.leq_int(2) and not v.leq_int(1)
 
-    def test_lt_fraction(self):
-        # (1/8)^(1/3) = 1/2
-        v = RootRational(1, 8, 3)
-        assert v.lt_fraction(Fraction(51, 100))
-        assert not v.lt_fraction(Fraction(1, 2))
-
     @given(st.integers(0, 10**12), st.integers(1, 10**6), st.integers(1, 7))
     def test_ceil_defining_property(self, num, den, root):
         r = RootRational(num, den, root).ceil()
@@ -162,7 +156,9 @@ class TestCertifyLowerBound:
                 value = RootRational(
                     report.c.num * report.n_limit**4, report.c.den, report.c.root
                 )
-                assert value.lt_fraction(report.estimate)
+                # value < estimate: (num/den)^(1/root) < a/b, cross-multiplied
+                a, b = report.estimate.numerator, report.estimate.denominator
+                assert value.num * b**value.root < a**value.root * value.den
                 assert value.leq_int(report.required)
                 assert report.guaranteed >= report.required
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from digitwitness import cli
+from digitwitness import cli, construction
+from digitwitness.construction import ConsistencyError
 from digitwitness.intpoly import IntPolynomial
 
 WITNESS_KEYS = [
@@ -107,6 +108,22 @@ class TestConstruct:
         assert run(args + ["--out", str(serial)]) == 0
         assert run(args + ["--out", str(parallel), "--workers", "3"]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_broken_invariant_is_verification_failure(
+        self, capsys, monkeypatch, workers
+    ):
+        def broken_select_k(plan, offset):
+            raise ConsistencyError("no k hits the target")
+
+        monkeypatch.setattr(construction, "select_k", broken_select_k)
+        code = run(
+            ["construct", "--q", "2", "--m", "3", "--g", "0", "--poly", "x^3",
+             "--limit", "200", "--workers", workers]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: no k hits the target\n"
 
 
 class TestVerify:

@@ -12,7 +12,6 @@ from digitwitness.construction import (
     admissible_ranges,
     build_cubic,
     construct_family,
-    construct_witness,
     digit_sum_offset,
     family_size,
     m1_upper,
@@ -321,7 +320,7 @@ class TestConstructWitness:
     def test_end_to_end_binary(self):
         target = CongruenceTarget(q=2, m=3, g=0)
         params = CubicParams(m0=2**14, m1=1, m2=2**14, m3=2**14, u=15)
-        w = construct_witness(target, X3, params)
+        w = witness_for(make_plan(target, X3, params.u), params)
         assert w.residue == 0
         assert digit_sum(w.n**3, 2) % 3 == 0
         assert w.sq_value == digit_sum(w.n**3, 2)
@@ -330,7 +329,7 @@ class TestConstructWitness:
     def test_end_to_end_decimal(self):
         target = CongruenceTarget(q=10, m=7, g=2)
         params = CubicParams(m0=10**7, m1=5, m2=10**7 + 3, m3=10**8 - 1, u=8)
-        w = construct_witness(target, X3, params)
+        w = witness_for(make_plan(target, X3, params.u), params)
         assert w.residue == 2 == digit_sum(w.n**3, 10) % 7
 
     def test_all_targets_hit_within_one_window(self):
@@ -338,7 +337,8 @@ class TestConstructWitness:
         ks = []
         ns = set()
         for g in range(3):
-            w = construct_witness(CongruenceTarget(q=2, m=3, g=g), X3, params)
+            target = CongruenceTarget(q=2, m=3, g=g)
+            w = witness_for(make_plan(target, X3, params.u), params)
             ks.append(w.k)
             ns.add(w.n)
         assert sorted(ks) == [52, 53, 54]

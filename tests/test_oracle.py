@@ -56,8 +56,7 @@ class TestBruteForceCount:
         assert brute_force_count(10, 1, 0, X2, 100) == 100
 
     def test_regression_anchor(self):
-        for g, expected in enumerate(ANCHOR_COUNTS_2_3_CUBE):
-            assert brute_force_count(2, 3, g, X3, 2**20) == expected
+        assert density_table(2, 3, X3, 2**20).counts == ANCHOR_COUNTS_2_3_CUBE
 
     def test_additive_over_partition(self):
         n_limit = 5000

@@ -1,0 +1,62 @@
+from concurrent.futures import Future
+
+import pytest
+
+from digitwitness import parallel
+from digitwitness.parallel import chunked_map
+
+
+def span(start, stop):
+    return list(range(start, stop))
+
+
+@pytest.mark.parametrize("total, chunk", [(10, 3), (2, 5), (0, 4)])
+def test_pool_matches_inline_run(total, chunk):
+    inline = list(chunked_map(span, total, 1, chunk))
+    assert inline == [span(s, min(s + chunk, total)) for s in range(0, total, chunk)]
+    assert [x for part in inline for x in part] == list(range(total))
+    assert list(chunked_map(span, total, 2, chunk)) == inline
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Replace the process pool by one that runs each task at submit time and
+    records the pool sizes asked for and the number of tasks submitted."""
+    log = {"sizes": [], "submitted": 0}
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            log["sizes"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            log["submitted"] += 1
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", InlineExecutor)
+    return log
+
+
+def test_pool_has_at_most_one_process_per_chunk(fake_pool):
+    assert list(chunked_map(span, 3, 1000, 1)) == [[0], [1], [2]]
+    assert fake_pool["sizes"] == [3]
+
+
+def test_single_chunk_starts_no_pool(fake_pool):
+    assert list(chunked_map(span, 3, 1000, 5)) == [[0, 1, 2]]
+    assert fake_pool["sizes"] == []
+
+
+def test_two_chunks_per_process_in_flight(fake_pool):
+    results = chunked_map(span, 100, 2, 1)
+    assert next(results) == [0]
+    # four submitted up front, one more once the first result was taken
+    assert fake_pool["submitted"] == 5
+    assert list(results) == [[i] for i in range(1, 100)]
