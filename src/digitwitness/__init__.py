@@ -53,7 +53,6 @@ from .oracle import (
     ComparisonReport,
     DensityTable,
     VerificationReport,
-    brute_force_count,
     compare_to_main_term,
     density_table,
     polynomial_residue_count,

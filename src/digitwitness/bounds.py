@@ -51,12 +51,6 @@ class RootRational:
         if self.num < 0 or self.den <= 0 or self.root < 1:
             raise ValueError(f"invalid root-rational {self}")
 
-    def leq_int(self, x: int) -> bool:
-        """value <= x, decided by cross-multiplied integer powers."""
-        if x < 0:
-            return False
-        return self.num <= x**self.root * self.den
-
     def ceil(self) -> int:
         """Smallest integer >= value."""
         r = nth_root_floor(self.num // self.den, self.root)

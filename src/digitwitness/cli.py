@@ -254,6 +254,8 @@ VERIFY_FIELDS = ["line", "index", "ok", "detail"]
 
 def cmd_verify(args: argparse.Namespace) -> int:
     witnesses, malformed = read_witness_file(args.input_path)
+    if not witnesses and not malformed:
+        raise ValueError(f"no witness rows in {args.input_path}")
     report = oracle.verify_witnesses(witnesses, args.q, args.m, args.g, args.poly)
     by_index: dict[int, list[str]] = {}
     for failure in report.failures:
@@ -485,6 +487,8 @@ def _validate(args: argparse.Namespace) -> None:
     if args.command == "lemma" and args.mode == "random":
         if args.seed is None or args.count is None:
             raise ValueError("random mode requires --seed and --count")
+        if args.count < 1:
+            raise ValueError("count must be >= 1")
     if args.command == "density" and args.n_limit < 1:
         raise ValueError("N must be >= 1")
 

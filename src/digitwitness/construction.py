@@ -25,7 +25,6 @@ e is the translation making p's coefficients nonnegative.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, Optional
@@ -272,16 +271,27 @@ def verify_sign_pattern(q: int, l: int, params: CubicParams) -> SignPatternRepor
 def translate_shift(p: IntPolynomial) -> int:
     """Smallest e >= 0 such that p(x + e) has no negative coefficient.
 
-    Requires a positive leading coefficient.  The search is incremental from
-    e = 0; callers are responsible for p mapping nonnegative integers to
-    nonnegative integers.
+    Requires a positive leading coefficient.  If p(x + e) has no negative
+    coefficient, neither has p(x + e + d) for d >= 0, so e is found by
+    doubling and then bisecting: O(log e) translations.  Callers are
+    responsible for p mapping nonnegative integers to nonnegative integers.
     """
     if p.is_zero() or p.coeffs[-1] <= 0:
         raise ValueError("polynomial must have a positive leading coefficient")
-    for e in itertools.count():
-        if all(c >= 0 for c in poly_translate(p, e).coeffs):
-            return e
-    raise AssertionError("unreachable")
+
+    def nonnegative_at(e: int) -> bool:
+        return all(c >= 0 for c in poly_translate(p, e).coeffs)
+
+    lo, hi = -1, 0  # lo fails (or is -1) and hi passes, once doubling stops
+    while not nonnegative_at(hi):
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if nonnegative_at(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def min_k(q: int, h: int, u: int, p_shifted: IntPolynomial) -> int:

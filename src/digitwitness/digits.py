@@ -7,18 +7,22 @@ list.  All arithmetic is arbitrary precision.  The two splitting identities
     s_q(a*q^k + b) = s_q(a) + s_q(b)                      (1 <= b < q^k)
     s_q(a*q^k - b) = s_q(a-1) + k*(q-1) - s_q(b-1)        (1 <= b < q^k)
 
-`digit_sum` itself works by repeated division (in blocks of digits, with a
-per-base lookup table for the low block), so the identities stay
-independently testable against it.
+This module is the one digit-sum engine: `digit_sum` (one value) and
+`digit_sum_counts` (residue tallies over many values) both work by repeated
+division in blocks of digits, with a per-base lookup table for the low block.
+Every base has a table; above `_TABLE_CAP` the block is a single digit, which
+is its own digit sum.  The identities stay independently testable against it.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Sequence
 
 # Largest low-block value: blocks of digits are summed via a lookup table of
 # at most this many entries, built once per base.
 _TABLE_CAP = 1 << 16
 
-_tables: dict[int, tuple[list[int], int]] = {}
+_tables: dict[int, tuple[Sequence[int], int]] = {}
 
 
 def _require_base(q: int) -> None:
@@ -31,8 +35,13 @@ def _require_nonnegative(n: int) -> None:
         raise ValueError(f"expected a nonnegative integer, got {n}")
 
 
-def _sum_table(q: int) -> tuple[list[int], int]:
-    """Digit-sum lookup table for all values below q**c, with q**c <= _TABLE_CAP."""
+def _sum_table(q: int) -> tuple[Sequence[int], int]:
+    """(table, block): table[r] = s_q(r) for every r below block.
+
+    block is the largest power of q up to _TABLE_CAP, or q itself above it.
+    """
+    if q > _TABLE_CAP:
+        return range(q), q
     cached = _tables.get(q)
     if cached is not None:
         return cached
@@ -70,18 +79,28 @@ def digit_sum(n: int, q: int) -> int:
     """Sum of the base-q digits of n."""
     _require_base(q)
     _require_nonnegative(n)
-    if q > _TABLE_CAP:
-        total = 0
-        while n:
-            n, r = divmod(n, q)
-            total += r
-        return total
     table, block = _sum_table(q)
     total = 0
     while n:
         n, r = divmod(n, block)
         total += table[r]
     return total
+
+
+def digit_sum_counts(values: Iterable[int], q: int, m: int) -> list[int]:
+    """counts[r] = how many of the values have s_q(value) = r (mod m)."""
+    _require_base(q)
+    table, block = _sum_table(q)
+    counts = [0] * m
+    for value in values:
+        if value < 0:
+            raise ValueError(f"polynomial takes negative value {value}")
+        s = 0
+        while value:
+            value, r = divmod(value, block)
+            s += table[r]
+        counts[s % m] += 1
+    return counts
 
 
 def _check_split_args(a: int, b: int, k: int, q: int) -> None:

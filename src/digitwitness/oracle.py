@@ -1,10 +1,10 @@
 """Brute-force ground truth for digit-sum residue counts and witness checking.
 
 Everything here is deliberately independent of the construction: counts come
-from enumerating [0, N) and summing digits directly, and witness verification
-re-evaluates p(n) from scratch.  Enumeration advances p(n) with an exact
-finite-difference table (h additions per step); per-n Horner evaluation is
-kept around as the dumber cross-check path.
+from enumerating [0, N) and tallying digit sums through `digits`, and witness
+verification re-evaluates p(n) from scratch.  Enumeration advances p(n) with
+an exact finite-difference table (h additions per step); per-n Horner
+evaluation is kept around as the dumber cross-check path.
 
 [0, N) is cut into fixed-size chunks that `parallel.chunked_map` tallies,
 across processes when there are several workers (never more processes than
@@ -22,7 +22,7 @@ from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .construction import Witness, build_cubic
-from .digits import _sum_table, _TABLE_CAP, digit_sum
+from .digits import digit_sum, digit_sum_counts
 from .intpoly import IntPolynomial, poly_eval
 from .parallel import chunked_map
 
@@ -50,48 +50,7 @@ def tally_range(
 ) -> list[int]:
     """Per-residue counts of s_q(p(n)) mod m for n in [start, stop)."""
     p = IntPolynomial.from_coeffs(coeffs)
-    counts = [0] * m
-    if q <= _TABLE_CAP:
-        table, block = _sum_table(q)
-        for value in polynomial_values(p, start, stop):
-            if value < 0:
-                raise ValueError(f"polynomial takes negative value {value}")
-            s = 0
-            while value:
-                value, r = divmod(value, block)
-                s += table[r]
-            counts[s % m] += 1
-    else:
-        for value in polynomial_values(p, start, stop):
-            counts[digit_sum(value, q) % m] += 1
-    return counts
-
-
-def _tally_parallel(
-    q: int, m: int, p: IntPolynomial, n_limit: int, workers: int
-) -> list[int]:
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if n_limit < 1:
-        raise ValueError(f"N must be >= 1, got {n_limit}")
-    counts = [0] * m
-    tally = partial(tally_range, q, m, p.coeffs)
-    for part in chunked_map(tally, n_limit, workers, _TALLY_CHUNK):
-        for r, c in enumerate(part):
-            counts[r] += c
-    return counts
-
-
-def brute_force_count(
-    q: int, m: int, g: int, p: IntPolynomial, n_limit: int, workers: int = 1
-) -> int:
-    """#{0 <= n < N : s_q(p(n)) = g (mod m)} by direct enumeration.
-
-    No coprimality is assumed here; p must be nonnegative on [0, N).
-    """
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
-    return _tally_parallel(q, m, p, n_limit, workers)[g % m]
+    return digit_sum_counts(polynomial_values(p, start, stop), q, m)
 
 
 @dataclass(frozen=True)
@@ -115,9 +74,21 @@ class DensityTable:
 def density_table(
     q: int, m: int, p: IntPolynomial, n_limit: int, workers: int = 1
 ) -> DensityTable:
+    """Tally s_q(p(n)) mod m over [0, N) by direct enumeration.
+
+    No coprimality is assumed here; p must be nonnegative on [0, N).
+    """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
-    counts = _tally_parallel(q, m, p, n_limit, workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if n_limit < 1:
+        raise ValueError(f"N must be >= 1, got {n_limit}")
+    counts = [0] * m
+    tally = partial(tally_range, q, m, p.coeffs)
+    for part in chunked_map(tally, n_limit, workers, _TALLY_CHUNK):
+        for r, c in enumerate(part):
+            counts[r] += c
     return DensityTable(
         q=q,
         m=m,

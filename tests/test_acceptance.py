@@ -29,7 +29,6 @@ from digitwitness.construction import (
 from digitwitness.digits import digit_sum, split_add, split_sub
 from digitwitness.intpoly import IntPolynomial, poly_eval
 from digitwitness.oracle import (
-    brute_force_count,
     compare_to_main_term,
     density_table,
     polynomial_values,
@@ -273,8 +272,8 @@ def test_criterion_8_density_echo(acceptance_log):
 
 
 def test_criterion_9_oracle_self_consistency(acceptance_log):
-    serial = brute_force_count(2, 3, 0, X3, 10**6, workers=1)
-    parallel = brute_force_count(2, 3, 0, X3, 10**6, workers=8)
+    serial = density_table(2, 3, X3, 10**6, workers=1).counts[0]
+    parallel = density_table(2, 3, X3, 10**6, workers=8).counts[0]
     prefix = list(polynomial_values(X3, 0, 10**4))
     horner = [poly_eval(X3, n) for n in range(10**4)]
     ok = serial == parallel and prefix == horner

@@ -41,11 +41,6 @@ class TestNthRootFloor:
 
 
 class TestRootRational:
-    def test_leq_int(self):
-        # (8)^(1/3) = 2
-        v = RootRational(8, 1, 3)
-        assert v.leq_int(2) and not v.leq_int(1)
-
     @given(st.integers(0, 10**12), st.integers(1, 10**6), st.integers(1, 7))
     def test_ceil_defining_property(self, num, den, root):
         r = RootRational(num, den, root).ceil()
@@ -159,7 +154,7 @@ class TestCertifyLowerBound:
                 # value < estimate: (num/den)^(1/root) < a/b, cross-multiplied
                 a, b = report.estimate.numerator, report.estimate.denominator
                 assert value.num * b**value.root < a**value.root * value.den
-                assert value.leq_int(report.required)
+                assert value.num <= report.required**value.root * value.den
                 assert report.guaranteed >= report.required
 
     @settings(max_examples=30, deadline=None)

@@ -186,16 +186,20 @@ class TestVerify:
         malformed = [json.loads(l) for l in out_lines if json.loads(l).get("line")]
         assert malformed and malformed[0]["line"] == 2
 
-    def test_empty_file_passes(self, tmp_path, capsys):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        code, out_lines = run_lines(
-            capsys,
+    @pytest.mark.parametrize(
+        "text", ["", ",".join(cli.WITNESS_FIELDS) + "\n"],
+        ids=["empty", "csv-header-only"],
+    )
+    def test_empty_file_is_rejected(self, tmp_path, capsys, text):
+        path = tmp_path / "rows.txt"
+        path.write_text(text)
+        code = run(
             ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
-             "--in", str(path)],
+             "--in", str(path)]
         )
-        assert code == 0
-        assert json.loads(out_lines[-1])["detail"] == "total=0 failed=0 malformed=0"
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: no witness rows")
 
     def test_wrong_target_residue_fails(self, tmp_path, capsys):
         path = self.construct_file(tmp_path, limit=2)
@@ -297,6 +301,11 @@ class TestDensity:
         capsys.readouterr()
         assert code == 2
 
+    def test_rejects_base_below_two(self, capsys):
+        # a base-1 digit table would never stop growing
+        code = run(["density", "--q", "1", "--m", "3", "--poly", "x^2", "--N", "5"])
+        assert code == 2 and "base must be >= 2" in capsys.readouterr().err
+
 
 class TestLemma:
     def test_random_mode_requires_seed(self, capsys):
@@ -306,6 +315,15 @@ class TestLemma:
         )
         err = capsys.readouterr().err
         assert code == 2 and "--seed" in err
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_random_mode_rejects_nonpositive_count(self, capsys, count):
+        code, lines = run_lines(
+            capsys,
+            ["lemma", "--q", "2", "--l", "3", "--u", "15", "--mode", "random",
+             "--count", count, "--seed", "42"],
+        )
+        assert code == 2 and lines == []
 
     def test_random_mode_all_pass(self, capsys):
         code, lines = run_lines(

@@ -204,7 +204,9 @@ class TestTranslateShift:
             translate_shift(IntPolynomial.from_coeffs([1, 2, -1]))
 
     @pytest.mark.parametrize(
-        "coeffs", [[0, -2, 0, 1], [1, -2, 1], [-7, 0, 0, 0, 3], [0, 1, 0, 0, 2]]
+        "coeffs",
+        [[0, -2, 0, 1], [1, -2, 1], [-7, 0, 0, 0, 3], [0, 1, 0, 0, 2],
+         [0, -10**9, 1]],
     )
     def test_minimality(self, coeffs):
         p = IntPolynomial.from_coeffs(coeffs)

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digitwitness.digits import digit_sum, digit_value, expand, split_add, split_sub
+from digitwitness.digits import (
+    digit_sum,
+    digit_sum_counts,
+    digit_value,
+    expand,
+    split_add,
+    split_sub,
+)
 
 
 class TestExpand:
@@ -65,6 +72,28 @@ class TestDigitSum:
     @given(st.integers(min_value=0, max_value=10**30), st.integers(3, 36))
     def test_congruence_mod_base_minus_one(self, n, q):
         assert digit_sum(n, q) % (q - 1) == n % (q - 1)
+
+
+def recount(values, q, m):
+    counts = [0] * m
+    for v in values:
+        counts[sum(expand(v, q)) % m] += 1
+    return counts
+
+
+class TestDigitSumCounts:
+    @pytest.mark.parametrize("q", [2, 3, 10, 2**16 + 1])
+    def test_matches_expansion_recount(self, q):
+        rng = random.Random(q)
+        values = [0, 1, q - 1, q, q**2 - 1] + [
+            rng.getrandbits(rng.randrange(1, 200)) for _ in range(300)
+        ]
+        for m in (1, 3, 7):
+            assert digit_sum_counts(values, q, m) == recount(values, q, m)
+
+    def test_rejects_negative_value(self):
+        with pytest.raises(ValueError):
+            digit_sum_counts([4, -1, 5], 2, 3)
 
 
 class TestSplitting:

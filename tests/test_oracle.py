@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digitwitness.construction import CongruenceTarget, construct_family
+from digitwitness.digits import expand
 from digitwitness.intpoly import IntPolynomial, poly_eval
 from digitwitness.oracle import (
-    brute_force_count,
     compare_to_main_term,
     density_table,
     polynomial_residue_count,
@@ -50,10 +50,10 @@ class TestPolynomialValues:
 class TestBruteForceCount:
     def test_hand_enumerated_example(self):
         # s_2 of 0,1,2,3 is 0,1,1,2: two even values
-        assert brute_force_count(2, 2, 0, X, 4) == 2
+        assert density_table(2, 2, X, 4).counts[0] == 2
 
     def test_modulus_one_counts_everything(self):
-        assert brute_force_count(10, 1, 0, X2, 100) == 100
+        assert density_table(10, 1, X2, 100).counts[0] == 100
 
     def test_regression_anchor(self):
         assert density_table(2, 3, X3, 2**20).counts == ANCHOR_COUNTS_2_3_CUBE
@@ -69,19 +69,20 @@ class TestBruteForceCount:
         assert summed == whole
 
     def test_workers_merge_exactly(self):
-        kwargs = dict(q=2, m=3, g=1, p=X3, n_limit=20000)
-        assert brute_force_count(**kwargs, workers=1) == brute_force_count(
-            **kwargs, workers=4
-        )
+        kwargs = dict(q=2, m=3, p=X3, n_limit=20000)
+        serial = density_table(**kwargs, workers=1).counts
+        assert density_table(**kwargs, workers=4).counts == serial
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            brute_force_count(2, 0, 0, X, 10)
+            density_table(2, 0, X, 10)
         with pytest.raises(ValueError):
-            brute_force_count(2, 2, 0, X, 0)
+            density_table(2, 2, X, 0)
+        with pytest.raises(ValueError):
+            density_table(2, 2, X, 10, workers=0)
         with pytest.raises(ValueError):
             # takes a negative value at n = 0
-            brute_force_count(2, 2, 0, IntPolynomial.from_coeffs([-1, 1]), 4)
+            density_table(2, 2, IntPolynomial.from_coeffs([-1, 1]), 4)
 
 
 class TestDensityTable:
@@ -93,6 +94,13 @@ class TestDensityTable:
     def test_degenerate_single_tally(self):
         table = density_table(2, 3, X2, 1)
         assert table.counts == (1, 0, 0)  # s_2(0) = 0
+
+    def test_base_above_table_cap(self):
+        q, n_limit = 2**16 + 1, 3000
+        expected = [0, 0]
+        for n in range(n_limit):
+            expected[sum(expand(n * n, q)) % 2] += 1
+        assert density_table(q, 2, X2, n_limit).counts == tuple(expected)
 
     def test_validation(self):
         table = density_table(2, 3, X2, 100)
