@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -185,6 +186,42 @@ class TestVerify:
         assert code == 1
         malformed = [json.loads(l) for l in out_lines if json.loads(l).get("line")]
         assert malformed and malformed[0]["line"] == 2
+
+    def test_line_numbers_follow_str_splitlines(self, tmp_path, capsys):
+        # \x0c and \x1e end a line for str.splitlines, not for file iteration
+        path = self.construct_file(tmp_path, limit=2)
+        lines = path.read_text().splitlines()
+        lines[0] = lines[0][:20] + "\x0c" + lines[0][20:]
+        path.write_text("\n".join(lines + [lines[1]]) + "\x1e\nnot json\n")
+        code, out_lines = run_lines(
+            capsys,
+            ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+             "--in", str(path)],
+        )
+        records = [json.loads(l) for l in out_lines]
+        assert code == 1
+        assert [r["line"] for r in records if r["line"]] == [1, 2, 6]
+        assert [r["ok"] for r in records if r["index"] is not None] == [True, False]
+        assert records[-1]["detail"] == "total=2 failed=1 malformed=3"
+
+    def test_peak_memory_grows_little_per_row(self, tmp_path):
+        # only the duplicate check's map of n may grow with the file
+        rows = self.construct_file(tmp_path, limit=4000).read_text().splitlines(True)
+        small, large = tmp_path / "small.jsonl", tmp_path / "large.jsonl"
+        small.write_text("".join(rows[:500]))
+        large.write_text("".join(rows))
+        argv = ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+                "--out", str(tmp_path / "out"), "--in"]
+        assert run(argv + [str(small)]) == 0  # builds the digit-sum table
+        peaks = []
+        for path in (small, large):
+            tracemalloc.start()
+            try:
+                assert run(argv + [str(path)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (len(rows) - 500) < 300
 
     @pytest.mark.parametrize(
         "text", ["", ",".join(cli.WITNESS_FIELDS) + "\n"],

@@ -7,6 +7,7 @@ a change to the output format and must be deliberate.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -62,6 +63,45 @@ def test_verify_cube_file(tmp_path):
             "--in", str(witnesses)]
     assert run_sha(argv, tmp_path / "out") == (
         0, "d2daa2ab7669e1912d2ae8f0c9dedc023cbcedde25e139a5fcb52a48da5a726c")
+
+
+def corrupt_json(text):
+    """Malformed, blank, inconsistent, duplicated and cut-off rows."""
+    lines = text.splitlines()
+    record = json.loads(lines[40])
+    record["sq"] += 1
+    lines[40] = json.dumps(record, separators=(",", ":"))
+    lines[150] = lines[150][: len(lines[150]) // 2]
+    lines.insert(100, "")
+    lines.insert(200, lines[10])
+    lines[-1] = lines[-1][: len(lines[-1]) // 3]
+    return "\n".join(lines)  # the file ends inside its last row
+
+
+def corrupt_csv(text):
+    """One row short of a column."""
+    lines = text.splitlines()
+    lines[77] = lines[77].rsplit(",", 1)[0]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "fmt, corrupt, sha",
+    [
+        ("json", corrupt_json,
+         "5b2e53774c147cdb975c1f274149905e8c06b212196be074ad8fe45ccc7f3d7b"),
+        ("csv", corrupt_csv,
+         "83145d14c8b56e00e48d2e8c8e18e4767e1875d9364c32f70009c1d7d6a66eec"),
+    ],
+    ids=["json", "csv"],
+)
+def test_verify_corrupted_cube_file(tmp_path, fmt, corrupt, sha):
+    witnesses = tmp_path / "witnesses"
+    assert cli.main(CUBE_300 + ["--format", fmt, "--out", str(witnesses)]) == 0
+    witnesses.write_text(corrupt(witnesses.read_text()))
+    argv = ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+            "--in", str(witnesses)]
+    assert run_sha(argv, tmp_path / "out") == (1, sha)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
