@@ -52,7 +52,6 @@ from .intpoly import (
 from .oracle import (
     ComparisonReport,
     DensityTable,
-    VerificationReport,
     compare_to_main_term,
     density_table,
     polynomial_residue_count,

@@ -121,41 +121,45 @@ def _witness_from_record(record: dict) -> Witness:
     )
 
 
-def read_witness_file(path: str) -> tuple[list[Witness], list[tuple[int, str]]]:
-    """Parse a construct output file (JSON lines or CSV, auto-detected).
+def read_witness_file(path: str) -> Iterator[tuple[int, Witness | str]]:
+    """Parse a construct output file (JSON lines or CSV, auto-detected) lazily.
 
-    Returns (witnesses, malformed) where malformed pairs 1-based line numbers
-    with a description of what was wrong.
+    Yields (line, Witness) for each witness row and (line, message) for each
+    malformed one, in file order.  Lines are numbered from 1 as
+    str.splitlines() splits the whole text; blank lines count but yield
+    nothing.  A CSV file whose header is wrong yields that one message.
     """
-    witnesses: list[Witness] = []
-    malformed: list[tuple[int, str]] = []
     with open(path, "r") as handle:
-        lines = handle.read().splitlines()
-    body = [(i + 1, line) for i, line in enumerate(lines) if line.strip()]
-    if not body:
-        return witnesses, malformed
-    is_json = body[0][1].lstrip().startswith("{")
-    if not is_json:
-        header = next(csv.reader([body[0][1]]))
-        if header != WITNESS_FIELDS:
-            malformed.append((body[0][0], f"unexpected CSV header {header}"))
-            return witnesses, malformed
-        body = body[1:]
-    for lineno, line in body:
-        try:
-            if is_json:
-                record = json.loads(line)
-                if record.get("schema") != "witness/1":
-                    raise ValueError(f"unexpected schema {record.get('schema')!r}")
-            else:
-                row = next(csv.reader([line]))
-                if len(row) != len(WITNESS_FIELDS):
-                    raise ValueError(f"expected {len(WITNESS_FIELDS)} columns, got {len(row)}")
-                record = dict(zip(WITNESS_FIELDS, row))
-            witnesses.append(_witness_from_record(record))
-        except (ValueError, KeyError, TypeError) as exc:
-            malformed.append((lineno, str(exc)))
-    return witnesses, malformed
+        lines = enumerate((line for raw in handle for line in raw.splitlines()), 1)
+        body = ((lineno, line) for lineno, line in lines if line.strip())
+        first = next(body, None)
+        if first is None:
+            return
+        is_json = first[1].lstrip().startswith("{")
+        if is_json:
+            body = itertools.chain([first], body)
+        else:
+            header = next(csv.reader([first[1]]))
+            if header != WITNESS_FIELDS:
+                yield first[0], f"unexpected CSV header {header}"
+                return
+        for lineno, line in body:
+            try:
+                if is_json:
+                    record = json.loads(line)
+                    if record.get("schema") != "witness/1":
+                        raise ValueError(f"unexpected schema {record.get('schema')!r}")
+                else:
+                    row = next(csv.reader([line]))
+                    if len(row) != len(WITNESS_FIELDS):
+                        raise ValueError(
+                            f"expected {len(WITNESS_FIELDS)} columns, got {len(row)}"
+                        )
+                    record = dict(zip(WITNESS_FIELDS, row))
+                item: Witness | str = _witness_from_record(record)
+            except (ValueError, KeyError, TypeError) as exc:
+                item = str(exc)
+            yield lineno, item
 
 
 # Witnesses per construct chunk.  Smaller chunks cost measurably more CPU per
@@ -253,13 +257,21 @@ VERIFY_FIELDS = ["line", "index", "ok", "detail"]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    witnesses, malformed = read_witness_file(args.input_path)
-    if not witnesses and not malformed:
+    malformed: list[tuple[int, str]] = []
+    total = 0
+
+    def witnesses() -> Iterator[Witness]:
+        nonlocal total
+        for lineno, item in read_witness_file(args.input_path):
+            if isinstance(item, Witness):
+                total += 1
+                yield item
+            else:
+                malformed.append((lineno, item))
+
+    failures = oracle.verify_witnesses(witnesses(), args.q, args.m, args.g, args.poly)
+    if not total and not malformed:
         raise ValueError(f"no witness rows in {args.input_path}")
-    report = oracle.verify_witnesses(witnesses, args.q, args.m, args.g, args.poly)
-    by_index: dict[int, list[str]] = {}
-    for failure in report.failures:
-        by_index.setdefault(failure.index, []).append(failure.message)
     with _output(args, VERIFY_FIELDS) as writer:
         for lineno, message in malformed:
             writer.write(
@@ -271,8 +283,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     "detail": f"malformed row: {message}",
                 }
             )
-        for index in range(report.total):
-            problems = by_index.get(index, [])
+        for index in range(total):
+            problems = failures.get(index, [])
             writer.write(
                 {
                     "schema": "verify/1",
@@ -282,7 +294,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     "detail": "; ".join(problems),
                 }
             )
-        ok = report.ok and not malformed
+        ok = not failures and not malformed
         writer.write(
             {
                 "schema": "verify-summary/1",
@@ -290,7 +302,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "index": None,
                 "ok": ok,
                 "detail": (
-                    f"total={report.total} failed={len(by_index)} "
+                    f"total={total} failed={len(failures)} "
                     f"malformed={len(malformed)}"
                 ),
             }

@@ -15,7 +15,7 @@ worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd
@@ -148,42 +148,24 @@ def compare_to_main_term(table: DensityTable) -> ComparisonReport:
     return ComparisonReport(table=table, d=d, rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class WitnessFailure:
-    index: int
-    message: str
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    total: int
-    failures: tuple[WitnessFailure, ...] = field(default_factory=tuple)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
-    def passed(self) -> int:
-        return self.total - len({f.index for f in self.failures})
-
-
 def verify_witnesses(
     witnesses: Iterable[Witness], q: int, m: int, g: int, p: IntPolynomial
-) -> VerificationReport:
-    """Recheck every witness from first principles; failures are collected.
+) -> dict[int, list[str]]:
+    """Recheck every witness from first principles, in one pass.
 
     Each witness has s_q(p(n)) recomputed by direct evaluation and digit
     expansion, its provenance (n rebuilt from the quadruple and k) replayed,
     and its residue compared against g; duplicate n across the collection are
-    also flagged.  Nothing raises: the report lists what failed and why.
+    also flagged.  Returns the problems of each failing index, in order; the
+    dict is empty when every witness passes.  Only the map of n seen so far
+    grows with the input.
     """
+    if m < 1:
+        raise ValueError(f"modulus must be >= 1, got {m}")
     g %= m
-    failures: list[WitnessFailure] = []
+    failures: dict[int, list[str]] = {}
     seen: dict[int, int] = {}
-    total = 0
     for index, w in enumerate(witnesses):
-        total += 1
         problems = []
         rebuilt = poly_eval(build_cubic(w.params), q**w.k) + w.e
         if rebuilt != w.n:
@@ -204,5 +186,6 @@ def verify_witnesses(
             problems.append(f"duplicate n, first seen at index {seen[w.n]}")
         else:
             seen[w.n] = index
-        failures.extend(WitnessFailure(index, msg) for msg in problems)
-    return VerificationReport(total=total, failures=tuple(failures))
+        if problems:
+            failures[index] = problems
+    return failures

@@ -238,6 +238,25 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith("error: no witness rows")
 
+    def test_out_may_name_the_input(self, tmp_path, capsys):
+        path = self.construct_file(tmp_path, limit=3)
+        argv = ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+                "--in", str(path)]
+        assert run(argv) == 0
+        expected = capsys.readouterr().out
+        assert run(argv + ["--out", str(path)]) == 0
+        assert path.read_text() == expected
+
+    def test_rejected_file_leaves_no_out_file(self, tmp_path, capsys):
+        path, out = tmp_path / "empty.jsonl", tmp_path / "out"
+        path.write_text("\n")
+        code = run(
+            ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+             "--in", str(path), "--out", str(out)]
+        )
+        capsys.readouterr()
+        assert code == 2 and not out.exists()
+
     def test_wrong_target_residue_fails(self, tmp_path, capsys):
         path = self.construct_file(tmp_path, limit=2)
         code, _ = run_lines(

@@ -149,31 +149,32 @@ class TestVerifyWitnesses:
         self.witnesses = list(construct_family(target, X3, u=15, limit=100))
 
     def test_family_passes(self):
-        report = verify_witnesses(self.witnesses, 2, 3, 1, X3)
-        assert report.ok and report.total == 100 and report.passed == 100
+        assert verify_witnesses(self.witnesses, 2, 3, 1, X3) == {}
 
     def test_tampered_n_is_reported(self):
         bad = dataclasses.replace(self.witnesses[3], n=self.witnesses[3].n + 1)
         witnesses = self.witnesses[:3] + [bad]
-        report = verify_witnesses(witnesses, 2, 3, 1, X3)
-        assert not report.ok
-        assert {f.index for f in report.failures} == {3}
+        failures = verify_witnesses(witnesses, 2, 3, 1, X3)
+        assert set(failures) == {3}
+
+    def test_consumes_a_generator_once(self):
+        bad = dataclasses.replace(self.witnesses[5], residue=2)
+        rows = (bad if i == 5 else w for i, w in enumerate(self.witnesses))
+        failures = verify_witnesses(rows, 2, 3, 1, X3)
+        assert failures == {5: ["declared residue 2 != target 1"]}
 
     def test_tampered_digit_sum_is_reported(self):
         bad = dataclasses.replace(self.witnesses[0], sq_value=0)
-        report = verify_witnesses([bad], 2, 3, 1, X3)
-        assert not report.ok
+        assert verify_witnesses([bad], 2, 3, 1, X3) != {}
 
     def test_duplicates_are_reported(self):
-        report = verify_witnesses(
+        failures = verify_witnesses(
             [self.witnesses[0], self.witnesses[1], self.witnesses[0]], 2, 3, 1, X3
         )
-        assert any("duplicate" in f.message for f in report.failures)
+        assert any("duplicate" in message for message in failures[2])
 
     def test_wrong_target_residue_is_reported(self):
-        report = verify_witnesses(self.witnesses[:2], 2, 3, 2, X3)
-        assert not report.ok
+        assert verify_witnesses(self.witnesses[:2], 2, 3, 2, X3) != {}
 
     def test_empty_collection_passes(self):
-        report = verify_witnesses([], 2, 3, 0, X3)
-        assert report.ok and report.total == 0
+        assert verify_witnesses([], 2, 3, 0, X3) == {}
