@@ -18,9 +18,11 @@ The CSV variant carries the same fields, header
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import itertools
 import json
+import operator
 import re
 import sys
 from contextlib import contextmanager
@@ -196,6 +198,44 @@ BOUNDS_FIELDS = [
 ]
 
 
+# Largest --N-at value, and any value met on the way, in bits.  Certifying an
+# N of 2^16 bits takes about half a second; 2^20 bits takes minutes.
+_N_BITS_CAP = 1 << 16
+
+_N_OPERATORS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Pow: operator.pow,
+    ast.UAdd: operator.pos,
+    ast.USub: operator.neg,
+}
+
+
+def _n_value(node: ast.AST, names: dict[str, int]) -> int:
+    """Value of a parsed --N-at expression: ints, names, + - * ** only."""
+    op = _N_OPERATORS.get(type(getattr(node, "op", None)))
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        value = node.value
+    elif isinstance(node, ast.Name) and node.id in names:
+        value = names[node.id]
+    elif isinstance(node, ast.UnaryOp) and op is not None:
+        value = op(_n_value(node.operand, names))
+    elif isinstance(node, ast.BinOp) and op is not None:
+        left, right = _n_value(node.left, names), _n_value(node.right, names)
+        if op is operator.pow and right < 0:
+            raise ValueError(f"negative exponent {right}")
+        # a power of a b-bit base has more than (b - 1) * exponent bits
+        if op is operator.pow and (left.bit_length() - 1) * right >= _N_BITS_CAP:
+            raise ValueError(f"a power exceeds {_N_BITS_CAP} bits")
+        value = op(left, right)
+    else:
+        raise ValueError(f"unsupported term {ast.unparse(node)!r}")
+    if value.bit_length() > _N_BITS_CAP:
+        raise ValueError(f"a value exceeds {_N_BITS_CAP} bits")
+    return value
+
+
 def _eval_n_expression(expr: str, q: int, m: int, h: int, n0: int) -> int:
     """Evaluate an --N-at expression over N0, q, m, h (e.g. N0*q^(3h+1))."""
     if not _N_EXPR_TOKENS.match(expr):
@@ -203,13 +243,12 @@ def _eval_n_expression(expr: str, q: int, m: int, h: int, n0: int) -> int:
     normalized = expr.replace("^", "**")
     normalized = re.sub(r"(\d)\s*([Nqmh(])", r"\1*\2", normalized)
     normalized = re.sub(r"\)\s*(?=[Nqmh0-9(])", ")*", normalized)
+    names = {"N0": n0, "q": q, "m": m, "h": h}
     try:
-        value = eval(  # restricted: digits, N0/q/m/h and arithmetic only
-            normalized, {"__builtins__": {}}, {"N0": n0, "q": q, "m": m, "h": h}
-        )
-    except Exception as exc:
+        value = _n_value(ast.parse(normalized, mode="eval").body, names)
+    except (SyntaxError, RecursionError, ValueError) as exc:
         raise ValueError(f"cannot evaluate N expression {expr!r}: {exc}") from None
-    if not isinstance(value, int) or value < 1:
+    if value < 1:
         raise ValueError(f"N expression {expr!r} must yield a positive integer")
     return value
 
@@ -343,7 +382,9 @@ def cmd_density(args: argparse.Namespace) -> int:
     return EXIT_OK if all_within else EXIT_FAIL
 
 
-LEMMA_FIELDS = ["m0", "m1", "m2", "m3", "u", "ok", "first_violation"]
+LEMMA_FIELDS = [
+    "m0", "m1", "m2", "m3", "u", "ok", "first_violation", "total", "passed", "failed",
+]
 
 # Refuse unbounded exhaustive runs past this many quadruples.
 _EXHAUSTIVE_CAP = 10**7
@@ -501,6 +542,8 @@ def _validate(args: argparse.Namespace) -> None:
             raise ValueError("random mode requires --seed and --count")
         if args.count < 1:
             raise ValueError("count must be >= 1")
+    if getattr(args, "max_per_range", None) is not None and args.max_per_range < 1:
+        raise ValueError("max-per-range must be >= 1")
     if args.command == "density" and args.n_limit < 1:
         raise ValueError("N must be >= 1")
 

@@ -257,6 +257,15 @@ class TestVerify:
         capsys.readouterr()
         assert code == 2 and not out.exists()
 
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    def test_nonpositive_modulus_is_usage_error(self, tmp_path, capsys, m):
+        path = self.construct_file(tmp_path, limit=2)
+        code = run(["verify", "--q", "2", "--m", m, "--g", "1", "--poly", "x^3",
+                    "--in", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: modulus must be >= 1, got {m}\n"
+
     def test_wrong_target_residue_fails(self, tmp_path, capsys):
         path = self.construct_file(tmp_path, limit=2)
         code, _ = run_lines(
@@ -322,6 +331,26 @@ class TestCertify:
         )
         assert code == 0
         assert lines[0].startswith("q,m,h,u0,N0,")
+
+
+    @pytest.mark.parametrize(
+        "expr, value",
+        [("N0", 2**27 * 41472**10), ("N0*q^(3h+1)", 2**37 * 41472**10),
+         ("2N0-(q)(m)h", 2**28 * 41472**10 - 18), ("-q+q^m^2", 510),
+         ("+2^65535", 2**65535), ("0^0", 1)],
+        ids=["N0", "scale-step", "implicit-products", "right-assoc", "cap", "0^0"],
+    )
+    def test_expression_values(self, expr, value):
+        assert cli._eval_n_expression(expr, 2, 3, 3, 2**27 * 41472**10) == value
+
+    @pytest.mark.parametrize(
+        "expr", ["9^9^9^9", "2^-1", "N0^N0", "N0*(q+1", "2^65536", "q(3)"]
+    )
+    def test_unsafe_expression_rejected(self, capsys, expr):
+        code = run(["certify", "--q", "2", "--m", "3", "--h", "3", "--N-at", expr])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot evaluate N expression {expr!r}")
 
 
 class TestDensity:
@@ -409,11 +438,46 @@ class TestLemma:
         summary = json.loads(lines[-1])
         assert summary["total"] == 4**3 * 3  # m1 range holds only 3 values
 
+    @pytest.mark.parametrize("per", ["0", "-2"])
+    def test_exhaustive_rejects_nonpositive_max_per_range(self, capsys, per):
+        code = run(["lemma", "--q", "2", "--l", "3", "--u", "15", "--mode",
+                    "exhaustive", "--max-per-range", per])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: max-per-range must be >= 1\n"
+
     def test_unbounded_exhaustive_run_is_refused(self, capsys):
         code = run(["lemma", "--q", "2", "--l", "3", "--u", "15", "--mode",
                     "exhaustive"])
         err = capsys.readouterr().err
         assert code == 2 and "--max-per-range" in err
+
+
+def test_json_records_carry_only_csv_columns(tmp_path, capsys):
+    # JSON and CSV output must carry the same facts
+    witnesses = tmp_path / "witnesses.jsonl"
+    construct = ["construct", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+                 "--limit", "3"]
+    assert run(construct + ["--out", str(witnesses)]) == 0
+    commands = [
+        (construct, cli.WITNESS_FIELDS),
+        (["certify", "--q", "2", "--m", "3", "--h", "3", "--N-at", "N0"],
+         cli.BOUNDS_FIELDS),
+        (["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+          "--in", str(witnesses)], cli.VERIFY_FIELDS),
+        (["density", "--q", "2", "--m", "3", "--poly", "x^2", "--N", "100"],
+         cli.DENSITY_FIELDS),
+        (["lemma", "--q", "2", "--l", "3", "--u", "15", "--mode", "random",
+          "--count", "3", "--seed", "1"], cli.LEMMA_FIELDS),
+    ]
+    extra = {}
+    for argv, fields in commands:
+        _, lines = run_lines(capsys, argv)
+        for record in map(json.loads, lines):
+            keys = set(record) - {"schema"} - set(fields)
+            if keys:
+                extra[record["schema"]] = sorted(keys)
+    assert extra == {}
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -40,7 +40,7 @@ GOLDEN = {
     "lemma-csv": (
         ["lemma", "--q", "2", "--l", "3", "--u", "15", "--mode", "random",
          "--count", "50", "--seed", "7", "--format", "csv"],
-        0, "56a016fad9d314a4a1e3ef1363826178fb58283ef89316e2880c0645ecfa7230",
+        0, "e61c5e55fb0054870432d6776426f233e997d9146b52c8b9084e10289ed08af4",
     ),
 }
 

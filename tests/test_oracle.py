@@ -176,5 +176,10 @@ class TestVerifyWitnesses:
     def test_wrong_target_residue_is_reported(self):
         assert verify_witnesses(self.witnesses[:2], 2, 3, 2, X3) != {}
 
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_rejects_nonpositive_modulus(self, m):
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            verify_witnesses(self.witnesses, 2, m, 1, X3)
+
     def test_empty_collection_passes(self):
         assert verify_witnesses([], 2, 3, 0, X3) == {}
