@@ -2,9 +2,10 @@
 
 Everything here is deliberately independent of the construction: counts come
 from enumerating [0, N) and tallying digit sums through `digits`, and witness
-verification re-evaluates p(n) from scratch.  Enumeration advances p(n) with
-an exact finite-difference table (h additions per step); per-n Horner
-evaluation is kept around as the dumber cross-check path.
+verification re-evaluates p(n) from scratch, in one pass over any iterable,
+returning only the problems of the witnesses that fail.  Enumeration
+advances p(n) with an exact finite-difference table (h additions per step);
+per-n Horner evaluation is kept around as the dumber cross-check path.
 
 [0, N) is cut into fixed-size chunks that `parallel.chunked_map` tallies,
 across processes when there are several workers (never more processes than
