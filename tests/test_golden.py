@@ -42,6 +42,16 @@ GOLDEN = {
          "--count", "50", "--seed", "7", "--format", "csv"],
         0, "e61c5e55fb0054870432d6776426f233e997d9146b52c8b9084e10289ed08af4",
     ),
+    "lemma-exhaustive": (
+        ["lemma", "--q", "2", "--l", "3", "--u", "15", "--mode", "exhaustive",
+         "--max-per-range", "5"],
+        0, "b531ea7b017981766be1efa90fa662fcdd5de7d6f8da6640ac2e72523e52b7e9",
+    ),
+    "lemma-exhaustive-csv": (
+        ["lemma", "--q", "3", "--l", "2", "--u", "8", "--mode", "exhaustive",
+         "--max-per-range", "3", "--format", "csv"],
+        0, "1b2a80a4a55f6040854e2ba79d7536ba06d28b7c0d24ac09ca10680bb6c91c55",
+    ),
 }
 
 
