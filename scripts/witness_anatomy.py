@@ -15,7 +15,6 @@ import argparse
 from digitwitness.cli import parse_poly
 from digitwitness.construction import (
     CongruenceTarget,
-    admissible_ranges,
     build_cubic,
     make_plan,
     witness_for,
@@ -36,8 +35,7 @@ def main():
     target = CongruenceTarget(q=args.q, m=args.m, g=args.g)
     p = parse_poly(args.poly)
     plan = make_plan(target, p, None)
-    box = admissible_ranges(target.q, plan.h, plan.u)
-    w = witness_for(plan, box.params_at(args.index))
+    w = witness_for(plan, plan.box.params_at(args.index))
 
     q, k = target.q, w.k
     print(f"target: s_{q}(p(n)) = {target.g} (mod {target.m}),  p = {p}")

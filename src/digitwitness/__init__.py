@@ -27,7 +27,6 @@ from .construction import (
     build_cubic,
     construct_family,
     digit_sum_offset,
-    family_size,
     m1_upper,
     make_plan,
     min_k,
@@ -37,7 +36,7 @@ from .construction import (
     verify_sign_pattern,
     witness_for,
 )
-from .digits import digit_sum, digit_value, expand, split_add, split_sub
+from .digits import digit_sum, expand
 from .intpoly import (
     IntPolynomial,
     max_abs_coeff,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .construction import ConsistencyError, family_size, min_u
+from .construction import ConsistencyError, admissible_ranges, min_u
 
 
 def nth_root_floor(x: int, n: int) -> int:
@@ -117,7 +117,7 @@ def guaranteed_count(q: int, h: int, u: int) -> GuaranteedCount:
     """
     if u < min_u(q, h):
         raise ValueError(f"u={u} below minimum scale {min_u(q, h)}")
-    exact = family_size(q, h, u)
+    exact = admissible_ranges(q, h, u).size
     estimate = Fraction(
         (q - 1) ** 3 * q ** (4 * u), q**3 * (2 * h * q * (6 * q) ** h)
     )

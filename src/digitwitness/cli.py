@@ -26,6 +26,7 @@ import operator
 import re
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from typing import IO, Callable, Iterator, Optional
@@ -169,10 +170,10 @@ def read_witness_file(path: str) -> Iterator[tuple[int, Witness | str]]:
 _CONSTRUCT_CHUNK = 256
 
 
-def _witness_rows(plan, box, start: int, stop: int) -> list[dict]:
-    """witness/1 records for the quadruples at indices [start, stop) of box."""
+def _witness_rows(plan, start: int, stop: int) -> list[dict]:
+    """witness/1 records for the quadruples at indices [start, stop) of plan.box."""
     return [
-        witness_record(construction.witness_for(plan, box.params_at(i)))
+        witness_record(construction.witness_for(plan, plan.box.params_at(i)))
         for i in range(start, stop)
     ]
 
@@ -180,9 +181,9 @@ def _witness_rows(plan, box, start: int, stop: int) -> list[dict]:
 def cmd_construct(args: argparse.Namespace) -> int:
     target = CongruenceTarget(q=args.q, m=args.m, g=args.g)
     plan = construction.make_plan(target, args.poly, args.u)
-    box = construction.admissible_ranges(target.q, plan.h, plan.u)
-    total = box.size if args.limit is None else min(args.limit, box.size)
-    rows = partial(_witness_rows, plan, box)
+    size = plan.box.size
+    total = size if args.limit is None else min(args.limit, size)
+    rows = partial(_witness_rows, plan)
     with _output(args, WITNESS_FIELDS) as writer:
         for chunk in chunked_map(rows, total, args.workers, _CONSTRUCT_CHUNK):
             for record in chunk:
@@ -397,16 +398,14 @@ def _lemma_quadruples(
         yield from box.sample(args.count, args.seed)
         return
     per = args.max_per_range
-    m_values = range(box.lo, box.hi if per is None else min(box.lo + per, box.hi))
-    m1_values = range(1, (box.m1_max if per is None else min(per, box.m1_max)) + 1)
-    total = len(m_values) ** 3 * len(m1_values)
-    if total > _EXHAUSTIVE_CAP:
+    if per is not None:
+        box = replace(box, hi=min(box.lo + per, box.hi), m1_max=min(per, box.m1_max))
+    if box.size > _EXHAUSTIVE_CAP:
         raise ValueError(
-            f"exhaustive run would cover {total} quadruples; "
+            f"exhaustive run would cover {box.size} quadruples; "
             f"truncate with --max-per-range"
         )
-    for m3, m2, m1, m0 in itertools.product(m_values, m_values, m1_values, m_values):
-        yield CubicParams(m0=m0, m1=m1, m2=m2, m3=m3, u=box.u)
+    yield from map(box.params_at, range(box.size))
 
 
 def cmd_lemma(args: argparse.Namespace) -> int:

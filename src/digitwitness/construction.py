@@ -139,8 +139,6 @@ class AdmissibleBox:
     indexed lexicographically by (m3, m2, m1, m0) ascending.
     """
 
-    q: int
-    h: int
     u: int
     lo: int
     hi: int
@@ -193,14 +191,7 @@ class AdmissibleBox:
 def admissible_ranges(q: int, h: int, u: int) -> AdmissibleBox:
     if u < 1:
         raise ValueError(f"scale u must be >= 1, got {u}")
-    return AdmissibleBox(
-        q=q, h=h, u=u, lo=q ** (u - 1), hi=q**u, m1_max=m1_upper(q, h, u)
-    )
-
-
-def family_size(q: int, h: int, u: int) -> int:
-    """Number of admissible quadruples (one witness each) at scale u."""
-    return admissible_ranges(q, h, u).size
+    return AdmissibleBox(u=u, lo=q ** (u - 1), hi=q**u, m1_max=m1_upper(q, h, u))
 
 
 def build_cubic(params: CubicParams) -> IntPolynomial:
@@ -214,11 +205,8 @@ def build_cubic(params: CubicParams) -> IntPolynomial:
 class SignPatternReport:
     """Outcome of checking one quadruple's power for the (+,-,+,...,+) pattern."""
 
-    params: CubicParams
-    power: int
     profile: tuple[int, ...]
     max_abs: int
-    coeff_bound: int
     first_violation: Optional[int]
     ok: bool
 
@@ -255,16 +243,9 @@ def verify_sign_pattern(q: int, l: int, params: CubicParams) -> SignPatternRepor
     if len(profile) != len(want) and first_violation is None:
         first_violation = min(len(profile), len(want))
     max_abs = max_abs_coeff(powered)
-    coeff_bound = (4 * q**params.u) ** l
-    ok = first_violation is None and max_abs <= coeff_bound
+    ok = first_violation is None and max_abs <= (4 * q**params.u) ** l
     return SignPatternReport(
-        params=params,
-        power=l,
-        profile=profile,
-        max_abs=max_abs,
-        coeff_bound=coeff_bound,
-        first_violation=first_violation,
-        ok=ok,
+        profile=profile, max_abs=max_abs, first_violation=first_violation, ok=ok
     )
 
 
@@ -316,21 +297,19 @@ def min_k(q: int, h: int, u: int, p_shifted: IntPolynomial) -> int:
 class ConstructionPlan:
     """Everything about a target and polynomial that is quadruple-independent.
 
-    Valid splitting exponents are exactly those strictly above k_threshold;
-    the residue window scanned by select_k is [k_threshold + 1,
-    k_threshold + m].
+    `box` is the admissible box for p's degree at scale u: the family the plan
+    enumerates, one witness per quadruple, and the one place its ranges and
+    order are fixed.  Valid splitting exponents are exactly those strictly
+    above k_threshold; the residue window scanned by select_k is
+    [k_threshold + 1, k_threshold + m].
     """
 
     target: CongruenceTarget
     p: IntPolynomial
     e: int
     p_shifted: IntPolynomial
-    u: int
+    box: AdmissibleBox
     k_threshold: int
-
-    @property
-    def h(self) -> int:
-        return self.p.degree
 
 
 def make_plan(
@@ -350,7 +329,12 @@ def make_plan(
     p_shifted = poly_translate(p, e)
     k_threshold = min_k(target.q, h, u, p_shifted) - 1
     return ConstructionPlan(
-        target=target, p=p, e=e, p_shifted=p_shifted, u=u, k_threshold=k_threshold
+        target=target,
+        p=p,
+        e=e,
+        p_shifted=p_shifted,
+        box=admissible_ranges(target.q, h, u),
+        k_threshold=k_threshold,
     )
 
 
@@ -365,7 +349,7 @@ def digit_sum_offset(plan: ConstructionPlan, params: CubicParams) -> int:
     which is what this returns.  May be negative.
     """
     q = plan.target.q
-    admissible_ranges(q, plan.h, plan.u).require(params)
+    plan.box.require(params)
     composed = poly_compose(plan.p_shifted, build_cubic(params))
     profile = sign_profile(composed)
     if profile != expected_profile(composed.degree):
@@ -453,16 +437,16 @@ def construct_family(
     u: Optional[int] = None,
     limit: Optional[int] = None,
 ) -> Iterator[Witness]:
-    """Witnesses for the first `limit` quadruples in lexicographic order.
+    """Witnesses for the first `limit` quadruples of the plan's box, in order.
 
-    One witness per quadruple; with limit=None the entire admissible box is
-    enumerated (astronomical at realistic scales -- pass a limit).  Witnesses
-    from distinct quadruples have distinct n; consumers assert this on
-    collected output (see oracle.verify_witnesses) so the stream itself stays
-    memoryless.
+    One witness per quadruple, in `AdmissibleBox.params_at` order; with
+    limit=None the entire box is enumerated (astronomical at realistic
+    scales -- pass a limit).  Witnesses from distinct quadruples have
+    distinct n; consumers assert this on collected output (see
+    oracle.verify_witnesses) so the stream itself stays memoryless.
     """
     plan = make_plan(target, p, u)
-    box = admissible_ranges(target.q, plan.h, plan.u)
+    box = plan.box
     count = box.size if limit is None else min(limit, box.size)
     for index in range(count):
         yield witness_for(plan, box.params_at(index))

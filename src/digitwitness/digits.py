@@ -1,17 +1,24 @@
-"""Exact base-q digit expansions, digit sums, and power-gap splitting identities.
+"""Exact base-q digit expansions and digit sums.
 
 Digits are stored least-significant first; a value of 0 expands to the empty
-list.  All arithmetic is arbitrary precision.  The two splitting identities
-(`split_add`, `split_sub`) decompose s_q across a gap of k base-q positions:
-
-    s_q(a*q^k + b) = s_q(a) + s_q(b)                      (1 <= b < q^k)
-    s_q(a*q^k - b) = s_q(a-1) + k*(q-1) - s_q(b-1)        (1 <= b < q^k)
+list.  All arithmetic is arbitrary precision.
 
 This module is the one digit-sum engine: `digit_sum` (one value) and
 `digit_sum_counts` (residue tallies over many values) both work by repeated
 division in blocks of digits, with a per-base lookup table for the low block.
 Every base has a table; above `_TABLE_CAP` the block is a single digit, which
-is its own digit sum.  The identities stay independently testable against it.
+is its own digit sum.
+
+Two power-gap splitting identities decompose s_q across a gap of k base-q
+positions, for a >= 1, k >= 1 and 1 <= b < q^k:
+
+    s_q(a*q^k + b) = s_q(a) + s_q(b)
+    s_q(a*q^k - b) = s_q(a-1) + k*(q-1) - s_q(b-1)
+
+In the second, subtracting b from a*q^k turns the low k positions into the
+base-q complement of b, which is where the k*(q-1) term comes from.
+`construction.digit_sum_offset` rests on both; the tests check them against
+`digit_sum` directly.
 """
 
 from __future__ import annotations
@@ -66,15 +73,6 @@ def expand(n: int, q: int) -> list[int]:
     return digits
 
 
-def digit_value(digits: list[int], q: int) -> int:
-    """Inverse of `expand`: the integer with the given base-q digits."""
-    _require_base(q)
-    value = 0
-    for d in reversed(digits):
-        value = value * q + d
-    return value
-
-
 def digit_sum(n: int, q: int) -> int:
     """Sum of the base-q digits of n."""
     _require_base(q)
@@ -102,28 +100,3 @@ def digit_sum_counts(values: Iterable[int], q: int, m: int) -> list[int]:
         counts[s % m] += 1
     return counts
 
-
-def _check_split_args(a: int, b: int, k: int, q: int) -> None:
-    _require_base(q)
-    if a < 1:
-        raise ValueError(f"a must be >= 1, got {a}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not 1 <= b < q**k:
-        raise ValueError(f"b must lie in [1, q^k - 1], got b={b} with q^k={q**k}")
-
-
-def split_add(a: int, b: int, k: int, q: int) -> int:
-    """s_q(a*q^k + b) computed without forming the sum, as s_q(a) + s_q(b)."""
-    _check_split_args(a, b, k, q)
-    return digit_sum(a, q) + digit_sum(b, q)
-
-
-def split_sub(a: int, b: int, k: int, q: int) -> int:
-    """s_q(a*q^k - b) computed from the borrow pattern across the gap.
-
-    Subtracting b from a*q^k turns the low k positions into the base-q
-    complement of b, which is where the k*(q-1) term comes from.
-    """
-    _check_split_args(a, b, k, q)
-    return digit_sum(a - 1, q) + k * (q - 1) - digit_sum(b - 1, q)

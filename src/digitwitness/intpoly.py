@@ -43,17 +43,8 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return poly_add(self, other)
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return poly_mul(self, other)
-
     def __pow__(self, exponent: int) -> "IntPolynomial":
         return poly_pow(self, exponent)
-
-    def __call__(self, x: int) -> int:
-        return poly_eval(self, x)
 
     def __str__(self) -> str:
         if not self.coeffs:

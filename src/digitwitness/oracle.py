@@ -121,7 +121,6 @@ class ComparisonRow:
 class ComparisonReport:
     """Observed densities next to the equidistribution main term Q*(g,d)/m."""
 
-    table: DensityTable
     d: int
     rows: tuple[ComparisonRow, ...]
 
@@ -146,7 +145,7 @@ def compare_to_main_term(table: DensityTable) -> ComparisonReport:
                 deviation=abs(density - prediction),
             )
         )
-    return ComparisonReport(table=table, d=d, rows=tuple(rows))
+    return ComparisonReport(d=d, rows=tuple(rows))
 
 
 def verify_witnesses(
@@ -159,7 +158,9 @@ def verify_witnesses(
     and its residue compared against g; duplicate n across the collection are
     also flagged.  Returns the problems of each failing index, in order; the
     dict is empty when every witness passes.  Only the map of n seen so far
-    grows with the input.
+    grows with the input, and the work per witness is bounded by its size:
+    n is rebuilt only when q^k is below 2^max(bits(m1), bits(n - e)), since
+    for x = q^k above m1 and |n - e| the cubic gives t(x) > x > |n - e|.
     """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
@@ -168,19 +169,27 @@ def verify_witnesses(
     seen: dict[int, int] = {}
     for index, w in enumerate(witnesses):
         problems = []
-        rebuilt = poly_eval(build_cubic(w.params), q**w.k) + w.e
-        if rebuilt != w.n:
-            problems.append(f"n does not match its quadruple: {rebuilt} != {w.n}")
+        size = max(w.params.m1.bit_length(), abs(w.n - w.e).bit_length())
+        if w.k < 1 or w.k * (q.bit_length() - 1) >= size:
+            problems.append(f"k {w.k} cannot rebuild n from its quadruple")
+        else:
+            rebuilt = poly_eval(build_cubic(w.params), q**w.k) + w.e
+            if rebuilt != w.n:
+                problems.append(f"n does not match its quadruple: {rebuilt} != {w.n}")
         if w.sq_value != w.k * (q - 1) + w.offset:
             problems.append(
                 f"sq {w.sq_value} inconsistent with k*(q-1)+offset "
                 f"{w.k * (q - 1) + w.offset}"
             )
-        recomputed = digit_sum(poly_eval(p, w.n), q)
-        if recomputed != w.sq_value:
-            problems.append(f"recomputed digit sum {recomputed} != {w.sq_value}")
-        if recomputed % m != g:
-            problems.append(f"digit sum residue {recomputed % m} != target {g}")
+        value = poly_eval(p, w.n)
+        if value < 0:
+            problems.append(f"p(n) = {value} is negative")
+        else:
+            recomputed = digit_sum(value, q)
+            if recomputed != w.sq_value:
+                problems.append(f"recomputed digit sum {recomputed} != {w.sq_value}")
+            if recomputed % m != g:
+                problems.append(f"digit sum residue {recomputed % m} != target {g}")
         if w.residue != g:
             problems.append(f"declared residue {w.residue} != target {g}")
         if w.n in seen:

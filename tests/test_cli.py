@@ -266,6 +266,47 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == f"error: modulus must be >= 1, got {m}\n"
 
+    def edited_row_records(self, tmp_path, capsys, field, value, traced=False):
+        """Verify records after setting `field` of the second of three rows."""
+        path = self.construct_file(tmp_path, limit=3)
+        argv = ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+                "--in", str(path)]
+        assert run(argv) == 0  # builds the digit-sum table before any tracing
+        capsys.readouterr()
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record[field] = value
+        lines[1] = json.dumps(record, separators=(",", ":"))
+        path.write_text("\n".join(lines) + "\n")
+        peak = None
+        if traced:
+            tracemalloc.start()
+            try:
+                code = run(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        else:
+            code = run(argv)
+        records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert code == 1
+        assert [r["ok"] for r in records] == [True, False, True, False]
+        return records[1]["detail"], peak
+
+    @pytest.mark.parametrize("k", [10**7, 0, -1])
+    def test_implausible_k_is_flagged_without_rebuilding_n(
+        self, tmp_path, capsys, k
+    ):
+        detail, peak = self.edited_row_records(tmp_path, capsys, "k", k, True)
+        assert f"k {k} cannot rebuild n from its quadruple" in detail
+        assert "n does not match" not in detail
+        assert peak < 1 << 20
+
+    def test_negative_polynomial_value_is_a_row_failure(self, tmp_path, capsys):
+        detail, _ = self.edited_row_records(tmp_path, capsys, "n", "-5")
+        assert "p(n) = -125 is negative" in detail
+        assert "digit sum" not in detail
+
     def test_wrong_target_residue_fails(self, tmp_path, capsys):
         path = self.construct_file(tmp_path, limit=2)
         code, _ = run_lines(

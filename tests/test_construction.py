@@ -13,7 +13,6 @@ from digitwitness.construction import (
     build_cubic,
     construct_family,
     digit_sum_offset,
-    family_size,
     m1_upper,
     make_plan,
     min_k,
@@ -103,7 +102,6 @@ class TestAdmissibleBox:
     def test_size_formula(self):
         box = admissible_ranges(2, 3, 15)
         assert box.size == (2**14) ** 3 * 3
-        assert family_size(2, 3, 15) == box.size
 
     def test_lexicographic_indexing(self):
         box = admissible_ranges(2, 3, 15)
@@ -255,7 +253,12 @@ class TestMinK:
 def _plan_with_threshold(q, m, g, k_threshold):
     target = CongruenceTarget(q=q, m=m, g=g)
     return ConstructionPlan(
-        target=target, p=X3, e=0, p_shifted=X3, u=15, k_threshold=k_threshold
+        target=target,
+        p=X3,
+        e=0,
+        p_shifted=X3,
+        box=admissible_ranges(q, 3, 15),
+        k_threshold=k_threshold,
     )
 
 
@@ -393,7 +396,7 @@ class TestConstructFamily:
         u = min_u(q, h)
         target = CongruenceTarget(q=q, m=m, g=2)
         family = list(construct_family(target, IntPolynomial.monomial(1), u=u))
-        assert len(family) == family_size(q, h, u) == 65536
+        assert len(family) == admissible_ranges(q, h, u).size == 65536
         ns = {w.n for w in family}
         assert len(ns) == len(family)
         size_bound = q ** (3 * (2 * h + m)) * q ** (u * (3 * h + 1))

@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digitwitness.digits import (
-    digit_sum,
-    digit_sum_counts,
-    digit_value,
-    expand,
-    split_add,
-    split_sub,
-)
+from digitwitness.digits import digit_sum, digit_sum_counts, expand
 
 
 class TestExpand:
@@ -38,14 +31,17 @@ class TestExpand:
         digits = expand(n, q)
         assert all(0 <= d < q for d in digits)
         assert not digits or digits[-1] != 0
-        assert digit_value(digits, q) == n
+        assert sum(d * q**i for i, d in enumerate(digits)) == n
 
     def test_round_trip_huge(self):
         rng = random.Random(20240817)
         for bits in (5_000, 40_000):
             n = rng.getrandbits(bits) | (1 << (bits - 1))
             for q in (2, 10, 257):
-                assert digit_value(expand(n, q), q) == n
+                value = 0
+                for d in reversed(expand(n, q)):
+                    value = value * q + d
+                assert value == n
 
 
 class TestDigitSum:
@@ -97,34 +93,27 @@ class TestDigitSumCounts:
 
 
 class TestSplitting:
+    """The two power-gap identities of the `digits` docstring, for 1 <= b < q^k:
+
+    s_q(a*q^k + b) = s_q(a) + s_q(b)
+    s_q(a*q^k - b) = s_q(a-1) + k*(q-1) - s_q(b-1)
+    """
+
     def test_add_binary(self):
-        assert split_add(3, 1, 2, 2) == 3 == digit_sum(3 * 4 + 1, 2)
+        assert digit_sum(3, 2) + digit_sum(1, 2) == 3 == digit_sum(3 * 4 + 1, 2)
 
     def test_add_decimal(self):
-        assert split_add(1, 1, 1, 10) == 2 == digit_sum(11, 10)
-        assert split_add(9, 9, 1, 10) == 18 == digit_sum(99, 10)
+        assert digit_sum(1, 10) + digit_sum(1, 10) == 2 == digit_sum(11, 10)
+        assert digit_sum(9, 10) + digit_sum(9, 10) == 18 == digit_sum(99, 10)
 
     def test_sub_decimal(self):
         # 5*10^3 - 1 = 4999
-        assert split_sub(5, 1, 3, 10) == 31 == digit_sum(4999, 10)
+        assert digit_sum(4, 10) + 3 * 9 - digit_sum(0, 10) == 31 == digit_sum(4999, 10)
 
     def test_sub_binary(self):
-        assert split_sub(1, 1, 1, 2) == 1 == digit_sum(1, 2)
+        assert digit_sum(0, 2) + 1 - digit_sum(0, 2) == 1 == digit_sum(1, 2)
         # 2*4 - 3 = 5 = 101_2
-        assert split_sub(2, 3, 2, 2) == 2 == digit_sum(5, 2)
-
-    @pytest.mark.parametrize("b", [0, 4, 5])
-    def test_rejects_b_outside_gap(self, b):
-        with pytest.raises(ValueError):
-            split_add(3, b, 2, 2)
-        with pytest.raises(ValueError):
-            split_sub(3, b, 2, 2)
-
-    def test_rejects_bad_a_and_k(self):
-        with pytest.raises(ValueError):
-            split_add(0, 1, 1, 2)
-        with pytest.raises(ValueError):
-            split_sub(1, 1, 0, 2)
+        assert digit_sum(1, 2) + 2 - digit_sum(2, 2) == 2 == digit_sum(5, 2)
 
     @settings(max_examples=300)
     @given(
@@ -135,5 +124,7 @@ class TestSplitting:
     )
     def test_soundness_randomized(self, q, k, a, data):
         b = data.draw(st.integers(1, q**k - 1))
-        assert split_add(a, b, k, q) == digit_sum(a * q**k + b, q)
-        assert split_sub(a, b, k, q) == digit_sum(a * q**k - b, q)
+        assert digit_sum(a, q) + digit_sum(b, q) == digit_sum(a * q**k + b, q)
+        assert digit_sum(a - 1, q) + k * (q - 1) - digit_sum(b - 1, q) == digit_sum(
+            a * q**k - b, q
+        )

@@ -1,6 +1,8 @@
-"""Smoke tests: the experiment scripts under scripts/ run and print their header."""
+"""Smoke tests: the experiment scripts under scripts/ run and print their header,
+and the README's library example runs as written."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,3 +35,10 @@ def test_script_runs(name, args, header):
     result = run_script(name, *args)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[0] == header
+
+
+def test_readme_library_example_runs():
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
