@@ -99,4 +99,3 @@ def digit_sum_counts(values: Iterable[int], q: int, m: int) -> list[int]:
             s += table[r]
         counts[s % m] += 1
     return counts
-

@@ -159,8 +159,10 @@ def verify_witnesses(
     also flagged.  Returns the problems of each failing index, in order; the
     dict is empty when every witness passes.  Only the map of n seen so far
     grows with the input, and the work per witness is bounded by its size:
-    n is rebuilt only when q^k is below 2^max(bits(m1), bits(n - e)), since
-    for x = q^k above m1 and |n - e| the cubic gives t(x) > x > |n - e|.
+    n is not rebuilt when k < 1 (no construction picks such a k), or when
+    2^(k*(bits(q)-1)) <= q^k reaches 2^max(bits(m1), bits(n - e)): then
+    x = q^k exceeds m1 and |n - e|, so t(x) = x*(m3*x^2 + m2*x - m1) + m0 > x
+    > |n - e| and t(x) + e != n.
     """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
