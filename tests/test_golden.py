@@ -37,6 +37,11 @@ GOLDEN = {
         ["certify", "--q", "2", "--m", "3", "--h", "3", "--N-at", "N0*q^(3h+1)"],
         0, "22ec2c8b0e11d0338c257ea500e0561e7f8a4dff34c575aa125eddd9ea3b156d",
     ),
+    "certify-csv": (
+        ["certify", "--q", "2", "--m", "3", "--h", "3", "--N-at", "N0*q^(3h+1)",
+         "--format", "csv"],
+        0, "816e4c9b81476e7c28c2c90cc2d725c4b5654efb7d37941624a686db64f15307",
+    ),
     "lemma-csv": (
         ["lemma", "--q", "2", "--l", "3", "--u", "15", "--mode", "random",
          "--count", "50", "--seed", "7", "--format", "csv"],
@@ -96,21 +101,23 @@ def corrupt_csv(text):
 
 
 @pytest.mark.parametrize(
-    "fmt, corrupt, sha",
+    "fmt, corrupt, out_fmt, sha",
     [
-        ("json", corrupt_json,
+        ("json", corrupt_json, "json",
          "5b2e53774c147cdb975c1f274149905e8c06b212196be074ad8fe45ccc7f3d7b"),
-        ("csv", corrupt_csv,
+        ("csv", corrupt_csv, "json",
          "83145d14c8b56e00e48d2e8c8e18e4767e1875d9364c32f70009c1d7d6a66eec"),
+        ("json", corrupt_json, "csv",
+         "22a621bcd567bf9745698f970d6d307d95805c9b5b975adcbc42ce04b0c22a22"),
     ],
-    ids=["json", "csv"],
+    ids=["json", "csv", "json-to-csv"],
 )
-def test_verify_corrupted_cube_file(tmp_path, fmt, corrupt, sha):
+def test_verify_corrupted_cube_file(tmp_path, fmt, corrupt, out_fmt, sha):
     witnesses = tmp_path / "witnesses"
     assert cli.main(CUBE_300 + ["--format", fmt, "--out", str(witnesses)]) == 0
     witnesses.write_text(corrupt(witnesses.read_text()))
     argv = ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
-            "--in", str(witnesses)]
+            "--in", str(witnesses), "--format", out_fmt]
     assert run_sha(argv, tmp_path / "out") == (1, sha)
 
 
