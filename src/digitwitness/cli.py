@@ -1,18 +1,16 @@
 """Command-line surface: construct, certify, verify, density, lemma.
 
-All commands emit machine-readable JSON lines (default) or CSV with fixed
-headers, and identical configuration reproduces identical bytes.  Exit codes:
-0 success / all checks passed, 1 verification failure, 2 usage or
-configuration error.
+All commands emit machine-readable JSON lines (default) or CSV, and
+identical configuration reproduces identical bytes.  Exit codes: 0 success /
+all checks passed, 1 verification failure, 2 usage or configuration error.
 
-Witness records use the "witness/1" schema:
-
-    {"schema":"witness/1","n":str,"k":int,"m0":str,"m1":str,"m2":str,
-     "m3":str,"u":int,"M":int,"sq":int,"residue":int,"e":int}
-
-with n and the quadruple as decimal strings (they outgrow machine words).
-The CSV variant carries the same fields, header
-``n,k,m0,m1,m2,m3,u,M,sq,residue,e``.
+Each record's fields and their order are stated once, in a *_FIELDS list:
+it is the CSV header, and a JSON record is "schema" followed by those fields
+in order.  A record that fills only the leading fields (lemma/1) omits the
+rest from its JSON object and leaves their CSV cells empty.  Witness records
+use the "witness/1" schema over WITNESS_FIELDS, with n and the quadruple as
+decimal strings (they outgrow machine words); verify reads them back through
+the same list.
 """
 
 from __future__ import annotations
@@ -61,7 +59,12 @@ def parse_poly(text: str) -> IntPolynomial:
 
 
 class _Writer:
-    """Streams records as JSON lines or CSV rows with a fixed header."""
+    """Streams records as JSON lines or CSV rows; `fields` is the CSV header.
+
+    A record's values fill the leading fields in order.  Its JSON object is
+    {"schema": ..., field: value, ...} over the fields it fills; its CSV row
+    pads the rest with empty cells (None is also an empty cell).
+    """
 
     def __init__(self, stream: IO[str], fmt: str, fields: list[str]):
         self.stream = stream
@@ -71,10 +74,11 @@ class _Writer:
             self._csv = csv.writer(stream, lineterminator="\n")
             self._csv.writerow(fields)
 
-    def write(self, record: dict) -> None:
+    def write(self, schema: str, *values) -> None:
         if self._csv is not None:
-            self._csv.writerow([record.get(f, "") for f in self.fields])
+            self._csv.writerow(values + ("",) * (len(self.fields) - len(values)))
         else:
+            record = {"schema": schema, **dict(zip(self.fields, values))}
             self.stream.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
@@ -88,40 +92,16 @@ def _output(args: argparse.Namespace, fields: list[str]) -> Iterator[_Writer]:
         yield _Writer(stream, args.format, fields)
 
 
-def witness_record(w: Witness) -> dict:
-    return {
-        "schema": "witness/1",
-        "n": str(w.n),
-        "k": w.k,
-        "m0": str(w.params.m0),
-        "m1": str(w.params.m1),
-        "m2": str(w.params.m2),
-        "m3": str(w.params.m3),
-        "u": w.params.u,
-        "M": w.offset,
-        "sq": w.sq_value,
-        "residue": w.residue,
-        "e": w.e,
-    }
+def witness_values(w: Witness) -> tuple:
+    """The witness/1 values of w, in WITNESS_FIELDS order."""
+    p = w.params
+    return (str(w.n), w.k, str(p.m0), str(p.m1), str(p.m2), str(p.m3), p.u,
+            w.offset, w.sq_value, w.residue, w.e)
 
 
-def _witness_from_record(record: dict) -> Witness:
-    params = CubicParams(
-        m0=int(record["m0"]),
-        m1=int(record["m1"]),
-        m2=int(record["m2"]),
-        m3=int(record["m3"]),
-        u=int(record["u"]),
-    )
-    return Witness(
-        n=int(record["n"]),
-        k=int(record["k"]),
-        params=params,
-        offset=int(record["M"]),
-        sq_value=int(record["sq"]),
-        residue=int(record["residue"]),
-        e=int(record["e"]),
-    )
+def _witness_from_values(values: list) -> Witness:
+    n, k, m0, m1, m2, m3, u, offset, sq, residue, e = map(int, values)
+    return Witness(n, k, CubicParams(m0, m1, m2, m3, u), offset, sq, residue, e)
 
 
 def read_witness_file(path: str) -> Iterator[tuple[int, Witness | str]]:
@@ -150,16 +130,19 @@ def read_witness_file(path: str) -> Iterator[tuple[int, Witness | str]]:
             try:
                 if is_json:
                     record = json.loads(line)
+                    if not isinstance(record, dict):
+                        kind = type(record).__name__
+                        raise ValueError(f"expected a JSON object, got {kind}")
                     if record.get("schema") != "witness/1":
                         raise ValueError(f"unexpected schema {record.get('schema')!r}")
+                    values = [record[f] for f in WITNESS_FIELDS]
                 else:
-                    row = next(csv.reader([line]))
-                    if len(row) != len(WITNESS_FIELDS):
+                    values = next(csv.reader([line]))
+                    if len(values) != len(WITNESS_FIELDS):
                         raise ValueError(
-                            f"expected {len(WITNESS_FIELDS)} columns, got {len(row)}"
+                            f"expected {len(WITNESS_FIELDS)} columns, got {len(values)}"
                         )
-                    record = dict(zip(WITNESS_FIELDS, row))
-                item: Witness | str = _witness_from_record(record)
+                item: Witness | str = _witness_from_values(values)
             except (ValueError, KeyError, TypeError) as exc:
                 item = str(exc)
             yield lineno, item
@@ -170,10 +153,10 @@ def read_witness_file(path: str) -> Iterator[tuple[int, Witness | str]]:
 _CONSTRUCT_CHUNK = 256
 
 
-def _witness_rows(plan, start: int, stop: int) -> list[dict]:
-    """witness/1 records for the quadruples at indices [start, stop) of plan.box."""
+def _witness_rows(plan, start: int, stop: int) -> list[tuple]:
+    """witness/1 values for the quadruples at indices [start, stop) of plan.box."""
     return [
-        witness_record(construction.witness_for(plan, plan.box.params_at(i)))
+        witness_values(construction.witness_for(plan, plan.box.params_at(i)))
         for i in range(start, stop)
     ]
 
@@ -186,8 +169,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
     rows = partial(_witness_rows, plan)
     with _output(args, WITNESS_FIELDS) as writer:
         for chunk in chunked_map(rows, total, args.workers, _CONSTRUCT_CHUNK):
-            for record in chunk:
-                writer.write(record)
+            for values in chunk:
+                writer.write("witness/1", *values)
     return EXIT_OK
 
 
@@ -270,26 +253,14 @@ def cmd_certify(args: argparse.Namespace) -> int:
     else:
         n_limit = args.n_limit
     report = bounds.certify_lower_bound(args.q, args.m, h, n_limit)
-    record = {
-        "schema": "bounds/1",
-        "q": report.q,
-        "m": report.m,
-        "h": report.h,
-        "u0": report.u0,
-        "N0": str(report.n0),
-        "C_num": str(report.c.num),
-        "C_den": str(report.c.den),
-        "C_root": report.c.root,
-        "N": str(report.n_limit),
-        "u": report.u,
-        "guaranteed": str(report.guaranteed),
-        "estimate_num": str(report.estimate.numerator),
-        "estimate_den": str(report.estimate.denominator),
-        "required": str(report.required),
-        "verdict": report.verdict,
-    }
     with _output(args, BOUNDS_FIELDS) as writer:
-        writer.write(record)
+        writer.write(
+            "bounds/1", report.q, report.m, report.h, report.u0, str(report.n0),
+            str(report.c.num), str(report.c.den), report.c.root,
+            str(report.n_limit), report.u, str(report.guaranteed),
+            str(report.estimate.numerator), str(report.estimate.denominator),
+            str(report.required), report.verdict,
+        )
     return EXIT_OK if report.verdict else EXIT_FAIL
 
 
@@ -314,38 +285,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"no witness rows in {args.input_path}")
     with _output(args, VERIFY_FIELDS) as writer:
         for lineno, message in malformed:
-            writer.write(
-                {
-                    "schema": "verify/1",
-                    "line": lineno,
-                    "index": None,
-                    "ok": False,
-                    "detail": f"malformed row: {message}",
-                }
-            )
+            writer.write("verify/1", lineno, None, False, f"malformed row: {message}")
         for index in range(total):
             problems = failures.get(index, [])
-            writer.write(
-                {
-                    "schema": "verify/1",
-                    "line": None,
-                    "index": index,
-                    "ok": not problems,
-                    "detail": "; ".join(problems),
-                }
-            )
+            writer.write("verify/1", None, index, not problems, "; ".join(problems))
         ok = not failures and not malformed
         writer.write(
-            {
-                "schema": "verify-summary/1",
-                "line": None,
-                "index": None,
-                "ok": ok,
-                "detail": (
-                    f"total={total} failed={len(failures)} "
-                    f"malformed={len(malformed)}"
-                ),
-            }
+            "verify-summary/1", None, None, ok,
+            f"total={total} failed={len(failures)} malformed={len(malformed)}",
         )
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -366,19 +313,10 @@ def cmd_density(args: argparse.Namespace) -> int:
             within = row.deviation <= args.tolerance
             all_within = all_within and within
             writer.write(
-                {
-                    "schema": "density/1",
-                    "residue": row.residue,
-                    "count": row.count,
-                    "density": f"{row.density.numerator}/{row.density.denominator}",
-                    "prediction": (
-                        f"{row.prediction.numerator}/{row.prediction.denominator}"
-                    ),
-                    "deviation": (
-                        f"{row.deviation.numerator}/{row.deviation.denominator}"
-                    ),
-                    "within_tolerance": within,
-                }
+                "density/1", row.residue, row.count,
+                *(f"{x.numerator}/{x.denominator}"
+                  for x in (row.density, row.prediction, row.deviation)),
+                within,
             )
     return EXIT_OK if all_within else EXIT_FAIL
 
@@ -417,31 +355,12 @@ def cmd_lemma(args: argparse.Namespace) -> int:
             total += 1
             passed += report.ok
             writer.write(
-                {
-                    "schema": "lemma/1",
-                    "m0": str(params.m0),
-                    "m1": str(params.m1),
-                    "m2": str(params.m2),
-                    "m3": str(params.m3),
-                    "u": params.u,
-                    "ok": report.ok,
-                    "first_violation": report.first_violation,
-                }
+                "lemma/1", str(params.m0), str(params.m1), str(params.m2),
+                str(params.m3), params.u, report.ok, report.first_violation,
             )
         writer.write(
-            {
-                "schema": "lemma-summary/1",
-                "m0": "",
-                "m1": "",
-                "m2": "",
-                "m3": "",
-                "u": args.u,
-                "ok": passed == total,
-                "first_violation": None,
-                "total": total,
-                "passed": passed,
-                "failed": total - passed,
-            }
+            "lemma-summary/1", "", "", "", "", args.u, passed == total, None,
+            total, passed, total - passed,
         )
     return EXIT_OK if passed == total else EXIT_FAIL
 

@@ -205,8 +205,6 @@ def build_cubic(params: CubicParams) -> IntPolynomial:
 class SignPatternReport:
     """Outcome of checking one quadruple's power for the (+,-,+,...,+) pattern."""
 
-    profile: tuple[int, ...]
-    max_abs: int
     first_violation: Optional[int]
     ok: bool
 
@@ -242,11 +240,8 @@ def verify_sign_pattern(q: int, l: int, params: CubicParams) -> SignPatternRepor
     )
     if len(profile) != len(want) and first_violation is None:
         first_violation = min(len(profile), len(want))
-    max_abs = max_abs_coeff(powered)
-    ok = first_violation is None and max_abs <= (4 * q**params.u) ** l
-    return SignPatternReport(
-        profile=profile, max_abs=max_abs, first_violation=first_violation, ok=ok
-    )
+    ok = first_violation is None and max_abs_coeff(powered) <= (4 * q**params.u) ** l
+    return SignPatternReport(first_violation=first_violation, ok=ok)
 
 
 def translate_shift(p: IntPolynomial) -> int:

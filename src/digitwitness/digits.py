@@ -62,6 +62,26 @@ def _sum_table(q: int) -> tuple[Sequence[int], int]:
     return table, block
 
 
+# Values below 2^_STR_BITS have at most 3914 decimal digits, within the
+# 4300 that Python's int-to-str conversion allows by default.
+_STR_BITS = 13000
+
+
+def decimal_str(n: int) -> str:
+    """n in decimal, also past Python's int-to-str digit limit.
+
+    Larger values are split by a power of 10 into parts that str() accepts;
+    the limit itself is left as it is.
+    """
+    if n < 0:
+        return "-" + decimal_str(-n)
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    width = n.bit_length() * 3 // 20  # about half of n's decimal digits
+    high, low = divmod(n, 10**width)
+    return decimal_str(high) + decimal_str(low).zfill(width)
+
+
 def expand(n: int, q: int) -> list[int]:
     """Base-q digits of n, least significant first (empty for n = 0)."""
     _require_base(q)

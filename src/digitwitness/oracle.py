@@ -23,7 +23,7 @@ from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .construction import Witness, build_cubic
-from .digits import digit_sum, digit_sum_counts
+from .digits import decimal_str, digit_sum, digit_sum_counts
 from .intpoly import IntPolynomial, poly_eval
 from .parallel import chunked_map
 
@@ -121,7 +121,6 @@ class ComparisonRow:
 class ComparisonReport:
     """Observed densities next to the equidistribution main term Q*(g,d)/m."""
 
-    d: int
     rows: tuple[ComparisonRow, ...]
 
     @property
@@ -145,7 +144,7 @@ def compare_to_main_term(table: DensityTable) -> ComparisonReport:
                 deviation=abs(density - prediction),
             )
         )
-    return ComparisonReport(d=d, rows=tuple(rows))
+    return ComparisonReport(rows=tuple(rows))
 
 
 def verify_witnesses(
@@ -177,15 +176,17 @@ def verify_witnesses(
         else:
             rebuilt = poly_eval(build_cubic(w.params), q**w.k) + w.e
             if rebuilt != w.n:
-                problems.append(f"n does not match its quadruple: {rebuilt} != {w.n}")
+                problems.append(
+                    f"n does not match its quadruple: {decimal_str(rebuilt)} != {w.n}"
+                )
         if w.sq_value != w.k * (q - 1) + w.offset:
             problems.append(
                 f"sq {w.sq_value} inconsistent with k*(q-1)+offset "
-                f"{w.k * (q - 1) + w.offset}"
+                f"{decimal_str(w.k * (q - 1) + w.offset)}"
             )
         value = poly_eval(p, w.n)
         if value < 0:
-            problems.append(f"p(n) = {value} is negative")
+            problems.append(f"p(n) = {decimal_str(value)} is negative")
         else:
             recomputed = digit_sum(value, q)
             if recomputed != w.sq_value:

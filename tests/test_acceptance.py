@@ -27,7 +27,7 @@ from digitwitness.construction import (
     verify_sign_pattern,
 )
 from digitwitness.digits import digit_sum
-from digitwitness.intpoly import IntPolynomial, poly_eval
+from digitwitness.intpoly import IntPolynomial, max_abs_coeff, poly_eval
 from digitwitness.oracle import (
     compare_to_main_term,
     density_table,
@@ -76,7 +76,7 @@ def test_criterion_2_sign_pattern_certification(acceptance_log):
     for params in box.sample(10_000, seed=424242):
         report = verify_sign_pattern(2, 3, params)
         checked += 1
-        if not report.ok or report.max_abs > bound:
+        if not report.ok or max_abs_coeff(build_cubic(params) ** 3) > bound:
             failures += 1
     # exhaustive pass over a truncated box: first 8 values per range
     values = range(box.lo, box.lo + 8)

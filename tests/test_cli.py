@@ -1,3 +1,4 @@
+import csv
 import json
 import tracemalloc
 
@@ -187,6 +188,22 @@ class TestVerify:
         malformed = [json.loads(l) for l in out_lines if json.loads(l).get("line")]
         assert malformed and malformed[0]["line"] == 2
 
+    def test_json_rows_that_are_not_witness_objects(self, tmp_path, capsys):
+        path = self.construct_file(tmp_path, limit=1)
+        path.write_text(path.read_text() + '[1]\n7\n{"schema":"witness/1"}\n')
+        code, out_lines = run_lines(
+            capsys,
+            ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+             "--in", str(path)],
+        )
+        details = [json.loads(l)["detail"] for l in out_lines]
+        assert code == 1
+        assert details[:3] == [
+            "malformed row: expected a JSON object, got list",
+            "malformed row: expected a JSON object, got int",
+            "malformed row: 'n'",  # the first missing key in WITNESS_FIELDS
+        ]
+
     def test_line_numbers_follow_str_splitlines(self, tmp_path, capsys):
         # \x0c and \x1e end a line for str.splitlines, not for file iteration
         path = self.construct_file(tmp_path, limit=2)
@@ -266,8 +283,8 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == f"error: modulus must be >= 1, got {m}\n"
 
-    def edited_row_records(self, tmp_path, capsys, field, value, traced=False):
-        """Verify records after setting `field` of the second of three rows."""
+    def edited_row_records(self, tmp_path, capsys, edits, traced=False):
+        """Verify records after applying `edits` to the second of three rows."""
         path = self.construct_file(tmp_path, limit=3)
         argv = ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
                 "--in", str(path)]
@@ -275,7 +292,7 @@ class TestVerify:
         capsys.readouterr()
         lines = path.read_text().splitlines()
         record = json.loads(lines[1])
-        record[field] = value
+        record.update(edits)
         lines[1] = json.dumps(record, separators=(",", ":"))
         path.write_text("\n".join(lines) + "\n")
         peak = None
@@ -297,15 +314,31 @@ class TestVerify:
     def test_implausible_k_is_flagged_without_rebuilding_n(
         self, tmp_path, capsys, k
     ):
-        detail, peak = self.edited_row_records(tmp_path, capsys, "k", k, True)
+        detail, peak = self.edited_row_records(tmp_path, capsys, {"k": k}, True)
         assert f"k {k} cannot rebuild n from its quadruple" in detail
         assert "n does not match" not in detail
         assert peak < 1 << 20
 
     def test_negative_polynomial_value_is_a_row_failure(self, tmp_path, capsys):
-        detail, _ = self.edited_row_records(tmp_path, capsys, "n", "-5")
+        detail, _ = self.edited_row_records(tmp_path, capsys, {"n": "-5"})
         assert "p(n) = -125 is negative" in detail
         assert "digit sum" not in detail
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({"n": "1" + "0" * 3999, "k": 12000}, "n does not match its quadruple: "),
+            ({"n": "-" + "7" * 1500}, "p(n) = -"),
+            ({"k": "9" * 4300, "M": "9" * 4300}, "k*(q-1)+offset 1999"),
+        ],
+        ids=["rebuilt-n", "negative-p(n)", "sq-check"],
+    )
+    def test_messages_may_quote_numbers_past_the_str_limit(
+        self, tmp_path, capsys, edits, message
+    ):
+        # each quoted number has more than the 4300 digits str() allows
+        detail, _ = self.edited_row_records(tmp_path, capsys, edits)
+        assert message in detail
 
     def test_wrong_target_residue_fails(self, tmp_path, capsys):
         path = self.construct_file(tmp_path, limit=2)
@@ -511,14 +544,18 @@ def test_json_records_carry_only_csv_columns(tmp_path, capsys):
         (["lemma", "--q", "2", "--l", "3", "--u", "15", "--mode", "random",
           "--count", "3", "--seed", "1"], cli.LEMMA_FIELDS),
     ]
-    extra = {}
     for argv, fields in commands:
         _, lines = run_lines(capsys, argv)
-        for record in map(json.loads, lines):
-            keys = set(record) - {"schema"} - set(fields)
-            if keys:
-                extra[record["schema"]] = sorted(keys)
-    assert extra == {}
+        _, csv_lines = run_lines(capsys, argv + ["--format", "csv"])
+        header, *rows = csv.reader(csv_lines)
+        records = list(map(json.loads, lines))
+        assert header == fields and len(rows) == len(records)
+        for record, row in zip(records, rows):
+            # "schema", then the leading CSV columns in order; null is ""
+            schema, *keys = record
+            assert schema == "schema" and keys == fields[: len(keys)]
+            cells = ["" if record[f] is None else str(record[f]) for f in keys]
+            assert row == cells + [""] * (len(fields) - len(keys))
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digitwitness.digits import digit_sum, digit_sum_counts, expand
+from digitwitness.digits import decimal_str, digit_sum, digit_sum_counts, expand
 
 
 class TestExpand:
@@ -42,6 +42,34 @@ class TestExpand:
                 for d in reversed(expand(n, q)):
                     value = value * q + d
                 assert value == n
+
+
+class TestDecimalStr:
+    @given(st.integers(min_value=-(10**3000), max_value=10**3000))
+    def test_matches_str_below_the_limit(self, n):
+        assert decimal_str(n) == str(n)
+
+    @pytest.mark.parametrize(
+        "n", [2**13000 - 1, 2**13000, -(10**4299), 10**4300 - 1, 7 * 10**4000 + 3],
+        ids=["2^13000-1", "2^13000", "-10^4299", "10^4300-1", "7e4000+3"],
+    )
+    def test_split_values_match_str(self, n):
+        assert decimal_str(n) == str(n)
+
+    @pytest.mark.parametrize(
+        "n", [10**5000, 10**5000 - 1, -(10**5000 + 12345), 7 * 10**4500 + 3,
+              -(3**40000)],
+        ids=["10^5000", "10^5000-1", "-(10^5000+12345)", "7e4500+3", "-3^40000"],
+    )
+    def test_rebuilds_values_past_the_limit(self, n):
+        text = decimal_str(n)
+        digits = text.removeprefix("-")
+        assert digits[0] != "0"
+        value = 0
+        for i in range(0, len(digits), 1000):
+            chunk = digits[i : i + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert (-value if text.startswith("-") else value) == n
 
 
 class TestDigitSum:

