@@ -100,6 +100,10 @@ def witness_values(w: Witness) -> tuple:
 
 
 def _witness_from_values(values: list) -> Witness:
+    for field, value in zip(WITNESS_FIELDS, values):
+        # int() would read a JSON true as 1 and 15.9 as 15
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise ValueError(f"{field} must be an integer, got {type(value).__name__}")
     n, k, m0, m1, m2, m3, u, offset, sq, residue, e = map(int, values)
     return Witness(n, k, CubicParams(m0, m1, m2, m3, u), offset, sq, residue, e)
 

@@ -204,6 +204,26 @@ class TestVerify:
             "malformed row: 'n'",  # the first missing key in WITNESS_FIELDS
         ]
 
+    def test_json_values_that_are_not_integers(self, tmp_path, capsys):
+        # construct writes every value as an int or a decimal string
+        path = self.construct_file(tmp_path, limit=2)
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert rows[0]["residue"] == 1 and rows[1]["u"] == 15
+        rows[0]["residue"], rows[1]["u"] = True, 15.9
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        code, out_lines = run_lines(
+            capsys,
+            ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+             "--in", str(path)],
+        )
+        records = [json.loads(l) for l in out_lines]
+        assert code == 1
+        assert [(r["line"], r["detail"]) for r in records[:2]] == [
+            (1, "malformed row: residue must be an integer, got bool"),
+            (2, "malformed row: u must be an integer, got float"),
+        ]
+        assert records[-1]["detail"] == "total=0 failed=0 malformed=2"
+
     def test_line_numbers_follow_str_splitlines(self, tmp_path, capsys):
         # \x0c and \x1e end a line for str.splitlines, not for file iteration
         path = self.construct_file(tmp_path, limit=2)
@@ -229,7 +249,7 @@ class TestVerify:
         large.write_text("".join(rows))
         argv = ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
                 "--out", str(tmp_path / "out"), "--in"]
-        assert run(argv + [str(small)]) == 0  # builds the digit-sum table
+        assert run(argv + [str(small)]) == 0  # fills lazily built state first
         peaks = []
         for path in (small, large):
             tracemalloc.start()
@@ -288,7 +308,7 @@ class TestVerify:
         path = self.construct_file(tmp_path, limit=3)
         argv = ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
                 "--in", str(path)]
-        assert run(argv) == 0  # builds the digit-sum table before any tracing
+        assert run(argv) == 0  # fills lazily built state before any tracing
         capsys.readouterr()
         lines = path.read_text().splitlines()
         record = json.loads(lines[1])
@@ -454,6 +474,14 @@ class TestDensity:
         run(args + ["--out", str(a)])
         run(args + ["--workers", "8", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("q", ["2", "3"])
+    def test_negative_polynomial_value_is_a_usage_error(self, capsys, q):
+        # x - 5 is negative at n = 0; q = 2 takes the bit_count path
+        code = run(["density", "--q", q, "--m", "2", "--poly", "1,-5", "--N", "10"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: polynomial takes negative value -5\n"
 
     def test_rejects_nonpositive_n(self, capsys):
         code = run(["density", "--q", "2", "--m", "3", "--poly", "x^2", "--N", "0"])

@@ -4,7 +4,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digitwitness.digits import decimal_str, digit_sum, digit_sum_counts, expand
+from digitwitness.digits import (
+    _SPLIT_BITS,
+    decimal_str,
+    digit_sum,
+    digit_sum_counts,
+    expand,
+)
+
+# q = 2 takes int.bit_count; 2^16 + 1 is above the lookup-table cap, so its
+# block of digits is a single digit.
+ENGINE_BASES = [2, 3, 10, 16, 2**16 + 1]
+
+
+def block_digits(q):
+    """Digits per lookup-table block: the largest j with q^j <= 2^16, at least 1."""
+    j = 1
+    while q ** (j + 1) <= 1 << 16:
+        j += 1
+    return j
 
 
 class TestExpand:
@@ -98,6 +116,41 @@ class TestDigitSum:
         assert digit_sum(n, q) % (q - 1) == n % (q - 1)
 
 
+class TestDigitSumEngine:
+    """Both sides of the block-loop cutoff and of the splits at block^(2^i)."""
+
+    @pytest.mark.parametrize("q", ENGINE_BASES)
+    def test_random_values_up_to_40_kbit(self, q):
+        rng = random.Random(f"engine:{q}")
+        sizes = [1, 2, 17, 100, _SPLIT_BITS - 1, _SPLIT_BITS, _SPLIT_BITS + 1,
+                 2 * _SPLIT_BITS, 5_000, 12_345, 40_000]
+        for bits in sizes:
+            for _ in range(2):
+                n = rng.getrandbits(bits) | 1 << (bits - 1)
+                assert digit_sum(n, q) == sum(expand(n, q)), bits
+
+    @pytest.mark.parametrize("q", ENGINE_BASES)
+    def test_powers_where_the_splits_fall(self, q):
+        # q^k with k = j * 2^i is block^(2^i), a split point of the engine
+        k = block_digits(q)
+        while q**k < 1 << 40_000:
+            for n in (q**k - 1, q**k, q**k + 1):
+                assert digit_sum(n, q) == sum(expand(n, q)), (k, n - q**k)
+            k *= 2
+
+    def test_single_digits_wider_than_the_cutoff(self):
+        q = 3**600  # 951 bits
+        assert digit_sum(q - 1, q) == q - 1
+        assert digit_sum(q**3 + 5 * q + 6, q) == 12
+
+    @pytest.mark.parametrize("q", [3, 10])
+    def test_sparse_and_full_values(self, q):
+        # long runs of zero digits in the middle and in the low part, and a
+        # value whose every digit is q - 1 followed by low zeros
+        for n in (q**9000 + q**4000 + 1, q**6000 * 7 + q**10, (q**5000 - 1) * q**3000):
+            assert digit_sum(n, q) == sum(expand(n, q))
+
+
 def recount(values, q, m):
     counts = [0] * m
     for v in values:
@@ -106,17 +159,18 @@ def recount(values, q, m):
 
 
 class TestDigitSumCounts:
-    @pytest.mark.parametrize("q", [2, 3, 10, 2**16 + 1])
+    @pytest.mark.parametrize("q", ENGINE_BASES)
     def test_matches_expansion_recount(self, q):
         rng = random.Random(q)
-        values = [0, 1, q - 1, q, q**2 - 1] + [
+        split = q ** (block_digits(q) * 64)  # block^64, above the cutoff
+        values = [0, 1, q - 1, q, q**2 - 1, split - 1, split] + [
             rng.getrandbits(rng.randrange(1, 200)) for _ in range(300)
-        ]
+        ] + [rng.getrandbits(rng.randrange(_SPLIT_BITS, 6_000)) for _ in range(40)]
         for m in (1, 3, 7):
             assert digit_sum_counts(values, q, m) == recount(values, q, m)
 
     def test_rejects_negative_value(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="polynomial takes negative value -1"):
             digit_sum_counts([4, -1, 5], 2, 3)
 
 
