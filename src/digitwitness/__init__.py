@@ -10,10 +10,8 @@ against brute-force enumeration.
 from .bounds import (
     BoundsReport,
     ExplicitConstants,
-    GuaranteedCount,
     certify_lower_bound,
     explicit_constants,
-    guaranteed_count,
 )
 from .construction import (
     AdmissibleBox,
@@ -27,6 +25,7 @@ from .construction import (
     build_cubic,
     construct_family,
     digit_sum_offset,
+    m1_divisor,
     m1_upper,
     make_plan,
     min_k,

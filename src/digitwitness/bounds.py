@@ -1,19 +1,31 @@
 """Explicit constants and exact certification of the witness-count lower bound.
 
 For monomials x^h the guaranteed number of witnesses below N is certified
-against C * N^(4/(3h+1)) for explicit C and N0.  The constant C involves a
-fractional power of q, so it is carried as (num/den)^(1/root) and every
-inequality is decided by raising both sides to the root power and comparing
-exact integers.  No floating point touches any verdict.
+against C * N^(4/(3h+1)) for explicit C and N0.  Nothing here restates the
+construction: u0 and delta are read from construct's own plan for x^h (the
+scale of its box, and the margin k_threshold - h*u0 its splitting exponents
+keep), D = h*q*(6q)^h is `construction.m1_divisor`, and the guaranteed count
+is the size of construct's box at the bracketed scale.  For every monomial
+delta = 2h.  The constant C involves a fractional power of q, so it is
+carried as (num/den)^(1/root) and every inequality is decided by raising both
+sides to the root power and comparing exact integers.  No floating point
+touches any verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .construction import ConsistencyError, admissible_ranges, min_u
+from .construction import (
+    CongruenceTarget,
+    ConsistencyError,
+    admissible_ranges,
+    m1_divisor,
+    make_plan,
+)
+from .digits import decimal_str
+from .intpoly import IntPolynomial
 
 
 def nth_root_floor(x: int, n: int) -> int:
@@ -63,81 +75,44 @@ class RootRational:
 
 @dataclass(frozen=True)
 class ExplicitConstants:
-    """u0, N0 and C for the monomial x^h at base q, modulus m."""
+    """u0, delta, N0 and C for the monomial x^h at base q, modulus m."""
 
     q: int
     m: int
     h: int
     u0: int
+    delta: int
     n0: int
     c: RootRational
 
 
-def _check_instance(q: int, m: int, h: int) -> None:
-    if q < 2 or m < 2:
-        raise ValueError(f"need q, m >= 2, got q={q}, m={m}")
-    if h < 1:
-        raise ValueError(f"need h >= 1, got h={h}")
-    if gcd(m, q - 1) != 1:
-        raise ValueError(f"m and q-1 must be coprime, got m={m}, q={q}")
-
-
 def explicit_constants(q: int, m: int, h: int) -> ExplicitConstants:
-    """The closed-form u0, N0, C, evaluated with exact integers.
+    """N0 and C in closed form over construct's plan for x^h, in exact integers.
 
-        u0 = smallest u with q^u >= 2hq(6q)^h
-        N0 = q^(3(2h+m)) * (2hq^2(6q)^h)^(3h+1)
-        C  = 1 / (16hq^5(6q)^h * q^((24h+12m)/(3h+1)))
+    With u0 the plan's scale, delta = k_threshold - h*u0 and D = h*q*(6q)^h:
 
-    C is returned as (1/den)^(1/(3h+1)) with den = (16hq^5(6q)^h)^(3h+1)
-    * q^(24h+12m).
+        N0 = q^(3(delta+m)) * (2qD)^(3h+1)
+        C  = 1 / (16q^4 D * q^(12(delta+m)/(3h+1)))
+
+    C is returned as (1/den)^(1/(3h+1)) with den = (16q^4 D)^(3h+1)
+    * q^(12(delta+m)).
     """
-    _check_instance(q, m, h)
-    u0 = min_u(q, h)
+    plan = make_plan(CongruenceTarget(q, m, 0), IntPolynomial.monomial(h))
+    u0 = plan.box.u
+    delta = plan.k_threshold - h * u0
+    d = m1_divisor(q, h)
     root = 3 * h + 1
-    n0 = q ** (3 * (2 * h + m)) * (2 * h * q**2 * (6 * q) ** h) ** root
-    linear_factor = 16 * h * q**5 * (6 * q) ** h
-    c = RootRational(1, linear_factor**root * q ** (24 * h + 12 * m), root)
-    return ExplicitConstants(q=q, m=m, h=h, u0=u0, n0=n0, c=c)
-
-
-@dataclass(frozen=True)
-class GuaranteedCount:
-    """Exact family size at scale u, with the weaker closed-form floor."""
-
-    exact: int
-    estimate: Fraction
-
-
-def guaranteed_count(q: int, h: int, u: int) -> GuaranteedCount:
-    """Family size (q^u - q^(u-1))^3 * m1_max and the (1-1/q)^3 q^4u floor.
-
-    The floor is (1-1/q)^3 * q^(4u) / (2hq(6q)^h) as an exact rational; the
-    enumeration size always dominates it for u at or above the minimum scale.
-    """
-    if u < min_u(q, h):
-        raise ValueError(f"u={u} below minimum scale {min_u(q, h)}")
-    exact = admissible_ranges(q, h, u).size
-    estimate = Fraction(
-        (q - 1) ** 3 * q ** (4 * u), q**3 * (2 * h * q * (6 * q) ** h)
-    )
-    if exact < estimate:
-        raise ConsistencyError(
-            f"enumeration count {exact} fell below its own floor {estimate}"
-        )
-    return GuaranteedCount(exact=exact, estimate=estimate)
+    shift = q ** (3 * (delta + m))
+    n0 = shift * (2 * q * d) ** root
+    c = RootRational(1, (16 * q**4 * d) ** root * shift**4, root)
+    return ExplicitConstants(q=q, m=m, h=h, u0=u0, delta=delta, n0=n0, c=c)
 
 
 @dataclass(frozen=True)
 class BoundsReport:
     """One certification run: all inequality links, decided exactly."""
 
-    q: int
-    m: int
-    h: int
-    u0: int
-    n0: int
-    c: RootRational
+    constants: ExplicitConstants
     n_limit: int
     u: int
     guaranteed: int
@@ -146,12 +121,13 @@ class BoundsReport:
     verdict: bool
 
 
-def bracket_scale(q: int, m: int, h: int, n_limit: int) -> int:
-    """The unique u with q^(3(2h+m)) * q^(u(3h+1)) <= N < ... * q^((u+1)(3h+1))."""
-    shift = q ** (3 * (2 * h + m))
+def bracket_scale(constants: ExplicitConstants, n_limit: int) -> int:
+    """The unique u with q^(3(delta+m)) * q^(u(3h+1)) <= N < ... * q^((u+1)(3h+1))."""
+    q = constants.q
+    shift = q ** (3 * (constants.delta + constants.m))
     if n_limit < shift:
-        raise ValueError(f"N={n_limit} too small to bracket")
-    base = q ** (3 * h + 1)
+        raise ValueError(f"N={decimal_str(n_limit)} too small to bracket")
+    base = q ** (3 * constants.h + 1)
     x = n_limit // shift
     u, power = 0, 1
     while power * base <= x:
@@ -160,34 +136,36 @@ def bracket_scale(q: int, m: int, h: int, n_limit: int) -> int:
     return u
 
 
-def certify_lower_bound(q: int, m: int, h: int, n_limit: int) -> BoundsReport:
+def certify_lower_bound(constants: ExplicitConstants, n_limit: int) -> BoundsReport:
     """Certify guaranteed-count >= C * N^(4/(3h+1)) for a concrete N >= N0.
 
-    Finds the scale u bracketing N, takes the exact family size at that u,
-    and compares it against the smallest integer at or above C * N^(4/(3h+1))
-    (the `required` field), computed by integer root extraction.
+    Finds the scale u bracketing N, takes the size of construct's box at that
+    u, checks it against the (1-1/q)^3 q^(4u) / (2D) floor the derivation of
+    C rests on, and compares it against the smallest integer at or above
+    C * N^(4/(3h+1)) (the `required` field), computed by integer root
+    extraction.
     """
-    constants = explicit_constants(q, m, h)
+    q, h, c = constants.q, constants.h, constants.c
     if n_limit < constants.n0:
-        raise ValueError(f"N={n_limit} is below N0={constants.n0}")
-    u = bracket_scale(q, m, h, n_limit)
+        raise ValueError(
+            f"N={decimal_str(n_limit)} is below N0={decimal_str(constants.n0)}"
+        )
+    u = bracket_scale(constants, n_limit)
     if u < constants.u0:
         raise ConsistencyError(f"bracketed u={u} below u0={constants.u0}")
-    count = guaranteed_count(q, h, u)
-    required = RootRational(
-        constants.c.num * n_limit**4, constants.c.den, constants.c.root
-    ).ceil()
+    guaranteed = admissible_ranges(q, h, u).size
+    estimate = Fraction((q - 1) ** 3 * q ** (4 * u), q**3 * 2 * m1_divisor(q, h))
+    if guaranteed < estimate:
+        raise ConsistencyError(
+            f"enumeration count {decimal_str(guaranteed)} fell below its own floor"
+        )
+    required = RootRational(c.num * n_limit**4, c.den, c.root).ceil()
     return BoundsReport(
-        q=q,
-        m=m,
-        h=h,
-        u0=constants.u0,
-        n0=constants.n0,
-        c=constants.c,
+        constants=constants,
         n_limit=n_limit,
         u=u,
-        guaranteed=count.exact,
-        estimate=count.estimate,
+        guaranteed=guaranteed,
+        estimate=estimate,
         required=required,
-        verdict=count.exact >= required,
+        verdict=guaranteed >= required,
     )

@@ -31,6 +31,7 @@ from typing import IO, Callable, Iterator, Optional
 
 from . import bounds, construction, oracle
 from .construction import CongruenceTarget, CubicParams, Witness
+from .digits import decimal_str
 from .intpoly import IntPolynomial
 from .parallel import chunked_map
 
@@ -95,8 +96,10 @@ def _output(args: argparse.Namespace, fields: list[str]) -> Iterator[_Writer]:
 def witness_values(w: Witness) -> tuple:
     """The witness/1 values of w, in WITNESS_FIELDS order."""
     p = w.params
-    return (str(w.n), w.k, str(p.m0), str(p.m1), str(p.m2), str(p.m3), p.u,
-            w.offset, w.sq_value, w.residue, w.e)
+    # one call per value: unpacking a map here costs about 1 us per witness
+    return (decimal_str(w.n), w.k, decimal_str(p.m0), decimal_str(p.m1),
+            decimal_str(p.m2), decimal_str(p.m3), p.u, w.offset, w.sq_value,
+            w.residue, w.e)
 
 
 def _witness_from_values(values: list) -> Witness:
@@ -251,19 +254,32 @@ def cmd_certify(args: argparse.Namespace) -> int:
                 f"use `construct` for general polynomials"
             )
         h = p.degree
+    if h < 1:
+        raise ValueError(f"need h >= 1, got h={h}")
+    # N0 = q^(3(delta+m)) * (2qD)^(3h+1) with delta >= 2h and 2qD > 8^h has
+    # more bits than this bound; past the cap no N that --N or --N-at
+    # accepts reaches it, so it is not built
+    bits = 3 * (args.q.bit_length() - 1) * (2 * h + args.m) + 3 * h * (3 * h + 1)
+    if bits >= _N_BITS_CAP:
+        raise ValueError(
+            f"N0 at q={args.q}, m={args.m}, h={h} is above the {_N_BITS_CAP}-bit "
+            f"cap on N, so every accepted N is below N0"
+        )
     constants = bounds.explicit_constants(args.q, args.m, h)
     if args.n_expr is not None:
         n_limit = _eval_n_expression(args.n_expr, args.q, args.m, h, constants.n0)
     else:
         n_limit = args.n_limit
-    report = bounds.certify_lower_bound(args.q, args.m, h, n_limit)
+    report = bounds.certify_lower_bound(constants, n_limit)
+    c, estimate = constants.c, report.estimate
     with _output(args, BOUNDS_FIELDS) as writer:
         writer.write(
-            "bounds/1", report.q, report.m, report.h, report.u0, str(report.n0),
-            str(report.c.num), str(report.c.den), report.c.root,
-            str(report.n_limit), report.u, str(report.guaranteed),
-            str(report.estimate.numerator), str(report.estimate.denominator),
-            str(report.required), report.verdict,
+            "bounds/1", args.q, args.m, h, constants.u0,
+            *map(decimal_str, (constants.n0, c.num, c.den)), c.root,
+            decimal_str(n_limit), report.u,
+            *map(decimal_str, (report.guaranteed, estimate.numerator,
+                               estimate.denominator, report.required)),
+            report.verdict,
         )
     return EXIT_OK if report.verdict else EXIT_FAIL
 
@@ -359,8 +375,9 @@ def cmd_lemma(args: argparse.Namespace) -> int:
             total += 1
             passed += report.ok
             writer.write(
-                "lemma/1", str(params.m0), str(params.m1), str(params.m2),
-                str(params.m3), params.u, report.ok, report.first_violation,
+                "lemma/1",
+                *map(decimal_str, (params.m0, params.m1, params.m2, params.m3)),
+                params.u, report.ok, report.first_violation,
             )
         writer.write(
             "lemma-summary/1", "", "", "", "", args.u, passed == total, None,

@@ -105,13 +105,20 @@ class Lcg64:
         return self.next() % n
 
 
+def m1_divisor(q: int, h: int) -> int:
+    """D = h*q*(6q)^h, the divisor of the m1 range: m1 * D < q^u.
+
+    The minimum scale is the least u with q^u >= 2D, and the bounds module
+    builds N0, C and its count floor on D.
+    """
+    if q < 2 or h < 1:
+        raise ValueError(f"need q >= 2 and h >= 1, got q={q}, h={h}")
+    return h * q * (6 * q) ** h
+
+
 def min_u(q: int, h: int) -> int:
-    """Smallest scale exponent u with q^u >= 2*h*q*(6q)^h, by exact powering."""
-    if q < 2:
-        raise ValueError(f"base q must be >= 2, got {q}")
-    if h < 1:
-        raise ValueError(f"degree h must be >= 1, got {h}")
-    bound = 2 * h * q * (6 * q) ** h
+    """Smallest scale exponent u with q^u >= 2*m1_divisor(q, h), exactly."""
+    bound = 2 * m1_divisor(q, h)
     u, power = 1, q
     while power < bound:
         power *= q
@@ -120,10 +127,8 @@ def min_u(q: int, h: int) -> int:
 
 
 def m1_upper(q: int, h: int, u: int) -> int:
-    """Largest m1 with m1 * (h*q*(6q)^h) < q^u (the inequality is strict)."""
-    if q < 2 or h < 1:
-        raise ValueError(f"need q >= 2 and h >= 1, got q={q}, h={h}")
-    top = (q**u - 1) // (h * q * (6 * q) ** h)
+    """Largest m1 with m1 * m1_divisor(q, h) < q^u (the inequality is strict)."""
+    top = (q**u - 1) // m1_divisor(q, h)
     if top < 1:
         raise ValueError(
             f"empty m1 range at q={q}, h={h}, u={u}; scale u is too small"

@@ -94,10 +94,10 @@ def decimal_str(n: int) -> str:
     Larger values are split by a power of 10 into parts that str() accepts;
     the limit itself is left as it is.
     """
-    if n < 0:
-        return "-" + decimal_str(-n)
     if n.bit_length() <= _STR_BITS:
         return str(n)
+    if n < 0:
+        return "-" + decimal_str(-n)
     width = n.bit_length() * 3 // 20  # about half of n's decimal digits
     high, low = divmod(n, 10**width)
     return decimal_str(high) + decimal_str(low).zfill(width)

@@ -211,8 +211,8 @@ def test_criterion_5_end_to_end_witnesses(acceptance_log, tmp_path):
 def test_criterion_6_explicit_constants_and_certification(acceptance_log):
     constants = explicit_constants(2, 3, 3)
     ok = constants.u0 == 15 and constants.n0 == 2**27 * 41472**10
-    ok = ok and certify_lower_bound(2, 3, 3, constants.n0).verdict
-    ok = ok and certify_lower_bound(2, 3, 3, constants.n0 * 2**10).verdict
+    ok = ok and certify_lower_bound(constants, constants.n0).verdict
+    ok = ok and certify_lower_bound(constants, constants.n0 * 2**10).verdict
     certified = 0
     for q, m, h in [
         (q, m, h)
@@ -221,9 +221,10 @@ def test_criterion_6_explicit_constants_and_certification(acceptance_log):
         if gcd(m, q - 1) == 1
         for h in (3, 4, 5)
     ]:
-        n0 = explicit_constants(q, m, h).n0
+        constants = explicit_constants(q, m, h)
         for step in (0, 1, 2):
-            report = certify_lower_bound(q, m, h, n0 * q ** (step * (3 * h + 1)))
+            n_limit = constants.n0 * q ** (step * (3 * h + 1))
+            report = certify_lower_bound(constants, n_limit)
             ok = ok and report.verdict and report.guaranteed >= report.required
             certified += 1
     record(

@@ -10,10 +10,9 @@ from digitwitness.bounds import (
     bracket_scale,
     certify_lower_bound,
     explicit_constants,
-    guaranteed_count,
     nth_root_floor,
 )
-from digitwitness.construction import admissible_ranges
+from digitwitness.construction import admissible_ranges, min_u
 
 # gcd-admissible grid used throughout
 GRID = [
@@ -76,35 +75,57 @@ class TestExplicitConstants:
                 2 * h * q**2 * (6 * q) ** h
             ) ** root
 
+    def test_plan_margin_is_2h_and_scale_is_min_u_on_grid(self):
+        # q^(2h+1) > 4^h, so min_k's first candidate h*u + 2h + 1 always passes
+        for q, m, h in GRID:
+            constants = explicit_constants(q, m, h)
+            assert constants.delta == 2 * h
+            assert constants.u0 == min_u(q, h)
+
+
+def reports_by_step(q, m, h, steps=3):
+    """certify_lower_bound at N0 * q^(s(3h+1)) for s = 0 .. steps-1."""
+    constants = explicit_constants(q, m, h)
+    return [
+        certify_lower_bound(constants, constants.n0 * q ** (s * (3 * h + 1)))
+        for s in range(steps)
+    ]
+
 
 class TestGuaranteedCount:
     def test_binary_instance(self):
-        count = guaranteed_count(2, 3, 15)
-        assert count.exact == (2**14) ** 3 * 3
-        assert count.estimate == Fraction(2**60, 8 * 20736)
-        assert count.exact >= count.estimate
+        report = reports_by_step(2, 3, 3, steps=1)[0]
+        assert report.u == 15
+        assert report.guaranteed == (2**14) ** 3 * 3
+        assert report.estimate == Fraction(2**60, 8 * 20736)
+        assert report.guaranteed >= report.estimate
 
     def test_estimate_formula(self):
-        count = guaranteed_count(2, 3, 15)
-        assert count.estimate == Fraction((2 - 1) ** 3 * 2**60, 2**3 * 20736)
-
-    def test_rejects_scale_below_minimum(self):
-        with pytest.raises(ValueError):
-            guaranteed_count(2, 3, 14)
+        for q, m, h in GRID:
+            for report in reports_by_step(q, m, h):
+                u = report.u
+                assert report.estimate == Fraction(
+                    (q - 1) ** 3 * q ** (4 * u), q**3 * 2 * h * q * (6 * q) ** h
+                )
 
     def test_enumeration_matches_box_size(self):
-        for q, h, u in [(2, 3, 15), (2, 3, 17), (10, 3, 8), (3, 4, 16)]:
-            count = guaranteed_count(q, h, u)
-            assert count.exact == admissible_ranges(q, h, u).size
-            assert count.exact >= count.estimate
+        for q, m, h in GRID:
+            u0 = min_u(q, h)
+            for s, report in enumerate(reports_by_step(q, m, h)):
+                assert report.u == u0 + s
+                side = q**report.u - q ** (report.u - 1)
+                m1_max = (q**report.u - 1) // (h * q * (6 * q) ** h)
+                assert report.guaranteed == side**3 * m1_max
+                assert report.guaranteed == admissible_ranges(q, h, report.u).size
+                assert report.guaranteed >= report.estimate
 
     def test_estimate_scales_by_q4_per_scale_step(self):
         for q, m, h in GRID:
-            u0 = explicit_constants(q, m, h).u0
-            lower = guaranteed_count(q, h, u0)
-            upper = guaranteed_count(q, h, u0 + 1)
-            assert upper.estimate == q**4 * lower.estimate
-            assert upper.exact >= q**4 * lower.estimate
+            reports = reports_by_step(q, m, h)
+            for lower, upper in zip(reports, reports[1:]):
+                assert upper.u == lower.u + 1
+                assert upper.estimate == q**4 * lower.estimate
+                assert upper.guaranteed >= q**4 * lower.estimate
 
 
 class TestBracketScale:
@@ -112,7 +133,7 @@ class TestBracketScale:
         constants = explicit_constants(2, 3, 3)
         for factor in (1, 2**10, 2**20, 3 * 2**17):
             n_limit = constants.n0 * factor
-            u = bracket_scale(2, 3, 3, n_limit)
+            u = bracket_scale(constants, n_limit)
             shift = 2 ** (3 * (2 * 3 + 3))
             step = 2 ** (3 * 3 + 1)
             assert shift * step**u <= n_limit < shift * step ** (u + 1)
@@ -125,32 +146,31 @@ class TestBracketScale:
 class TestCertifyLowerBound:
     def test_at_n0(self):
         constants = explicit_constants(2, 3, 3)
-        report = certify_lower_bound(2, 3, 3, constants.n0)
+        report = certify_lower_bound(constants, constants.n0)
         assert report.verdict
         assert report.u == 15
         assert report.guaranteed >= report.required
 
     def test_at_n0_times_q_step(self):
         constants = explicit_constants(2, 3, 3)
-        report = certify_lower_bound(2, 3, 3, constants.n0 * 2**10)
+        report = certify_lower_bound(constants, constants.n0 * 2**10)
         assert report.verdict and report.u == 16
 
     def test_below_n0_rejected(self):
         constants = explicit_constants(2, 3, 3)
         with pytest.raises(ValueError):
-            certify_lower_bound(2, 3, 3, constants.n0 - 1)
+            certify_lower_bound(constants, constants.n0 - 1)
 
     def test_every_link_in_the_chain(self):
         # guaranteed >= estimate > C*N^(4/(3h+1)), hence >= required
         for q, m, h in [(2, 3, 3), (3, 5, 4), (10, 7, 5)]:
             constants = explicit_constants(q, m, h)
             for factor in (1, q ** (3 * h + 1)):
-                report = certify_lower_bound(q, m, h, constants.n0 * factor)
+                report = certify_lower_bound(constants, constants.n0 * factor)
                 assert report.verdict
                 assert report.guaranteed >= report.estimate
-                value = RootRational(
-                    report.c.num * report.n_limit**4, report.c.den, report.c.root
-                )
+                c = report.constants.c
+                value = RootRational(c.num * report.n_limit**4, c.den, c.root)
                 # value < estimate: (num/den)^(1/root) < a/b, cross-multiplied
                 a, b = report.estimate.numerator, report.estimate.denominator
                 assert value.num * b**value.root < a**value.root * value.den
@@ -162,6 +182,7 @@ class TestCertifyLowerBound:
     def test_grid_passes(self, instance, step):
         q, m, h = instance
         constants = explicit_constants(q, m, h)
-        report = certify_lower_bound(q, m, h, constants.n0 * q ** (step * (3 * h + 1)))
+        n_limit = constants.n0 * q ** (step * (3 * h + 1))
+        report = certify_lower_bound(constants, n_limit)
         assert report.verdict
         assert report.u == constants.u0 + step

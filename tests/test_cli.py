@@ -4,9 +4,9 @@ import tracemalloc
 
 import pytest
 
-from digitwitness import cli, construction
-from digitwitness.construction import ConsistencyError
-from digitwitness.intpoly import IntPolynomial
+from digitwitness import bounds, cli, construction
+from digitwitness.construction import ConsistencyError, build_cubic
+from digitwitness.intpoly import IntPolynomial, poly_eval
 
 WITNESS_KEYS = [
     "schema", "n", "k", "m0", "m1", "m2", "m3", "u", "M", "sq", "residue", "e",
@@ -21,6 +21,17 @@ def run_lines(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
     return code, [line for line in out.splitlines() if line]
+
+
+def decimal_value(text):
+    """int(text), also past the 4300 digits int() accepts by default."""
+    digits = text.removeprefix("-")
+    assert digits[0] != "0" or digits == "0"
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i : i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if text.startswith("-") else value
 
 
 class TestParsePoly:
@@ -126,6 +137,22 @@ class TestConstruct:
         err = capsys.readouterr().err
         assert code == 1
         assert err == "error: no k hits the target\n"
+
+
+    def test_values_past_the_str_limit_are_written(self, capsys):
+        code, lines = run_lines(
+            capsys,
+            ["construct", "--q", "10", "--m", "7", "--g", "0", "--poly", "x^30",
+             "--limit", "1"],
+        )
+        assert code == 0 and len(lines) == 1
+        record = json.loads(lines[0])
+        params = construction.CubicParams(
+            *(int(record[f]) for f in ("m0", "m1", "m2", "m3", "u"))
+        )
+        n = decimal_value(record["n"])
+        assert len(record["n"]) > 4300
+        assert n == poly_eval(build_cubic(params), 10 ** record["k"]) + record["e"]
 
 
 class TestVerify:
@@ -427,6 +454,62 @@ class TestCertify:
         assert lines[0].startswith("q,m,h,u0,N0,")
 
 
+    def test_one_run_builds_the_constants_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return explicit_constants(*args)
+
+        explicit_constants = bounds.explicit_constants
+        monkeypatch.setattr(bounds, "explicit_constants", counted)
+        code = run(["certify", "--q", "2", "--m", "3", "--h", "3", "--N-at", "N0"])
+        assert code == 0 and calls == [(2, 3, 3)]
+
+    @pytest.mark.parametrize(
+        "q, m, h", [(2, 3, 86), (2, 3, 300), (2, 3, 100000), (2, 1000001, 3),
+                    (2**3000 + 1, 3, 3)],
+        ids=["h=86", "h=300", "h=100000", "m=1000001", "q=2^3000+1"],
+    )
+    def test_n0_past_the_n_cap_is_refused_before_it_is_built(
+        self, capsys, monkeypatch, q, m, h
+    ):
+        # N0 has more than 3(bits(q)-1)(2h+m) + 3h(3h+1) bits, so none of
+        # these N0 is reachable under the 2^16-bit cap on --N-at
+        def refused(*args):
+            raise AssertionError("constants built past the cap")
+
+        monkeypatch.setattr(bounds, "explicit_constants", refused)
+        code = run(["certify", "--q", str(q), "--m", str(m), "--h", str(h),
+                    "--N", "5"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "65536-bit cap" in err and "below N0" in err
+
+    def test_below_n0_message_quotes_n0_past_the_str_limit(self, capsys):
+        # at q=2, m=3 the largest degree under the cap is 84; its N0 has 24k digits
+        code = run(["certify", "--q", "2", "--m", "3", "--h", "84", "--N", "5"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: N=5 is below N0=")
+        text = err.removeprefix("error: N=5 is below N0=").strip()
+        assert len(text) > 4300
+        assert decimal_value(text) == bounds.explicit_constants(2, 3, 84).n0
+
+    def test_values_past_the_str_limit_are_written(self, capsys):
+        code, lines = run_lines(
+            capsys,
+            ["certify", "--q", "2", "--m", "3", "--h", "3", "--N-at", "2^20000"],
+        )
+        assert code == 0
+        record = json.loads(lines[0])
+        assert len(record["N"]) > 4300
+        assert decimal_value(record["N"]) == 2**20000
+        assert record["verdict"] is True
+        constants = bounds.explicit_constants(2, 3, 3)
+        report = bounds.certify_lower_bound(constants, 2**20000)
+        assert int(record["required"]) == report.required
+        assert int(record["guaranteed"]) == report.guaranteed
+
     @pytest.mark.parametrize(
         "expr, value",
         [("N0", 2**27 * 41472**10), ("N0*q^(3h+1)", 2**37 * 41472**10),
@@ -553,6 +636,18 @@ class TestLemma:
                     "exhaustive"])
         err = capsys.readouterr().err
         assert code == 2 and "--max-per-range" in err
+
+    def test_values_past_the_str_limit_are_written(self, capsys):
+        code, lines = run_lines(
+            capsys,
+            ["lemma", "--q", "2", "--l", "3", "--u", "100000", "--mode", "random",
+             "--count", "1", "--seed", "1"],
+        )
+        assert code == 0
+        record = json.loads(lines[0])
+        for field in ("m0", "m2", "m3"):
+            assert 2**99999 <= decimal_value(record[field]) < 2**100000
+        assert json.loads(lines[1])["ok"] is True
 
 
 def test_json_records_carry_only_csv_columns(tmp_path, capsys):

@@ -75,6 +75,14 @@ class TestMinU:
         assert q ** (u - 1) < bound
 
 
+    @pytest.mark.parametrize("q, h", [(1, 3), (2, 0)])
+    def test_rejects_base_below_two_and_degree_below_one(self, q, h):
+        with pytest.raises(ValueError, match="need q >= 2 and h >= 1"):
+            min_u(q, h)
+        with pytest.raises(ValueError, match="need q >= 2 and h >= 1"):
+            m1_upper(q, h, 40)
+
+
 class TestM1Upper:
     @pytest.mark.parametrize(
         "q, h, u, expected", [(2, 3, 15, 3), (2, 3, 16, 6), (10, 3, 8, 15)]
