@@ -31,6 +31,7 @@ from .construction import (
     min_k,
     min_u,
     select_k,
+    sign_violation,
     translate_shift,
     verify_sign_pattern,
     witness_for,
@@ -39,13 +40,9 @@ from .digits import digit_sum, expand
 from .intpoly import (
     IntPolynomial,
     max_abs_coeff,
-    poly_add,
     poly_compose,
     poly_eval,
-    poly_mul,
-    poly_pow,
     poly_translate,
-    sign_profile,
 )
 from .oracle import (
     ComparisonReport,

@@ -155,6 +155,12 @@ def read_witness_file(path: str) -> Iterator[tuple[int, Witness | str]]:
             yield lineno, item
 
 
+# Largest value, in bits, that construct lets one witness's p(n) reach and
+# lemma lets (4q^u)^l reach, by an upper bound computed before anything is
+# built.  The base-3 digit sum of a 4-Mbit value takes about 20 s, so the cap
+# bounds the work of one witness; x^60 at q=2 (a 2.5-Mbit p(n)) runs in 1.5 s.
+_VALUE_BITS_CAP = 1 << 22
+
 # Witnesses per construct chunk.  Smaller chunks cost measurably more CPU per
 # witness at 2 workers; at h=8 one chunk of records is still under 1 MB.
 _CONSTRUCT_CHUNK = 256
@@ -170,6 +176,12 @@ def _witness_rows(plan, start: int, stop: int) -> list[tuple]:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     target = CongruenceTarget(q=args.q, m=args.m, g=args.g)
+    bits = construction.witness_bits_bound(args.q, args.m, args.poly, args.u)
+    if bits > _VALUE_BITS_CAP:
+        raise ValueError(
+            f"p(n) for p = {args.poly} at q={args.q}, m={args.m} could exceed "
+            f"the {_VALUE_BITS_CAP}-bit cap on one witness"
+        )
     plan = construction.make_plan(target, args.poly, args.u)
     size = plan.box.size
     total = size if args.limit is None else min(args.limit, size)
@@ -367,11 +379,17 @@ def _lemma_quadruples(
 
 
 def cmd_lemma(args: argparse.Namespace) -> int:
+    # q <= 2^b for the b-bit q - 1, so (4q^u)^l has at most l*(2 + b*u) + 1 bits
+    if args.l * (2 + (args.q - 1).bit_length() * args.u) >= _VALUE_BITS_CAP:
+        raise ValueError(
+            f"(4q^u)^l at q={args.q}, l={args.l}, u={args.u} could exceed the "
+            f"{_VALUE_BITS_CAP}-bit cap"
+        )
     box = construction.admissible_ranges(args.q, args.l, args.u)
     total = passed = 0
     with _output(args, LEMMA_FIELDS) as writer:
         for params in _lemma_quadruples(args, box):
-            report = construction.verify_sign_pattern(args.q, args.l, params)
+            report = construction.verify_sign_pattern(box, args.l, params)
             total += 1
             passed += report.ok
             writer.write(

@@ -20,7 +20,9 @@ where the offset does not depend on k.  Because gcd(m, q-1) = 1, sliding k
 through m consecutive values sweeps every residue class mod m, and one k in
 the window hits the requested class g.  Each admissible quadruple therefore
 yields one explicit witness n = t(q^k) + e with s_q(p(n)) = g (mod m), where
-e is the translation making p's coefficients nonnegative.
+e is the translation making p's coefficients nonnegative.  Lemma's t^l and
+construct's p_shifted(t) come from the one product, intpoly.poly_compose,
+and pass the one sign test, sign_violation.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .intpoly import (
     poly_compose,
     poly_eval,
     poly_translate,
-    sign_profile,
 )
 
 
@@ -157,15 +158,12 @@ class AdmissibleBox:
     def size(self) -> int:
         return self.side**3 * self.m1_max
 
-    def contains(self, params: CubicParams) -> bool:
-        return (
+    def require(self, params: CubicParams) -> None:
+        if not (
             params.u == self.u
             and all(self.lo <= v < self.hi for v in (params.m0, params.m2, params.m3))
             and 1 <= params.m1 <= self.m1_max
-        )
-
-    def require(self, params: CubicParams) -> None:
-        if not self.contains(params):
+        ):
             raise ValueError(
                 f"params {params} outside admissible box "
                 f"[{self.lo}, {self.hi}) ^ 3 x [1, {self.m1_max}] at u={self.u}"
@@ -214,38 +212,36 @@ class SignPatternReport:
     ok: bool
 
 
-def expected_profile(degree: int) -> tuple[int, ...]:
-    """Sign pattern required of composed polynomials: + at 0, - at 1, + above."""
-    if degree < 2:
-        raise ValueError(f"need degree >= 2, got {degree}")
-    return (1, -1) + (1,) * (degree - 1)
+def sign_violation(p: IntPolynomial) -> Optional[int]:
+    """First exponent breaking the (+,-,+,...,+) pattern, or None if p keeps it.
 
-
-def verify_sign_pattern(q: int, l: int, params: CubicParams) -> SignPatternReport:
-    """Check that t^l has the single-negative-coefficient pattern.
-
-    Also checks the exact coefficient bound |c_i| <= (4*q^u)^l.  Parameters
-    must lie in the admissible box for degree l at scale params.u; out-of-range
-    quadruples are rejected (ValueError), not reported as failures.
+    The pattern is - at x^1 and + at every other exponent up to the degree,
+    which is at least 2; a zero coefficient breaks it.
     """
-    admissible_ranges(q, l, params.u).require(params)
-    powered = build_cubic(params) ** l
+    coeffs = p.coeffs + (0,) * (3 - len(p.coeffs))
+    wrong = (i for i, c in enumerate(coeffs) if c == 0 or (c < 0) != (i == 1))
+    return next(wrong, None)
+
+
+def verify_sign_pattern(
+    box: AdmissibleBox, l: int, params: CubicParams
+) -> SignPatternReport:
+    """Check that t^l, composed as x^l(t) by construct's product, has the
+    single-negative-coefficient pattern and |c_i| <= (4*q^u)^l, q^u = box.hi.
+
+    `box` is the admissible box for degree l at scale params.u; a quadruple
+    outside it is rejected (ValueError), not reported as a failure.
+    """
+    box.require(params)
+    powered = poly_compose(IntPolynomial.monomial(l), build_cubic(params))
     # closed forms for the two lowest coefficients of t^l; a mismatch means
     # the polynomial arithmetic itself is broken
     if powered.coeffs[0] != params.m0**l:
         raise ConsistencyError(f"constant coefficient of t^{l} is not m0^{l}")
     if powered.coeffs[1] != -l * params.m1 * params.m0 ** (l - 1):
-        raise ConsistencyError(
-            f"linear coefficient of t^{l} is not -{l}*m1*m0^{l - 1}"
-        )
-    profile = sign_profile(powered)
-    want = expected_profile(3 * l)
-    first_violation = next(
-        (i for i, (got, exp) in enumerate(zip(profile, want)) if got != exp), None
-    )
-    if len(profile) != len(want) and first_violation is None:
-        first_violation = min(len(profile), len(want))
-    ok = first_violation is None and max_abs_coeff(powered) <= (4 * q**params.u) ** l
+        raise ConsistencyError(f"linear coefficient of t^{l} is not -{l}*m1*m0^{l - 1}")
+    first_violation = sign_violation(powered)
+    ok = first_violation is None and max_abs_coeff(powered) <= (4 * box.hi) ** l
     return SignPatternReport(first_violation=first_violation, ok=ok)
 
 
@@ -338,6 +334,27 @@ def make_plan(
     )
 
 
+def witness_bits_bound(q: int, m: int, p: IntPolynomial, u: Optional[int]) -> int:
+    """An upper bound on bits(p(n)) over the witnesses of a plan for p at scale u.
+
+    Bit lengths only, no power, so it is cheap at any degree and scale.  With
+    2^a <= q <= 2^b: min_u is at most the first u with a*u >= bits(2D); the
+    shift e is at most c + 1, c the largest |coefficient| below the leading
+    one (Cauchy's root bound, for every derivative of p), so P = p_shifted has
+    max(P) <= P(1) = p(1 + e) <= A*(c + 2)^h, A the sum of |coefficients|;
+    min_k is at most the first k with a*k >= bits(P(1)*(4q^u)^h), and every k
+    is below min_k + m; t(q^k) < 3q^(u+3k), and p(n) = P(t(q^k)) <= P(1)*t^h.
+    """
+    h, coeffs = p.degree, p.coeffs
+    a, b = q.bit_length() - 1, (q - 1).bit_length()
+    if u is None:
+        u = -(-(1 + h.bit_length() + b + h * (b + 3)) // a)
+    c = max(map(abs, coeffs[:-1]), default=0)
+    p1_bits = sum(map(abs, coeffs)).bit_length() + h * (c + 2).bit_length()
+    k = max(h * u + 2 * h + 1, u + 1, -(-(p1_bits + h * (2 + b * u)) // a))
+    return p1_bits + h * (2 + b * (u + 3 * (k + m - 1)))
+
+
 def digit_sum_offset(plan: ConstructionPlan, params: CubicParams) -> int:
     """The k-independent part of s_q(p_shifted(t(q^k))).
 
@@ -351,11 +368,11 @@ def digit_sum_offset(plan: ConstructionPlan, params: CubicParams) -> int:
     q = plan.target.q
     plan.box.require(params)
     composed = poly_compose(plan.p_shifted, build_cubic(params))
-    profile = sign_profile(composed)
-    if profile != expected_profile(composed.degree):
+    violation = sign_violation(composed)
+    if violation is not None:
         raise ConsistencyError(
             f"composed polynomial lost the (+,-,+,...,+) sign pattern for "
-            f"{params}: profile {profile}"
+            f"{params}: at x^{violation}"
         )
     coeffs = composed.coeffs
     offset = digit_sum(coeffs[0], q) + digit_sum(coeffs[2] - 1, q)

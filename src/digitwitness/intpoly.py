@@ -3,20 +3,14 @@
 Coefficients are stored densely, lowest degree first, with no trailing
 zeros; the zero polynomial has an empty coefficient tuple.  Everything is
 plain ``int`` arithmetic, so evaluation points and coefficients may be
-thousands of digits long.
+thousands of digits long.  `poly_compose` is the one polynomial product:
+translation, construct's p_shifted(t) and lemma's t^l all run its loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
-
-
-def _normalize(coeffs: Iterable[int]) -> tuple[int, ...]:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -27,7 +21,10 @@ class IntPolynomial:
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[int]) -> "IntPolynomial":
-        return cls(_normalize(coeffs))
+        out = list(coeffs)
+        while out and out[-1] == 0:
+            out.pop()
+        return cls(tuple(out))
 
     @classmethod
     def monomial(cls, degree: int, coeff: int = 1) -> "IntPolynomial":
@@ -42,9 +39,6 @@ class IntPolynomial:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __pow__(self, exponent: int) -> "IntPolynomial":
-        return poly_pow(self, exponent)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -65,54 +59,24 @@ class IntPolynomial:
         return "".join(parts)
 
 
-ZERO = IntPolynomial(())
-ONE = IntPolynomial((1,))
-
-
-def poly_add(p: IntPolynomial, r: IntPolynomial) -> IntPolynomial:
-    a, b = p.coeffs, r.coeffs
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return IntPolynomial(_normalize(out))
-
-
-def poly_mul(p: IntPolynomial, r: IntPolynomial) -> IntPolynomial:
-    a, b = p.coeffs, r.coeffs
-    if not a or not b:
-        return ZERO
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ci in enumerate(a):
-        if ci == 0:
-            continue
-        for j, cj in enumerate(b):
-            out[i + j] += ci * cj
-    return IntPolynomial(_normalize(out))
-
-
-def poly_pow(p: IntPolynomial, l: int) -> IntPolynomial:
-    """p**l by binary exponentiation over poly_mul."""
-    if l < 0:
-        raise ValueError(f"exponent must be >= 0, got {l}")
-    result = ONE
-    base = p
-    while l:
-        if l & 1:
-            result = poly_mul(result, base)
-        l >>= 1
-        if l:
-            base = poly_mul(base, base)
-    return result
-
-
 def poly_compose(outer: IntPolynomial, inner: IntPolynomial) -> IntPolynomial:
-    """outer(inner(x)) by Horner accumulation over outer's coefficients."""
-    result = ZERO
+    """outer(inner(x)) by Horner's rule over outer's coefficients.
+
+    The accumulator is a plain list, multiplied by inner and shifted by the
+    next coefficient of outer at each step; one IntPolynomial is built at
+    the end.
+    """
+    b = inner.coeffs
+    acc: list[int] = []
     for c in reversed(outer.coeffs):
-        result = poly_add(poly_mul(result, inner), IntPolynomial.from_coeffs([c]))
-    return result
+        out = [0] * (len(acc) + len(b) - 1) if acc and b else [0]
+        for i, a in enumerate(acc):
+            if a:
+                for j, bj in enumerate(b):
+                    out[i + j] += a * bj
+        out[0] += c
+        acc = out
+    return IntPolynomial.from_coeffs(acc)
 
 
 def poly_eval(p: IntPolynomial, x: int) -> int:
@@ -125,11 +89,6 @@ def poly_eval(p: IntPolynomial, x: int) -> int:
 def poly_translate(p: IntPolynomial, e: int) -> IntPolynomial:
     """p(x + e), exactly."""
     return poly_compose(p, IntPolynomial.from_coeffs([e, 1]))
-
-
-def sign_profile(p: IntPolynomial) -> tuple[int, ...]:
-    """Per-exponent sign of each stored coefficient: -1, 0, or +1."""
-    return tuple((c > 0) - (c < 0) for c in p.coeffs)
 
 
 def max_abs_coeff(p: IntPolynomial) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
@@ -10,19 +11,25 @@ from typing import Callable, Iterator, TypeVar
 T = TypeVar("T")
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on (os.cpu_count where affinity is unknown)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def chunked_map(
     fn: Callable[[int, int], T], total: int, workers: int, chunk: int
 ) -> Iterator[T]:
     """Yield fn(start, stop) over consecutive `chunk`-wide pieces of [0, total).
 
-    Results come in chunk order.  With one worker or one chunk, fn runs in
-    this process and no pool is created.  Otherwise a pool of
-    min(workers, chunks) processes runs the picklable fn with at most two
+    Results come in chunk order.  The work takes min(workers, chunks, CPUs)
+    processes: with one, fn runs in this process and no pool is created;
+    otherwise a pool of that many runs the picklable fn with at most two
     chunks per process in flight, so memory is bounded by the chunks in
     flight, not by `total`.  An exception raised by fn reaches the caller.
     """
     chunks = ((start, min(start + chunk, total)) for start in range(0, total, chunk))
-    processes = min(workers, -(-total // chunk))
+    processes = min(workers, -(-total // chunk), _cpu_count())
     if processes <= 1:
         for start, stop in chunks:
             yield fn(start, stop)

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -153,6 +154,40 @@ class TestConstruct:
         n = decimal_value(record["n"])
         assert len(record["n"]) > 4300
         assert n == poly_eval(build_cubic(params), 10 ** record["k"]) + record["e"]
+
+
+    @pytest.mark.parametrize(
+        "q, m, poly, u, refused",
+        [
+            ("2", "3", "x^1000", None, True),
+            ("2", "3", "x^120", None, True),
+            ("2", "3", "x^1000000", None, True),
+            ("3", "5", "x^3", "100000000", True),
+            ("2", "10000001", "x^3", None, True),
+            ("2", "3", "x^60", None, False),
+            ("10", "7", "x^30", None, False),
+            ("2", "3", "1,0,-2,0", "15", False),
+        ],
+    )
+    def test_value_cap_is_checked_before_the_plan(
+        self, capsys, monkeypatch, q, m, poly, u, refused
+    ):
+        def reached(*args):
+            raise ValueError("plan reached")
+
+        monkeypatch.setattr(construction, "make_plan", reached)
+        argv = ["construct", "--q", q, "--m", m, "--g", "1", "--poly", poly,
+                "--limit", "1"] + (["--u", u] if u else [])
+        start = time.perf_counter()
+        code = run(argv)
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        if refused:
+            assert err.startswith("error: p(n) for p = ")
+            assert err.endswith("could exceed the 4194304-bit cap on one witness\n")
+        else:
+            assert err == "error: plan reached\n"
 
 
 class TestVerify:
@@ -636,6 +671,38 @@ class TestLemma:
                     "exhaustive"])
         err = capsys.readouterr().err
         assert code == 2 and "--max-per-range" in err
+
+    @pytest.mark.parametrize(
+        "q, l, u, refused",
+        [
+            ("2", "3", "10000000", True),
+            ("2", "1000000", "15", True),
+            ("10", "3", "400000", True),
+            ("2", "3", "1000000", False),
+            ("2", "3", "100000", False),
+            ("10", "3", "300000", False),
+        ],
+    )
+    def test_value_cap_is_checked_before_the_box(
+        self, capsys, monkeypatch, q, l, u, refused
+    ):
+        # 4q^u <= 2^(2 + bits(q - 1)*u), and l times that exponent is held
+        # below 2^22
+        def reached(*args):
+            raise ValueError("box reached")
+
+        monkeypatch.setattr(construction, "admissible_ranges", reached)
+        start = time.perf_counter()
+        code = run(["lemma", "--q", q, "--l", l, "--u", u, "--mode", "random",
+                    "--count", "1", "--seed", "1"])
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        if refused:
+            assert err == (f"error: (4q^u)^l at q={q}, l={l}, u={u} could exceed "
+                           f"the 4194304-bit cap\n")
+        else:
+            assert err == "error: box reached\n"
 
     def test_values_past_the_str_limit_are_written(self, capsys):
         code, lines = run_lines(

@@ -2,6 +2,8 @@ import itertools
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digitwitness.construction import (
     CongruenceTarget,
@@ -18,20 +20,26 @@ from digitwitness.construction import (
     min_k,
     min_u,
     select_k,
+    sign_violation,
     translate_shift,
     verify_sign_pattern,
+    witness_bits_bound,
     witness_for,
 )
 from digitwitness.digits import digit_sum
 from digitwitness.intpoly import (
     IntPolynomial,
     max_abs_coeff,
+    poly_compose,
     poly_eval,
     poly_translate,
-    sign_profile,
 )
 
 X3 = IntPolynomial.monomial(3)
+
+
+def power(p, l):
+    return poly_compose(IntPolynomial.monomial(l), p)
 
 
 class TestCongruenceTarget:
@@ -141,7 +149,8 @@ class TestAdmissibleBox:
         a = list(box.sample(50, seed=7))
         b = list(box.sample(50, seed=7))
         assert a == b
-        assert all(box.contains(p) for p in a)
+        for p in a:
+            box.require(p)
 
     def test_lcg_recurrence_is_pinned(self):
         rng = Lcg64(1)
@@ -149,29 +158,59 @@ class TestAdmissibleBox:
         assert rng.next() == first
 
 
+class TestSignViolation:
+    @pytest.mark.parametrize(
+        "coeffs", [[1, -1, 1], [5, -2, 3, 1], [1, -1, 1, 1, 1, 1, 1]]
+    )
+    def test_pattern_kept(self, coeffs):
+        assert sign_violation(IntPolynomial.from_coeffs(coeffs)) is None
+
+    @pytest.mark.parametrize(
+        "coeffs, first",
+        [
+            ([1, 1, 1, 1], 1),  # positive x^1 coefficient
+            ([0, -1, 1, 1], 0),  # zero constant coefficient
+            ([1, 0, 1, 1], 1),  # zero x^1 coefficient
+            ([1, -1, -1, 1], 2),  # negative coefficient above x^1
+            ([-1, -1, 1], 0),  # negative constant coefficient
+            ([1, -1], 2),  # degree below 2: x^2 is missing, so zero
+            ([5], 1),
+        ],
+    )
+    def test_first_violation(self, coeffs, first):
+        assert sign_violation(IntPolynomial.from_coeffs(coeffs)) == first
+
+
 class TestSignPattern:
     def test_admissible_quadruples_pass(self):
         box = admissible_ranges(2, 3, 15)
         for params in box.sample(50, seed=11):
-            report = verify_sign_pattern(2, 3, params)
+            report = verify_sign_pattern(box, 3, params)
             assert report.ok
             assert report.first_violation is None
-            assert max_abs_coeff(build_cubic(params) ** 3) <= (4 * 2**15) ** 3
+            assert max_abs_coeff(power(build_cubic(params), 3)) <= (4 * 2**15) ** 3
 
     def test_power_one_is_the_cubic_itself(self):
         params = CubicParams(m0=2**14, m1=1, m2=2**14, m3=2**14, u=15)
-        report = verify_sign_pattern(2, 1, params)
-        assert report.ok and sign_profile(build_cubic(params)) == (1, -1, 1, 1)
+        report = verify_sign_pattern(admissible_ranges(2, 1, 15), 1, params)
+        assert report.ok and sign_violation(build_cubic(params)) is None
 
     def test_out_of_range_m1_is_a_precondition_error(self):
         params = CubicParams(m0=2**14, m1=2**15, m2=2**14, m3=2**14, u=15)
         with pytest.raises(ValueError):
-            verify_sign_pattern(2, 3, params)
+            verify_sign_pattern(admissible_ranges(2, 3, 15), 3, params)
+
+    def test_coefficient_bound_reads_the_untruncated_box(self):
+        # q^u is box.hi, so a quadruple at the top of the box passes
+        box = admissible_ranges(2, 3, 15)
+        top = CubicParams(m0=2**15 - 1, m1=box.m1_max, m2=2**15 - 1, m3=2**15 - 1,
+                          u=15)
+        assert verify_sign_pattern(box, 3, top).ok
 
     @pytest.mark.parametrize("q, l, u", [(2, 3, 15), (3, 2, 8), (10, 3, 8)])
     def test_extreme_low_coefficients_have_closed_forms(self, q, l, u):
         for params in admissible_ranges(q, l, u).sample(15, seed=21):
-            powered = build_cubic(params) ** l
+            powered = power(build_cubic(params), l)
             assert powered.coeffs[0] == params.m0**l
             assert powered.coeffs[1] == -l * params.m1 * params.m0 ** (l - 1)
 
@@ -180,17 +219,14 @@ class TestSignPattern:
         # r = t^l - (m3 x^3 + m2 x^2 + m0)^l collects every term touching the
         # negative part; its coefficients are what the admissible m1 range
         # keeps too small to flip any sign
-        from digitwitness.intpoly import poly_add, poly_mul, poly_pow
-
         bound = l * (6 * q) ** l * q ** ((u - 1) * (l - 1))
         for params in admissible_ranges(q, l, u).sample(15, seed=22):
             positive_part = IntPolynomial.from_coeffs(
                 [params.m0, 0, params.m2, params.m3]
             )
-            minus_one = IntPolynomial.from_coeffs([-1])
-            residual = poly_add(
-                poly_pow(build_cubic(params), l),
-                poly_mul(minus_one, poly_pow(positive_part, l)),
+            full, positive = power(build_cubic(params), l), power(positive_part, l)
+            residual = IntPolynomial.from_coeffs(
+                a - b for a, b in zip(full.coeffs, positive.coeffs)
             )
             assert residual.degree <= 3 * l - 2
             assert residual.coeffs[0] == 0
@@ -334,6 +370,17 @@ class TestOffset:
         with pytest.raises(ValueError):
             digit_sum_offset(plan, CubicParams(m0=1, m1=1, m2=1, m3=1, u=15))
 
+    def test_lost_sign_pattern_is_a_consistency_error(self, monkeypatch):
+        plan = make_plan(CongruenceTarget(q=2, m=3, g=0), X3, 15)
+        params = plan.box.params_at(0)
+        broken = IntPolynomial.from_coeffs([1, -1, 0, 1])
+        monkeypatch.setattr(
+            "digitwitness.construction.poly_compose", lambda outer, inner: broken
+        )
+        with pytest.raises(ConsistencyError, match=r"lost the \(\+,-,\+,\.\.\.,\+\) "
+                           r"sign pattern for .*: at x\^2$"):
+            digit_sum_offset(plan, params)
+
 
 class TestConstructWitness:
     def test_end_to_end_binary(self):
@@ -423,6 +470,66 @@ class TestConstructFamily:
             assert w.n < bound
 
 
+class TestWitnessBitsBound:
+    # (q, m, p, u): every golden and acceptance construct case, the
+    # benchmark's construct-deep plan, and the largest runs the CLI documents
+    # as accepted
+    CASES = [
+        (2, 3, X3, None),
+        (2, 3, X3, 15),
+        (10, 7, X3, 8),
+        (9, 3, X3, 8),
+        (10, 7, IntPolynomial.from_coeffs([0, -2, 0, 1]), None),
+        (2, 3, IntPolynomial.from_coeffs([0, -2, 0, 1]), None),
+        (2, 3, IntPolynomial.from_coeffs([0, 1, 0, 0, 2]), None),
+        (3, 5, IntPolynomial.monomial(8), None),
+        (10, 7, IntPolynomial.monomial(30), None),
+        (2, 3, IntPolynomial.monomial(60), None),
+    ]
+
+    @staticmethod
+    def largest_bits(q, m, p, u):
+        # p(n) = p_shifted(t(q^k)) grows with t's positive coefficients and k
+        # and falls with m1, so the box's top corner at the window's last k
+        # is the largest value any witness of the plan can have
+        plan = make_plan(CongruenceTarget(q=q, m=m, g=0), p, u)
+        top = plan.box.hi - 1
+        corner = CubicParams(m0=top, m1=1, m2=top, m3=top, u=plan.box.u)
+        t = poly_eval(build_cubic(corner), q ** (plan.k_threshold + m))
+        return poly_eval(plan.p_shifted, t).bit_length()
+
+    @pytest.mark.parametrize("q, m, p, u", CASES)
+    def test_bounds_the_largest_value_of_the_plan(self, q, m, p, u):
+        assert self.largest_bits(q, m, p, u) <= witness_bits_bound(q, m, p, u)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(2, 3), (3, 5), (10, 7), (16, 7)]),
+        st.lists(st.integers(-60, 60), min_size=1, max_size=4),
+        st.integers(1, 9),
+    )
+    def test_bounds_random_polynomials(self, qm, low, lead):
+        # negative coefficients make the shift e, and p_shifted's size,
+        # depend on the Cauchy bound
+        q, m = qm
+        p = IntPolynomial.from_coeffs(low + [lead])
+        assert self.largest_bits(q, m, p, None) <= witness_bits_bound(q, m, p, None)
+
+    @pytest.mark.parametrize("q, m, p, u", CASES[:-2])
+    def test_bounds_every_constructed_value(self, q, m, p, u):
+        for g in range(m):
+            target = CongruenceTarget(q=q, m=m, g=g)
+            bound = witness_bits_bound(q, m, p, u)
+            for w in construct_family(target, p, u, limit=20):
+                assert poly_eval(p, w.n).bit_length() <= bound
+
+    def test_grows_with_degree_scale_and_modulus(self):
+        base = witness_bits_bound(2, 3, X3, 15)
+        assert witness_bits_bound(2, 3, X3, 16) > base
+        assert witness_bits_bound(2, 3, IntPolynomial.monomial(4), 15) > base
+        assert witness_bits_bound(2, 5, X3, 15) > base
+
+
 class TestGeneralPolynomials:
     def test_shifted_cubic(self):
         p = IntPolynomial.from_coeffs([0, -2, 0, 1])  # x^3 - 2x
@@ -444,15 +551,13 @@ class TestGeneralPolynomials:
         "coeffs", [[1, 0, 1, 1], [0, 3, 0, 0, 0, 1], [2, 0, 0, 7]]
     )
     def test_composed_profile_keeps_single_negative(self, coeffs):
-        from digitwitness.intpoly import poly_compose, sign_profile
-
         p = IntPolynomial.from_coeffs(coeffs)
         h = p.degree
         u = min_u(2, h)
         for params in admissible_ranges(2, h, u).sample(10, seed=13):
             composed = poly_compose(p, build_cubic(params))
-            profile = sign_profile(composed)
-            assert profile == (1, -1) + (1,) * (composed.degree - 1)
+            assert composed.degree == 3 * h
+            assert sign_violation(composed) is None
 
     def test_rejects_constant_polynomial(self):
         target = CongruenceTarget(q=2, m=3, g=0)

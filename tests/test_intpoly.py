@@ -2,22 +2,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from digitwitness.construction import sign_violation
 from digitwitness.intpoly import (
-    ONE,
-    ZERO,
     IntPolynomial,
     max_abs_coeff,
-    poly_add,
     poly_compose,
     poly_eval,
-    poly_mul,
-    poly_pow,
     poly_translate,
-    sign_profile,
 )
 
+ZERO = IntPolynomial(())
 X = IntPolynomial.monomial(1)
 CUBIC = IntPolynomial.from_coeffs([1, -1, 1, 1])  # x^3 + x^2 - x + 1
+CUBIC_SQUARED = (1, -2, 3, 0, -1, 2, 1)  # convolution done by hand, x^0 upward
 
 polys = st.lists(st.integers(-50, 50), max_size=6).map(IntPolynomial.from_coeffs)
 
@@ -29,99 +26,93 @@ def test_normalization_strips_trailing_zeros():
 
 def test_degree():
     assert ZERO.degree == -1
-    assert ONE.degree == 0
+    assert IntPolynomial.from_coeffs([7]).degree == 0
     assert CUBIC.degree == 3
 
 
-class TestAdd:
-    def test_cancellation(self):
-        assert poly_add(
-            IntPolynomial.from_coeffs([1, 1]), IntPolynomial.from_coeffs([0, -1])
-        ) == ONE
-
-    def test_identity(self):
-        assert poly_add(ZERO, CUBIC) == CUBIC
-
-    def test_doubling(self):
-        a = IntPolynomial.from_coeffs([1, 0, 1])
-        b = IntPolynomial.from_coeffs([-1, 0, 1])
-        assert poly_add(a, b) == IntPolynomial.from_coeffs([0, 0, 2])
+def schoolbook(p, r):
+    """p*r by the convolution written out, a reference sharing no code with src."""
+    out = [0] * (len(p.coeffs) + len(r.coeffs))
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(r.coeffs):
+            out[i + j] += a * b
+    return IntPolynomial.from_coeffs(out)
 
 
-class TestMul:
-    def test_difference_of_squares(self):
-        a = IntPolynomial.from_coeffs([1, 1])
-        b = IntPolynomial.from_coeffs([-1, 1])
-        assert poly_mul(a, b) == IntPolynomial.from_coeffs([-1, 0, 1])
-
-    def test_annihilator(self):
-        assert poly_mul(CUBIC, ZERO) == ZERO
-
-    def test_cubic_squared(self):
-        # convolution done by hand, x^0 upward
-        assert poly_mul(CUBIC, CUBIC).coeffs == (1, -2, 3, 0, -1, 2, 1)
-
-    @settings(max_examples=150)
-    @given(polys, polys)
-    def test_commutative(self, p, r):
-        assert poly_mul(p, r) == poly_mul(r, p)
-
-    @settings(max_examples=100)
-    @given(polys, polys, polys)
-    def test_associative(self, p, r, s):
-        assert poly_mul(poly_mul(p, r), s) == poly_mul(p, poly_mul(r, s))
+def power(p, l):
+    return poly_compose(IntPolynomial.monomial(l), p)
 
 
 class TestPow:
+    # p^l is x^l composed with p: lemma's t^l and the powers inside
+    # construct's p_shifted(t) run this one product
+
     def test_zeroth_power(self):
-        assert poly_pow(CUBIC, 0) == ONE
+        assert power(CUBIC, 0) == IntPolynomial.from_coeffs([1])
 
     def test_first_power(self):
-        assert poly_pow(CUBIC, 1) == CUBIC
+        assert power(CUBIC, 1) == CUBIC
 
     def test_square_matches_frozen_coeffs(self):
-        assert poly_pow(CUBIC, 2).coeffs == (1, -2, 3, 0, -1, 2, 1)
+        assert power(CUBIC, 2).coeffs == CUBIC_SQUARED
 
     def test_degree_multiplies(self):
-        assert poly_pow(CUBIC, 5).degree == 15
+        assert power(CUBIC, 5).degree == 15
 
     @pytest.mark.parametrize("l", range(9))
     def test_matches_iterated_multiplication(self, l):
-        by_hand = ONE
+        by_hand = IntPolynomial.from_coeffs([1])
         for _ in range(l):
-            by_hand = poly_mul(by_hand, CUBIC)
-        assert poly_pow(CUBIC, l) == by_hand
+            by_hand = schoolbook(by_hand, CUBIC)
+        assert power(CUBIC, l) == by_hand
 
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError):
-            poly_pow(CUBIC, -1)
+            power(CUBIC, -1)
 
     @settings(max_examples=60)
     @given(polys, st.integers(0, 4), st.integers(0, 4))
     def test_exponent_additivity(self, p, a, b):
-        assert poly_pow(p, a + b) == poly_mul(poly_pow(p, a), poly_pow(p, b))
+        assert power(p, a + b) == schoolbook(power(p, a), power(p, b))
 
 
 class TestCompose:
     def test_monomial_outer_is_powering(self):
-        outer = IntPolynomial.monomial(4)
-        assert poly_compose(outer, CUBIC) == poly_pow(CUBIC, 4)
+        # x^4 by Horner equals the square of the frozen square
+        assert poly_compose(IntPolynomial.monomial(4), CUBIC) == power(
+            IntPolynomial(CUBIC_SQUARED), 2
+        )
 
     def test_constant_outer(self):
         outer = IntPolynomial.from_coeffs([7])
         assert poly_compose(outer, CUBIC) == outer
+
+    def test_zero_outer_and_zero_inner(self):
+        assert poly_compose(ZERO, CUBIC) == ZERO
+        assert poly_compose(CUBIC, ZERO) == IntPolynomial.from_coeffs([1])
+        assert poly_compose(X, ZERO) == ZERO
 
     def test_shift_example(self):
         outer = IntPolynomial.from_coeffs([1, 0, 1])  # x^2 + 1
         inner = IntPolynomial.from_coeffs([1, 1])  # x + 1
         assert poly_compose(outer, inner) == IntPolynomial.from_coeffs([2, 2, 1])
 
-    @settings(max_examples=80)
-    @given(polys, polys, st.integers(-30, 30))
-    def test_evaluation_homomorphism(self, outer, inner, x):
-        assert poly_eval(poly_compose(outer, inner), x) == poly_eval(
-            outer, poly_eval(inner, x)
-        )
+    def test_cancellation_to_zero_coefficient(self):
+        # x^2 + 2x at x - 1 is x^2 - 1: the linear terms cancel
+        outer = IntPolynomial.from_coeffs([0, 2, 1])
+        inner = IntPolynomial.from_coeffs([-1, 1])
+        assert poly_compose(outer, inner) == IntPolynomial.from_coeffs([-1, 0, 1])
+
+    @settings(max_examples=150)
+    @given(polys, polys)
+    def test_evaluation_homomorphism(self, outer, inner):
+        # the composition has degree <= d, so agreeing at d + 1 distinct points
+        # determines it; poly_eval shares no product loop with poly_compose
+        composed = poly_compose(outer, inner)
+        d = max(outer.degree, 0) * max(inner.degree, 0)
+        assert composed.degree <= d
+        for x in range(-(d // 2), d - d // 2 + 1):
+            assert poly_eval(composed, x) == poly_eval(outer, poly_eval(inner, x))
 
     @settings(max_examples=40)
     @given(polys, polys, st.integers(2, 10), st.integers(1, 300))
@@ -149,7 +140,8 @@ class TestEval:
     @given(polys, polys, st.integers(2, 10), st.integers(1, 300))
     def test_product_homomorphism_at_power_points(self, p, r, q, k):
         x = q**k
-        assert poly_eval(poly_mul(p, r), x) == poly_eval(p, x) * poly_eval(r, x)
+        assert poly_eval(power(p, 2), x) == poly_eval(p, x) ** 2
+        assert poly_eval(schoolbook(p, r), x) == poly_eval(p, x) * poly_eval(r, x)
 
 
 class TestTranslate:
@@ -171,20 +163,23 @@ class TestTranslate:
 
 
 class TestSignProfile:
+    # the (+,-,+,...,+) pattern construct and lemma require, as
+    # construction.sign_violation reports it
+
     def test_cubic(self):
-        assert sign_profile(CUBIC) == (1, -1, 1, 1)
+        assert sign_violation(CUBIC) is None
 
     def test_zero_poly(self):
-        assert sign_profile(ZERO) == ()
+        assert sign_violation(ZERO) == 0
 
     def test_cubic_squared(self):
-        assert sign_profile(poly_pow(CUBIC, 2)) == (1, -1, 1, 0, -1, 1, 1)
+        assert sign_violation(IntPolynomial(CUBIC_SQUARED)) == 3
 
 
 class TestMaxAbsCoeff:
     def test_values(self):
         assert max_abs_coeff(CUBIC) == 1
-        assert max_abs_coeff(poly_pow(CUBIC, 2)) == 3
+        assert max_abs_coeff(IntPolynomial(CUBIC_SQUARED)) == 3
         assert max_abs_coeff(ZERO) == 0
 
 
@@ -197,5 +192,5 @@ def test_power_coefficient_bound_for_admissible_cubics():
         for l in (1, 2, 3):
             box = admissible_ranges(q, l, u)
             for params in box.sample(20, seed=99):
-                powered = poly_pow(build_cubic(params), l)
+                powered = power(build_cubic(params), l)
                 assert max_abs_coeff(powered) <= (4 * q**u) ** l

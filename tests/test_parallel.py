@@ -44,9 +44,26 @@ def fake_pool(monkeypatch):
     return log
 
 
-def test_pool_has_at_most_one_process_per_chunk(fake_pool):
+def test_pool_has_at_most_one_process_per_chunk(fake_pool, monkeypatch):
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: 1000)
     assert list(chunked_map(span, 3, 1000, 1)) == [[0], [1], [2]]
     assert fake_pool["sizes"] == [3]
+
+
+def test_pool_has_at_most_one_process_per_cpu(fake_pool):
+    # a real pool would fork all of its processes at the first submit
+    cpus = parallel._cpu_count()
+    results = chunked_map(span, 10**4, 10**6, 1)
+    assert next(results) == [0]
+    assert fake_pool["sizes"] == ([cpus] if cpus > 1 else [])
+    assert fake_pool["submitted"] <= 2 * cpus + 1
+    assert list(results) == [[i] for i in range(1, 10**4)]
+
+
+def test_one_cpu_starts_no_pool(fake_pool, monkeypatch):
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: 1)
+    assert list(chunked_map(span, 3, 1000, 1)) == [[0], [1], [2]]
+    assert fake_pool["sizes"] == []
 
 
 def test_single_chunk_starts_no_pool(fake_pool):
@@ -54,7 +71,8 @@ def test_single_chunk_starts_no_pool(fake_pool):
     assert fake_pool["sizes"] == []
 
 
-def test_two_chunks_per_process_in_flight(fake_pool):
+def test_two_chunks_per_process_in_flight(fake_pool, monkeypatch):
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: 2)
     results = chunked_map(span, 100, 2, 1)
     assert next(results) == [0]
     # four submitted up front, one more once the first result was taken
