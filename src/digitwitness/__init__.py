@@ -28,10 +28,10 @@ from .construction import (
     m1_divisor,
     m1_upper,
     make_plan,
-    min_k,
     min_u,
     select_k,
     sign_violation,
+    splitting_margin,
     translate_shift,
     verify_sign_pattern,
     witness_for,
@@ -44,14 +44,6 @@ from .intpoly import (
     poly_eval,
     poly_translate,
 )
-from .oracle import (
-    ComparisonReport,
-    DensityTable,
-    compare_to_main_term,
-    density_table,
-    polynomial_residue_count,
-    polynomial_values,
-    verify_witnesses,
-)
+from .oracle import DensityTable, density_table, polynomial_values, verify_witnesses
 
 __version__ = "0.1.0"

@@ -3,13 +3,13 @@
 For monomials x^h the guaranteed number of witnesses below N is certified
 against C * N^(4/(3h+1)) for explicit C and N0.  Nothing here restates the
 construction: u0 and delta are read from construct's own plan for x^h (the
-scale of its box, and the margin k_threshold - h*u0 its splitting exponents
-keep), D = h*q*(6q)^h is `construction.m1_divisor`, and the guaranteed count
-is the size of construct's box at the bracketed scale.  For every monomial
-delta = 2h.  The constant C involves a fractional power of q, so it is
-carried as (num/den)^(1/root) and every inequality is decided by raising both
-sides to the root power and comparing exact integers.  No floating point
-touches any verdict.
+scale of its box and its splitting margin), D = h*q*(6q)^h is
+`construction.m1_divisor`, and the guaranteed count is the size of
+construct's box at the bracketed scale.  For every monomial delta = 2h.  The
+constant C involves a fractional power of q, so it is carried as
+(num/den)^(1/root) and every inequality is decided by raising both sides to
+the root power and comparing exact integers.  No floating point touches any
+verdict.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class ExplicitConstants:
 def explicit_constants(q: int, m: int, h: int) -> ExplicitConstants:
     """N0 and C in closed form over construct's plan for x^h, in exact integers.
 
-    With u0 the plan's scale, delta = k_threshold - h*u0 and D = h*q*(6q)^h:
+    With u0 and delta the plan's scale and splitting margin, D = h*q*(6q)^h:
 
         N0 = q^(3(delta+m)) * (2qD)^(3h+1)
         C  = 1 / (16q^4 D * q^(12(delta+m)/(3h+1)))
@@ -98,8 +98,7 @@ def explicit_constants(q: int, m: int, h: int) -> ExplicitConstants:
     * q^(12(delta+m)).
     """
     plan = make_plan(CongruenceTarget(q, m, 0), IntPolynomial.monomial(h))
-    u0 = plan.box.u
-    delta = plan.k_threshold - h * u0
+    u0, delta = plan.box.u, plan.delta
     d = m1_divisor(q, h)
     root = 3 * h + 1
     shift = q ** (3 * (delta + m))

@@ -30,7 +30,7 @@ from functools import partial
 from typing import IO, Callable, Iterator, Optional
 
 from . import bounds, construction, oracle
-from .construction import CongruenceTarget, CubicParams, Witness
+from .construction import VALUE_BITS_CAP, CongruenceTarget, CubicParams, Witness
 from .digits import decimal_str
 from .intpoly import IntPolynomial
 from .parallel import chunked_map
@@ -42,6 +42,12 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
+# Largest --poly degree, checked before any coefficient is built.  The
+# density tally starts from h + 1 values of p whatever N is (x^4000 took over
+# a minute at N = 2), and construct and certify refuse every degree above 86.
+_DEGREE_CAP = 1 << 10
+
+
 def parse_poly(text: str) -> IntPolynomial:
     """x^H / x monomial shorthand, or a high-to-low comma coefficient list."""
     s = text.strip()
@@ -49,14 +55,20 @@ def parse_poly(text: str) -> IntPolynomial:
         return IntPolynomial.monomial(1)
     match = re.fullmatch(r"x\^(\d+)", s)
     if match:
-        return IntPolynomial.monomial(int(match.group(1)))
-    if re.fullmatch(r"-?\d+(\s*,\s*-?\d+)*", s):
-        coeffs_high_to_low = [int(tok) for tok in s.split(",")]
-        return IntPolynomial.from_coeffs(reversed(coeffs_high_to_low))
-    raise ValueError(
-        f"cannot parse polynomial {text!r}: use x^H or a comma-separated "
-        f"coefficient list, highest degree first"
-    )
+        degree = int(match.group(1))
+    elif re.fullmatch(r"-?\d+(\s*,\s*-?\d+)*", s):
+        degree = s.count(",")
+    else:
+        raise ValueError(
+            f"cannot parse polynomial {text!r}: use x^H or a comma-separated "
+            f"coefficient list, highest degree first"
+        )
+    if degree > _DEGREE_CAP:
+        raise ValueError(f"polynomial degree {degree} is above the cap {_DEGREE_CAP}")
+    if match:
+        return IntPolynomial.monomial(degree)
+    coeffs_high_to_low = [int(tok) for tok in s.split(",")]
+    return IntPolynomial.from_coeffs(reversed(coeffs_high_to_low))
 
 
 class _Writer:
@@ -155,12 +167,6 @@ def read_witness_file(path: str) -> Iterator[tuple[int, Witness | str]]:
             yield lineno, item
 
 
-# Largest value, in bits, that construct lets one witness's p(n) reach and
-# lemma lets (4q^u)^l reach, by an upper bound computed before anything is
-# built.  The base-3 digit sum of a 4-Mbit value takes about 20 s, so the cap
-# bounds the work of one witness; x^60 at q=2 (a 2.5-Mbit p(n)) runs in 1.5 s.
-_VALUE_BITS_CAP = 1 << 22
-
 # Witnesses per construct chunk.  Smaller chunks cost measurably more CPU per
 # witness at 2 workers; at h=8 one chunk of records is still under 1 MB.
 _CONSTRUCT_CHUNK = 256
@@ -177,10 +183,10 @@ def _witness_rows(plan, start: int, stop: int) -> list[tuple]:
 def cmd_construct(args: argparse.Namespace) -> int:
     target = CongruenceTarget(q=args.q, m=args.m, g=args.g)
     bits = construction.witness_bits_bound(args.q, args.m, args.poly, args.u)
-    if bits > _VALUE_BITS_CAP:
+    if bits > VALUE_BITS_CAP:
         raise ValueError(
             f"p(n) for p = {args.poly} at q={args.q}, m={args.m} could exceed "
-            f"the {_VALUE_BITS_CAP}-bit cap on one witness"
+            f"the {VALUE_BITS_CAP}-bit cap on one witness"
         )
     plan = construction.make_plan(target, args.poly, args.u)
     size = plan.box.size
@@ -338,19 +344,16 @@ def cmd_density(args: argparse.Namespace) -> int:
     table = oracle.density_table(
         args.q, args.m, args.poly, args.n_limit, workers=args.workers
     )
-    comparison = oracle.compare_to_main_term(table)
-    all_within = True
+    deviations = table.deviations
+    fractions = zip(table.densities, table.predictions, deviations)
     with _output(args, DENSITY_FIELDS) as writer:
-        for row in comparison.rows:
-            within = row.deviation <= args.tolerance
-            all_within = all_within and within
+        for residue, row in enumerate(fractions):
             writer.write(
-                "density/1", row.residue, row.count,
-                *(f"{x.numerator}/{x.denominator}"
-                  for x in (row.density, row.prediction, row.deviation)),
-                within,
+                "density/1", residue, table.counts[residue],
+                *(f"{x.numerator}/{x.denominator}" for x in row),
+                deviations[residue] <= args.tolerance,
             )
-    return EXIT_OK if all_within else EXIT_FAIL
+    return EXIT_OK if table.max_deviation <= args.tolerance else EXIT_FAIL
 
 
 LEMMA_FIELDS = [
@@ -380,10 +383,10 @@ def _lemma_quadruples(
 
 def cmd_lemma(args: argparse.Namespace) -> int:
     # q <= 2^b for the b-bit q - 1, so (4q^u)^l has at most l*(2 + b*u) + 1 bits
-    if args.l * (2 + (args.q - 1).bit_length() * args.u) >= _VALUE_BITS_CAP:
+    if args.l * (2 + (args.q - 1).bit_length() * args.u) >= VALUE_BITS_CAP:
         raise ValueError(
             f"(4q^u)^l at q={args.q}, l={args.l}, u={args.u} could exceed the "
-            f"{_VALUE_BITS_CAP}-bit cap"
+            f"{VALUE_BITS_CAP}-bit cap"
         )
     box = construction.admissible_ranges(args.q, args.l, args.u)
     total = passed = 0

@@ -271,22 +271,22 @@ def translate_shift(p: IntPolynomial) -> int:
     return hi
 
 
-def min_k(q: int, h: int, u: int, p_shifted: IntPolynomial) -> int:
-    """Smallest usable splitting exponent k, by exact integer comparison.
+def splitting_margin(q: int, h: int, p_shifted: IntPolynomial) -> int:
+    """The margin delta of the plan's splitting exponents, exactly.
 
-    k must satisfy q^k > (max coefficient of p_shifted) * (4*q^u)^h together
-    with k > h*u + 2*h and k > u; the first condition keeps every coefficient
-    of p_shifted(t(q^k)) inside its own base-q block.
+    Every k > h*u + delta splits p_shifted(t(q^k)) into base-q blocks: the
+    conditions q^k > max(p_shifted) * (4*q^u)^h and k > h*u + 2*h lose their
+    common factor q^(h*u), so delta is the largest j >= 2*h with
+    q^j <= max(p_shifted) * 4^h (2*h when there is none), whatever u is.
     """
     if p_shifted.is_zero() or any(c < 0 for c in p_shifted.coeffs):
         raise ValueError("expected nonnegative coefficients with positive leading")
-    bound = max(p_shifted.coeffs) * (4 * q**u) ** h
-    k = max(h * u + 2 * h, u) + 1
-    power = q**k
+    bound = max(p_shifted.coeffs) << 2 * h
+    delta, power = 2 * h, q ** (2 * h + 1)
     while power <= bound:
         power *= q
-        k += 1
-    return k
+        delta += 1
+    return delta
 
 
 @dataclass(frozen=True)
@@ -296,8 +296,8 @@ class ConstructionPlan:
     `box` is the admissible box for p's degree at scale u: the family the plan
     enumerates, one witness per quadruple, and the one place its ranges and
     order are fixed.  Valid splitting exponents are exactly those strictly
-    above k_threshold; the residue window scanned by select_k is
-    [k_threshold + 1, k_threshold + m].
+    above k_threshold = h*u + delta (see splitting_margin); select_k picks
+    its k from the residue window [k_threshold + 1, k_threshold + m].
     """
 
     target: CongruenceTarget
@@ -305,6 +305,7 @@ class ConstructionPlan:
     e: int
     p_shifted: IntPolynomial
     box: AdmissibleBox
+    delta: int
     k_threshold: int
 
 
@@ -323,36 +324,50 @@ def make_plan(
         )
     e = translate_shift(p)
     p_shifted = poly_translate(p, e)
-    k_threshold = min_k(target.q, h, u, p_shifted) - 1
+    delta = splitting_margin(target.q, h, p_shifted)
     return ConstructionPlan(
         target=target,
         p=p,
         e=e,
         p_shifted=p_shifted,
         box=admissible_ranges(target.q, h, u),
-        k_threshold=k_threshold,
+        delta=delta,
+        k_threshold=h * u + delta,
     )
+
+
+# Largest value, in bits, that construct lets one witness's p(n) reach, lemma
+# lets (4q^u)^l reach and verify lets one row's p(n) reach, by an upper bound
+# computed before anything is built.  The base-3 digit sum of a 4-Mbit value
+# takes about 20 s, so the cap bounds the work of one witness or row; x^60 at
+# q=2 (a 2.5-Mbit p(n)) runs in 1.5 s.
+VALUE_BITS_CAP = 1 << 22
 
 
 def witness_bits_bound(q: int, m: int, p: IntPolynomial, u: Optional[int]) -> int:
     """An upper bound on bits(p(n)) over the witnesses of a plan for p at scale u.
 
-    Bit lengths only, no power, so it is cheap at any degree and scale.  With
-    2^a <= q <= 2^b: min_u is at most the first u with a*u >= bits(2D); the
-    shift e is at most c + 1, c the largest |coefficient| below the leading
-    one (Cauchy's root bound, for every derivative of p), so P = p_shifted has
-    max(P) <= P(1) = p(1 + e) <= A*(c + 2)^h, A the sum of |coefficients|;
-    min_k is at most the first k with a*k >= bits(P(1)*(4q^u)^h), and every k
-    is below min_k + m; t(q^k) < 3q^(u+3k), and p(n) = P(t(q^k)) <= P(1)*t^h.
+    Bit lengths only, and no power of q above q^16, so it is cheap at any
+    degree and scale.  With 2^a <= q^16 <= 2^b, log2 q lies in [a/16, b/16].
+    As 2D = 2h*6^h * q^(h+1), min_u is at most the first u with
+    a*u >= 16*bits(2h*6^h) + (h+1)*b.  The shift e is at most c + 1, c the
+    largest |coefficient| below the leading one (Cauchy's root bound, for
+    every derivative of p), so P = p_shifted has max(P) <= P(1) = p(1 + e)
+    <= A*(c + 2)^h, A the sum of |coefficients|.  splitting_margin is below
+    the first j > 2h with j*log2 q >= bits(P(1)) + 2h, so every k is below
+    h*u + j + m; t(q^k) < 3q^(u+3k), and p(n) = P(t(q^k)) <= P(1)*t^h.  The
+    same terms bound bits(A) + h*bits(n), as n = t + e <= t*(c + 2).
     """
     h, coeffs = p.degree, p.coeffs
-    a, b = q.bit_length() - 1, (q - 1).bit_length()
+    q16 = q**16
+    a, b = q16.bit_length() - 1, (q16 - 1).bit_length()
     if u is None:
-        u = -(-(1 + h.bit_length() + b + h * (b + 3)) // a)
+        u = -(-(16 * (2 * h * 6**h).bit_length() + (h + 1) * b) // a)
     c = max(map(abs, coeffs[:-1]), default=0)
     p1_bits = sum(map(abs, coeffs)).bit_length() + h * (c + 2).bit_length()
-    k = max(h * u + 2 * h + 1, u + 1, -(-(p1_bits + h * (2 + b * u)) // a))
-    return p1_bits + h * (2 + b * (u + 3 * (k + m - 1)))
+    j = max(2 * h + 1, -(-16 * (p1_bits + 2 * h) // a))
+    k = h * u + j + m - 1
+    return p1_bits + h * (2 + -(-b * (u + 3 * k) // 16))
 
 
 def digit_sum_offset(plan: ConstructionPlan, params: CubicParams) -> int:
@@ -385,20 +400,13 @@ def digit_sum_offset(plan: ConstructionPlan, params: CubicParams) -> int:
 def select_k(plan: ConstructionPlan, offset: int) -> int:
     """The unique k in the residue window hitting the target class.
 
-    Scans the m consecutive exponents after the plan threshold; exactly one
-    satisfies k*(q-1) + offset = g (mod m) because gcd(m, q-1) = 1.
+    With f = k_threshold + 1 the first exponent of the window, k = f + r
+    where r*(q-1) = g - offset - f*(q-1) (mod m); q - 1 is invertible mod m
+    because gcd(m, q-1) = 1.  witness_for rechecks the residue.
     """
-    target = plan.target
-    window = range(plan.k_threshold + 1, plan.k_threshold + target.m + 1)
-    hits = [
-        k for k in window if (k * (target.q - 1) + offset) % target.m == target.g
-    ]
-    if len(hits) != 1:
-        raise ConsistencyError(
-            f"expected exactly one k in {window}, found {hits}; "
-            f"residue window failed to cover Z/{target.m}"
-        )
-    return hits[0]
+    q, m, g = plan.target.q, plan.target.m, plan.target.g
+    first = plan.k_threshold + 1
+    return first + (g - offset - first * (q - 1)) * pow(q - 1, -1, m) % m
 
 
 @dataclass(frozen=True)

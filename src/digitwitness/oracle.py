@@ -22,7 +22,7 @@ from functools import partial
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
-from .construction import Witness, build_cubic
+from .construction import VALUE_BITS_CAP, Witness, build_cubic
 from .digits import decimal_str, digit_sum, digit_sum_counts
 from .intpoly import IntPolynomial, poly_eval
 from .parallel import chunked_map
@@ -56,7 +56,8 @@ def tally_range(
 
 @dataclass(frozen=True)
 class DensityTable:
-    """Residue tallies of s_q(p(n)) mod m over [0, N), with exact densities."""
+    """Residue tallies of s_q(p(n)) mod m over [0, N), with exact densities
+    and the equidistribution main term Q*(g,d)/m next to each."""
 
     q: int
     m: int
@@ -64,6 +65,7 @@ class DensityTable:
     n_limit: int
     counts: tuple[int, ...]
     densities: tuple[Fraction, ...]
+    predictions: tuple[Fraction, ...]
 
     def __post_init__(self):
         if sum(self.counts) != self.n_limit:
@@ -71,13 +73,23 @@ class DensityTable:
         if sum(self.densities, Fraction(0)) != 1:
             raise ValueError("densities must sum to 1")
 
+    @property
+    def deviations(self) -> tuple[Fraction, ...]:
+        return tuple(abs(d - p) for d, p in zip(self.densities, self.predictions))
+
+    @property
+    def max_deviation(self) -> Fraction:
+        return max(self.deviations)
+
 
 def density_table(
     q: int, m: int, p: IntPolynomial, n_limit: int, workers: int = 1
 ) -> DensityTable:
     """Tally s_q(p(n)) mod m over [0, N) by direct enumeration.
 
-    No coprimality is assumed here; p must be nonnegative on [0, N).
+    No coprimality is assumed here; p must be nonnegative on [0, N).  The
+    prediction for residue g is Q*(g,d)/m, with d = gcd(m, q-1) and
+    Q*(g,d) = #{0 <= n < d : p(n) = g (mod d)}.
     """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
@@ -90,6 +102,8 @@ def density_table(
     for part in chunked_map(tally, n_limit, workers, _TALLY_CHUNK):
         for r, c in enumerate(part):
             counts[r] += c
+    d = gcd(m, q - 1)
+    residues = [poly_eval(p, n) % d for n in range(d)]
     return DensityTable(
         q=q,
         m=m,
@@ -97,54 +111,8 @@ def density_table(
         n_limit=n_limit,
         counts=tuple(counts),
         densities=tuple(Fraction(c, n_limit) for c in counts),
+        predictions=tuple(Fraction(residues.count(g % d), m) for g in range(m)),
     )
-
-
-def polynomial_residue_count(d: int, g: int, p: IntPolynomial) -> int:
-    """#{0 <= n < d : p(n) = g (mod d)}, the main-term correction factor."""
-    if d < 1:
-        raise ValueError(f"modulus must be >= 1, got {d}")
-    g %= d
-    return sum(1 for n in range(d) if poly_eval(p, n) % d == g)
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    residue: int
-    count: int
-    density: Fraction
-    prediction: Fraction
-    deviation: Fraction
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Observed densities next to the equidistribution main term Q*(g,d)/m."""
-
-    rows: tuple[ComparisonRow, ...]
-
-    @property
-    def max_deviation(self) -> Fraction:
-        return max(row.deviation for row in self.rows)
-
-
-def compare_to_main_term(table: DensityTable) -> ComparisonReport:
-    d = gcd(table.m, table.q - 1)
-    rows = []
-    for residue, (count, density) in enumerate(zip(table.counts, table.densities)):
-        prediction = Fraction(
-            polynomial_residue_count(d, residue, table.p), table.m
-        )
-        rows.append(
-            ComparisonRow(
-                residue=residue,
-                count=count,
-                density=density,
-                prediction=prediction,
-                deviation=abs(density - prediction),
-            )
-        )
-    return ComparisonReport(rows=tuple(rows))
 
 
 def verify_witnesses(
@@ -157,15 +125,19 @@ def verify_witnesses(
     and its residue compared against g; duplicate n across the collection are
     also flagged.  Returns the problems of each failing index, in order; the
     dict is empty when every witness passes.  Only the map of n seen so far
-    grows with the input, and the work per witness is bounded by its size:
-    n is not rebuilt when k < 1 (no construction picks such a k), or when
-    2^(k*(bits(q)-1)) <= q^k reaches 2^max(bits(m1), bits(n - e)): then
-    x = q^k exceeds m1 and |n - e|, so t(x) = x*(m3*x^2 + m2*x - m1) + m0 > x
-    > |n - e| and t(x) + e != n.
+    grows with the input, and the work per witness is bounded by its size
+    and by VALUE_BITS_CAP: n is not rebuilt when k < 1 (no construction
+    picks such a k), or when 2^(k*(bits(q)-1)) <= q^k reaches
+    2^max(bits(m1), bits(n - e)): then x = q^k exceeds m1 and |n - e|, so
+    t(x) = x*(m3*x^2 + m2*x - m1) + m0 > x > |n - e| and t(x) + e != n.  And
+    p(n) is not evaluated when bits(A) + h*bits(n), A the sum of p's
+    |coefficients|, passes the cap, as |p(n)| <= A*|n|^h could then pass it;
+    construct never writes such a row (witness_bits_bound bounds this sum).
     """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
     g %= m
+    size_of_p = sum(map(abs, p.coeffs)).bit_length()
     failures: dict[int, list[str]] = {}
     seen: dict[int, int] = {}
     for index, w in enumerate(witnesses):
@@ -184,8 +156,9 @@ def verify_witnesses(
                 f"sq {w.sq_value} inconsistent with k*(q-1)+offset "
                 f"{decimal_str(w.k * (q - 1) + w.offset)}"
             )
-        value = poly_eval(p, w.n)
-        if value < 0:
+        if size_of_p + p.degree * w.n.bit_length() > VALUE_BITS_CAP:
+            problems.append(f"p(n) could exceed the {VALUE_BITS_CAP}-bit cap")
+        elif (value := poly_eval(p, w.n)) < 0:
             problems.append(f"p(n) = {decimal_str(value)} is negative")
         else:
             recomputed = digit_sum(value, q)

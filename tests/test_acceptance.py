@@ -28,12 +28,7 @@ from digitwitness.construction import (
 )
 from digitwitness.digits import digit_sum
 from digitwitness.intpoly import IntPolynomial, max_abs_coeff, poly_compose, poly_eval
-from digitwitness.oracle import (
-    compare_to_main_term,
-    density_table,
-    polynomial_values,
-    verify_witnesses,
-)
+from digitwitness.oracle import density_table, polynomial_values, verify_witnesses
 
 X2 = IntPolynomial.monomial(2)
 X3 = IntPolynomial.monomial(3)
@@ -263,14 +258,14 @@ def test_criterion_8_density_echo(acceptance_log):
     tolerance = Fraction(1, 50)
     table = density_table(2, 3, X2, 10**6)
     dev_binary = max(abs(d - Fraction(1, 3)) for d in table.densities)
-    report = compare_to_main_term(density_table(3, 2, X2, 10**6))
-    ok = dev_binary <= tolerance and report.max_deviation <= tolerance
+    parity = density_table(3, 2, X2, 10**6)
+    ok = dev_binary <= tolerance and parity.max_deviation <= tolerance
     record(
         acceptance_log,
         "8 empirical density echo",
         ok,
         f"N=10^6: max deviation {float(dev_binary):.4f} from 1/3 at (q=2,m=3) "
-        f"and {float(report.max_deviation):.4f} from Q(g,2)/2 at (q=3,m=2), "
+        f"and {float(parity.max_deviation):.4f} from Q(g,2)/2 at (q=3,m=2), "
         f"tolerance 0.02",
     )
 

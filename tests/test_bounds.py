@@ -76,7 +76,7 @@ class TestExplicitConstants:
             ) ** root
 
     def test_plan_margin_is_2h_and_scale_is_min_u_on_grid(self):
-        # q^(2h+1) > 4^h, so min_k's first candidate h*u + 2h + 1 always passes
+        # q^(2h+1) > 4^h = max(x^h) * 4^h, so splitting_margin stays at 2h
         for q, m, h in GRID:
             constants = explicit_constants(q, m, h)
             assert constants.delta == 2 * h

@@ -49,6 +49,33 @@ class TestParsePoly:
         with pytest.raises(ValueError):
             cli.parse_poly("3x+1")
 
+    def test_degree_cap(self):
+        assert cli.parse_poly("x^1024").degree == 1024
+        assert cli.parse_poly(",".join(["1"] + ["0"] * 1024)).degree == 1024
+        for text in ("x^1025", ",".join(["1"] + ["0"] * 1025)):
+            with pytest.raises(ValueError, match="degree 1025 is above the cap 1024"):
+                cli.parse_poly(text)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--q", "2", "--m", "3", "--poly", "x^30000000", "--N", "5"],
+            ["construct", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^30000000"],
+            ["density", "--q", "2", "--m", "3", "--poly", "x^4000", "--N", "2"],
+            ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^4000",
+             "--in", "missing.jsonl"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_degree_cap_is_a_quick_usage_error(self, capsys, argv):
+        start = time.perf_counter()
+        code = run(argv)
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: polynomial degree ")
+        assert err.endswith(" is above the cap 1024\n")
+
 
 class TestConstruct:
     def test_emits_requested_count_with_schema(self, capsys):
@@ -166,6 +193,8 @@ class TestConstruct:
             ("2", "10000001", "x^3", None, True),
             ("2", "3", "x^60", None, False),
             ("10", "7", "x^30", None, False),
+            ("3", "5", "x^41", None, False),
+            ("10", "7", "x^48", None, False),
             ("2", "3", "1,0,-2,0", "15", False),
         ],
     )
@@ -183,11 +212,13 @@ class TestConstruct:
         assert time.perf_counter() - start < 1
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        if refused:
+        if not refused:
+            assert err == "error: plan reached\n"
+        elif poly == "x^1000000":  # parse_poly's degree cap refuses it first
+            assert err == "error: polynomial degree 1000000 is above the cap 1024\n"
+        else:
             assert err.startswith("error: p(n) for p = ")
             assert err.endswith("could exceed the 4194304-bit cap on one witness\n")
-        else:
-            assert err == "error: plan reached\n"
 
 
 class TestVerify:
@@ -421,6 +452,28 @@ class TestVerify:
         # each quoted number has more than the 4300 digits str() allows
         detail, _ = self.edited_row_records(tmp_path, capsys, edits)
         assert message in detail
+
+    def test_row_past_the_value_cap_is_flagged_quickly(self, tmp_path, capsys):
+        # |p(n)| <= A*|n|^h could reach 1000 * 13288 bits: a row failure,
+        # found before p(n) is evaluated
+        path = tmp_path / "w.jsonl"
+        assert run(["construct", "--q", "3", "--m", "5", "--g", "1", "--poly", "x^3",
+                    "--limit", "1", "--out", str(path)]) == 0
+        record = json.loads(path.read_text())
+        record["n"] = "1" + "0" * 3999
+        path.write_text(json.dumps(record) + "\n")
+        start = time.perf_counter()
+        code, lines = run_lines(
+            capsys,
+            ["verify", "--q", "3", "--m", "5", "--g", "1", "--poly", "x^1000",
+             "--in", str(path)],
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        detail = json.loads(lines[0])["detail"]
+        assert "p(n) could exceed the 4194304-bit cap" in detail
+        assert "digit sum" not in detail
+        assert json.loads(lines[1])["detail"] == "total=1 failed=1 malformed=0"
 
     def test_wrong_target_residue_fails(self, tmp_path, capsys):
         path = self.construct_file(tmp_path, limit=2)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from math import gcd
 
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from digitwitness.construction import (
     CongruenceTarget,
     ConsistencyError,
-    ConstructionPlan,
     CubicParams,
     Lcg64,
     admissible_ranges,
@@ -17,10 +17,10 @@ from digitwitness.construction import (
     digit_sum_offset,
     m1_upper,
     make_plan,
-    min_k,
     min_u,
     select_k,
     sign_violation,
+    splitting_margin,
     translate_shift,
     verify_sign_pattern,
     witness_bits_bound,
@@ -264,28 +264,36 @@ class TestTranslateShift:
             assert any(c < 0 for c in poly_translate(p, e - 1).coeffs)
 
 
+def _min_k(q, h, u, p_shifted):
+    """The smallest usable splitting exponent, h*u + delta + 1."""
+    return h * u + splitting_margin(q, h, p_shifted) + 1
+
+
 class TestMinK:
     def test_binary_monomial(self):
-        assert min_k(2, 3, 15, X3) == 52
+        assert _min_k(2, 3, 15, X3) == 52
 
     def test_decimal_monomial(self):
-        assert min_k(10, 3, 8, X3) == 31
+        assert _min_k(10, 3, 8, X3) == 31
 
     def test_large_coefficient_pushes_threshold(self):
         # exact comparison: smallest k with 2^k > 10^6 * (4*2^15)^3, which is
         # one tighter than the ceil-log sufficient condition
         p = IntPolynomial.from_coeffs([10**6, 0, 0, 1])
-        k = min_k(2, 3, 15, p)
+        k = _min_k(2, 3, 15, p)
         assert k == 71
         assert 2**k > 10**6 * (4 * 2**15) ** 3 >= 2 ** (k - 1)
 
     @pytest.mark.parametrize(
         "q, h, u, coeffs",
-        [(2, 3, 15, [0, 0, 0, 1]), (10, 3, 8, [0, 0, 0, 1]), (2, 4, 19, [0, 1, 0, 0, 2])],
+        [(2, 3, 15, [0, 0, 0, 1]), (10, 3, 8, [0, 0, 0, 1]), (2, 4, 19, [0, 1, 0, 0, 2]),
+         (2, 3, 15, [4, 10, 6, 1]), (2, 3, 18, [4, 10, 6, 1]), (2, 3, 15, [5, 0, 0, 1]),
+         (10, 3, 8, [10**6, 0, 0, 1]), (3, 8, 25, [0] * 8 + [1])],
     )
     def test_exact_threshold_conditions(self, q, h, u, coeffs):
+        # the conditions hold at h*u + delta + 1 and fail at h*u + delta
         p = IntPolynomial.from_coeffs(coeffs)
-        k = min_k(q, h, u, p)
+        k = _min_k(q, h, u, p)
         bound = max(p.coeffs) * (4 * q**u) ** h
         assert q**k > bound and k > h * u + 2 * h and k > u
         previous = k - 1
@@ -297,19 +305,45 @@ class TestMinK:
 
     def test_rejects_negative_coefficients(self):
         with pytest.raises(ValueError):
-            min_k(2, 3, 15, IntPolynomial.from_coeffs([0, -2, 0, 1]))
+            splitting_margin(2, 3, IntPolynomial.from_coeffs([0, -2, 0, 1]))
+
+
+class TestSplittingMargin:
+    @pytest.mark.parametrize(
+        "q, p",
+        [(2, X3), (10, X3), (3, IntPolynomial.monomial(8)),
+         (2, IntPolynomial.from_coeffs([0, -2, 0, 1])),
+         (2, IntPolynomial.from_coeffs([0, 1, 0, 0, 2])),
+         (10, IntPolynomial.from_coeffs([0, -2, 0, 1])),
+         (2, IntPolynomial.from_coeffs([10**6, 0, 0, 1]))],
+    )
+    def test_margin_does_not_depend_on_the_scale(self, q, p):
+        u0 = min_u(q, p.degree)
+        plans = [make_plan(CongruenceTarget(q=q, m=7, g=0), p, u)
+                 for u in range(u0, u0 + 5)]
+        assert len({plan.delta for plan in plans}) == 1
+        for plan in plans:
+            assert plan.k_threshold == p.degree * plan.box.u + plan.delta
+
+    @pytest.mark.parametrize(
+        "coeffs, delta",
+        [([0, -2, 0, 1], 9), ([0, 1, 0, 0, 2], 9), ([0, 0, 0, 7], 8), ([5, 0, 0, 1], 8)],
+    )
+    def test_general_polynomials_at_base_two(self, coeffs, delta):
+        # x^3 - 2x, 2x^4 + x, 7x^3 and x^3 + 5 split later than monomials
+        p = IntPolynomial.from_coeffs(coeffs)
+        assert make_plan(CongruenceTarget(q=2, m=3, g=0), p).delta == delta
+
+    @pytest.mark.parametrize("q", [2, 3, 10, 16])
+    @pytest.mark.parametrize("h", [1, 3, 8, 30])
+    def test_monomials_keep_2h(self, q, h):
+        # q^(2h+1) > 4^h = max(x^h) * 4^h
+        assert splitting_margin(q, h, IntPolynomial.monomial(h)) == 2 * h
 
 
 def _plan_with_threshold(q, m, g, k_threshold):
-    target = CongruenceTarget(q=q, m=m, g=g)
-    return ConstructionPlan(
-        target=target,
-        p=X3,
-        e=0,
-        p_shifted=X3,
-        box=admissible_ranges(q, 3, 15),
-        k_threshold=k_threshold,
-    )
+    plan = make_plan(CongruenceTarget(q=q, m=m, g=g), X3, 15)
+    return dataclasses.replace(plan, k_threshold=k_threshold)
 
 
 class TestSelectK:
@@ -320,6 +354,25 @@ class TestSelectK:
     def test_window_example_mod_two(self):
         plan = _plan_with_threshold(2, 2, 1, 10)
         assert select_k(plan, 0) == 11
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 39).flatmap(
+            lambda q: st.tuples(
+                st.just(q),
+                st.integers(2, 39).filter(lambda m: gcd(m, q - 1) == 1),
+            )
+        ),
+        st.integers(-50, 50),
+        st.integers(-10**6, 10**6),
+        st.integers(0, 200),
+    )
+    def test_solves_what_a_window_scan_finds(self, qm, g, offset, k_threshold):
+        q, m = qm
+        plan = _plan_with_threshold(q, m, g, k_threshold)
+        window = range(k_threshold + 1, k_threshold + m + 1)
+        hits = [k for k in window if (k * (q - 1) + offset) % m == g % m]
+        assert [select_k(plan, offset)] == hits
 
     @pytest.mark.parametrize("q, m", [(2, 3), (2, 5), (3, 5), (9, 3), (10, 7)])
     def test_window_covers_all_residues(self, q, m):
@@ -488,19 +541,34 @@ class TestWitnessBitsBound:
     ]
 
     @staticmethod
-    def largest_bits(q, m, p, u):
+    def largest_n(q, m, p, u):
         # p(n) = p_shifted(t(q^k)) grows with t's positive coefficients and k
         # and falls with m1, so the box's top corner at the window's last k
-        # is the largest value any witness of the plan can have
+        # gives the largest n, and p(n), any witness of the plan can have
         plan = make_plan(CongruenceTarget(q=q, m=m, g=0), p, u)
         top = plan.box.hi - 1
         corner = CubicParams(m0=top, m1=1, m2=top, m3=top, u=plan.box.u)
-        t = poly_eval(build_cubic(corner), q ** (plan.k_threshold + m))
-        return poly_eval(plan.p_shifted, t).bit_length()
+        return poly_eval(build_cubic(corner), q ** (plan.k_threshold + m)) + plan.e
+
+    @classmethod
+    def largest_bits(cls, q, m, p, u):
+        return poly_eval(p, cls.largest_n(q, m, p, u)).bit_length()
+
+    @classmethod
+    def verify_row_bits(cls, q, m, p, u):
+        # what verify compares with the cap before it evaluates p(n)
+        size_of_p = sum(map(abs, p.coeffs)).bit_length()
+        return size_of_p + p.degree * cls.largest_n(q, m, p, u).bit_length()
 
     @pytest.mark.parametrize("q, m, p, u", CASES)
     def test_bounds_the_largest_value_of_the_plan(self, q, m, p, u):
-        assert self.largest_bits(q, m, p, u) <= witness_bits_bound(q, m, p, u)
+        largest, bound = self.largest_bits(q, m, p, u), witness_bits_bound(q, m, p, u)
+        assert largest <= bound <= 1.25 * largest
+
+    @pytest.mark.parametrize("q, m, p, u", CASES)
+    def test_bounds_the_row_size_verify_checks(self, q, m, p, u):
+        # so verify never flags a row that construct writes
+        assert self.verify_row_bits(q, m, p, u) <= witness_bits_bound(q, m, p, u)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -513,7 +581,9 @@ class TestWitnessBitsBound:
         # depend on the Cauchy bound
         q, m = qm
         p = IntPolynomial.from_coeffs(low + [lead])
-        assert self.largest_bits(q, m, p, None) <= witness_bits_bound(q, m, p, None)
+        bound = witness_bits_bound(q, m, p, None)
+        assert self.largest_bits(q, m, p, None) <= bound
+        assert self.verify_row_bits(q, m, p, None) <= bound
 
     @pytest.mark.parametrize("q, m, p, u", CASES[:-2])
     def test_bounds_every_constructed_value(self, q, m, p, u):

@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digitwitness.construction import CongruenceTarget, construct_family
+from digitwitness.construction import VALUE_BITS_CAP, CongruenceTarget, construct_family
 from digitwitness.digits import expand
 from digitwitness.intpoly import IntPolynomial, poly_eval
 from digitwitness.oracle import (
-    compare_to_main_term,
     density_table,
-    polynomial_residue_count,
     polynomial_values,
     tally_range,
     verify_witnesses,
@@ -109,37 +107,44 @@ class TestDensityTable:
 
 
 class TestPolynomialResidueCount:
+    # the table predicts Q*(g,d)/m for residue g, with d = gcd(m, q-1) and
+    # Q*(g,d) = #{0 <= n < d : p(n) = g (mod d)}
+
     def test_single_class(self):
-        assert polynomial_residue_count(1, 0, X2) == 1
-        assert polynomial_residue_count(1, 5, X3) == 1
+        # d = gcd(3, 1) = 1
+        assert density_table(2, 3, X2, 30).predictions == (Fraction(1, 3),) * 3
+        assert density_table(2, 5, X3, 30).predictions == (Fraction(1, 5),) * 5
 
     def test_squares_mod_four(self):
-        assert polynomial_residue_count(4, 0, X2) == 2  # 0 and 2
+        # d = gcd(4, 4) = 4: squares are 0, 1, 0, 1 mod 4
+        table = density_table(5, 4, X2, 100)
+        assert table.predictions == tuple(Fraction(c, 4) for c in (2, 2, 0, 0))
 
     def test_missing_square_class(self):
-        assert polynomial_residue_count(3, 2, X2) == 0
+        # d = gcd(3, 6) = 3: no square is 2 mod 3
+        table = density_table(7, 3, X2, 100)
+        assert table.predictions == (Fraction(1, 3), Fraction(2, 3), Fraction(0))
 
     def test_reduces_g(self):
-        assert polynomial_residue_count(4, 8, X2) == 2
+        # d = gcd(8, 4) = 4 < m: residue g is counted as g mod 4
+        table = density_table(5, 8, X2, 100)
+        assert table.predictions == tuple(Fraction(c, 8) for c in (2, 2, 0, 0) * 2)
 
 
 class TestComparison:
     def test_base_three_parity_prediction(self):
         # d = gcd(2, 3-1) = 2 and squares hit both parities once
         table = density_table(3, 2, X2, 1000)
-        report = compare_to_main_term(table)
-        assert [row.prediction for row in report.rows] == [
-            Fraction(1, 2),
-            Fraction(1, 2),
-        ]
+        assert table.predictions == (Fraction(1, 2), Fraction(1, 2))
         # s_3(n^2) = n^2 = n (mod 2): the split is exact at even N
-        assert report.max_deviation == 0
+        assert table.max_deviation == 0
 
     def test_trivial_gcd_prediction(self):
         table = density_table(2, 3, X2, 300)
-        report = compare_to_main_term(table)
-        assert all(row.prediction == Fraction(1, 3) for row in report.rows)
-        assert all(row.deviation >= 0 for row in report.rows)
+        assert table.predictions == (Fraction(1, 3),) * 3
+        expected = tuple(abs(d - Fraction(1, 3)) for d in table.densities)
+        assert table.deviations == expected
+        assert table.max_deviation == max(expected) > 0
 
 
 class TestVerifyWitnesses:
@@ -182,3 +187,14 @@ class TestVerifyWitnesses:
 
     def test_empty_collection_passes(self):
         assert verify_witnesses([], 2, 3, 0, X3) == {}
+
+    @pytest.mark.parametrize("n, flagged", [(511, False), (512, True)])
+    def test_row_size_cap_boundary(self, n, flagged):
+        # bits(A) + h*bits(n) = (VALUE_BITS_CAP - 9) + bits(n): at the cap
+        # for the 9-bit 511, one past it for the 10-bit 512
+        p = IntPolynomial.from_coeffs([0, 1 << (VALUE_BITS_CAP - 10)])
+        row = dataclasses.replace(self.witnesses[0], n=n)
+        problems = verify_witnesses([row], 2, 3, 1, p)[0]
+        cap_message = f"p(n) could exceed the {VALUE_BITS_CAP}-bit cap"
+        assert (cap_message in problems) == flagged
+        assert any("digit sum" in x for x in problems) != flagged
