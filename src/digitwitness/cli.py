@@ -53,9 +53,15 @@ def parse_poly(text: str) -> IntPolynomial:
     s = text.strip()
     if s == "x":
         return IntPolynomial.monomial(1)
-    match = re.fullmatch(r"x\^(\d+)", s)
+    match = re.fullmatch(r"x\^0*(\d+)", s)
     if match:
-        degree = int(match.group(1))
+        exponent = match.group(1)
+        if len(exponent) > len(str(_DEGREE_CAP)):
+            raise ValueError(
+                f"polynomial degree of {len(exponent)} digits is above the cap "
+                f"{_DEGREE_CAP}"
+            )
+        degree = int(exponent)
     elif re.fullmatch(r"-?\d+(\s*,\s*-?\d+)*", s):
         degree = s.count(",")
     else:
@@ -67,8 +73,11 @@ def parse_poly(text: str) -> IntPolynomial:
         raise ValueError(f"polynomial degree {degree} is above the cap {_DEGREE_CAP}")
     if match:
         return IntPolynomial.monomial(degree)
-    coeffs_high_to_low = [int(tok) for tok in s.split(",")]
-    return IntPolynomial.from_coeffs(reversed(coeffs_high_to_low))
+    tokens = s.split(",")
+    # int() refuses strings of more than 4300 digits by default
+    if max(len(tok.strip().lstrip("-")) for tok in tokens) > 4300:
+        raise ValueError("a coefficient is longer than the 4300-digit limit")
+    return IntPolynomial.from_coeffs(reversed([int(tok) for tok in tokens]))
 
 
 class _Writer:
@@ -289,14 +298,14 @@ def cmd_certify(args: argparse.Namespace) -> int:
     else:
         n_limit = args.n_limit
     report = bounds.certify_lower_bound(constants, n_limit)
-    c, estimate = constants.c, report.estimate
     with _output(args, BOUNDS_FIELDS) as writer:
+        # C = c_den^(-1/(3h+1)) fills the C_num, C_den and C_root columns
         writer.write(
-            "bounds/1", args.q, args.m, h, constants.u0,
-            *map(decimal_str, (constants.n0, c.num, c.den)), c.root,
+            "bounds/1", args.q, args.m, h, constants.u0, decimal_str(constants.n0),
+            "1", decimal_str(constants.c_den), 3 * h + 1,
             decimal_str(n_limit), report.u,
-            *map(decimal_str, (report.guaranteed, estimate.numerator,
-                               estimate.denominator, report.required)),
+            *map(decimal_str, (report.guaranteed, report.estimate.numerator,
+                               report.estimate.denominator, report.required)),
             report.verdict,
         )
     return EXIT_OK if report.verdict else EXIT_FAIL
@@ -382,8 +391,9 @@ def _lemma_quadruples(
 
 
 def cmd_lemma(args: argparse.Namespace) -> int:
-    # q <= 2^b for the b-bit q - 1, so (4q^u)^l has at most l*(2 + b*u) + 1 bits
-    if args.l * (2 + (args.q - 1).bit_length() * args.u) >= VALUE_BITS_CAP:
+    # q^16 <= 2^b, so (4q^u)^l has at most l*(2 + ceil(b*u/16)) + 1 bits
+    _, b = construction.log2_bracket(args.q)
+    if args.l * (2 + -(-b * args.u // 16)) >= VALUE_BITS_CAP:
         raise ValueError(
             f"(4q^u)^l at q={args.q}, l={args.l}, u={args.u} could exceed the "
             f"{VALUE_BITS_CAP}-bit cap"

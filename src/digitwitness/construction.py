@@ -344,23 +344,28 @@ def make_plan(
 VALUE_BITS_CAP = 1 << 22
 
 
+def log2_bracket(q: int) -> tuple[int, int]:
+    """(a, b) with 2^a <= q^16 <= 2^b, so log2 q lies in [a/16, b/16]."""
+    q16 = q**16
+    return q16.bit_length() - 1, (q16 - 1).bit_length()
+
+
 def witness_bits_bound(q: int, m: int, p: IntPolynomial, u: Optional[int]) -> int:
     """An upper bound on bits(p(n)) over the witnesses of a plan for p at scale u.
 
     Bit lengths only, and no power of q above q^16, so it is cheap at any
-    degree and scale.  With 2^a <= q^16 <= 2^b, log2 q lies in [a/16, b/16].
-    As 2D = 2h*6^h * q^(h+1), min_u is at most the first u with
-    a*u >= 16*bits(2h*6^h) + (h+1)*b.  The shift e is at most c + 1, c the
-    largest |coefficient| below the leading one (Cauchy's root bound, for
-    every derivative of p), so P = p_shifted has max(P) <= P(1) = p(1 + e)
-    <= A*(c + 2)^h, A the sum of |coefficients|.  splitting_margin is below
-    the first j > 2h with j*log2 q >= bits(P(1)) + 2h, so every k is below
-    h*u + j + m; t(q^k) < 3q^(u+3k), and p(n) = P(t(q^k)) <= P(1)*t^h.  The
-    same terms bound bits(A) + h*bits(n), as n = t + e <= t*(c + 2).
+    degree and scale.  With (a, b) = log2_bracket(q) and 2D = 2h*6^h *
+    q^(h+1), min_u is at most the first u with a*u >= 16*bits(2h*6^h) +
+    (h+1)*b.  The shift e is at most c + 1, c the largest |coefficient| below
+    the leading one (Cauchy's root bound, for every derivative of p), so P =
+    p_shifted has max(P) <= P(1) = p(1 + e) <= A*(c + 2)^h, A the sum of
+    |coefficients|.  splitting_margin is below the first j > 2h with
+    j*log2 q >= bits(P(1)) + 2h, so every k is below h*u + j + m; t(q^k) <
+    3q^(u+3k), and p(n) = P(t(q^k)) <= P(1)*t^h.  The same terms bound
+    bits(A) + h*bits(n), as n = t + e <= t*(c + 2).
     """
     h, coeffs = p.degree, p.coeffs
-    q16 = q**16
-    a, b = q16.bit_length() - 1, (q16 - 1).bit_length()
+    a, b = log2_bracket(q)
     if u is None:
         u = -(-(16 * (2 * h * 6**h).bit_length() + (h + 1) * b) // a)
     c = max(map(abs, coeffs[:-1]), default=0)

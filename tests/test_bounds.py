@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digitwitness.bounds import (
-    RootRational,
-    bracket_scale,
-    certify_lower_bound,
-    explicit_constants,
-    nth_root_floor,
-)
+from digitwitness.bounds import certify_lower_bound, explicit_constants, nth_root_floor
 from digitwitness.construction import admissible_ranges, min_u
 
 # gcd-admissible grid used throughout
@@ -22,6 +16,19 @@ GRID = [
     if gcd(m, q - 1) == 1
     for h in (3, 4, 5)
 ]
+
+
+def certify(constants, n_limit):
+    """certify_lower_bound, checking that `required` is the least admissible r."""
+    report = certify_lower_bound(constants, n_limit)
+    r, root, c_den = report.required, 3 * constants.h + 1, constants.c_den
+    assert (r - 1) ** root * c_den < n_limit**4 <= r**root * c_den
+    return report
+
+
+def bracket_top(constants, u):
+    """The largest N that certify brackets at scale u."""
+    return constants.shift * constants.q ** ((u + 1) * (3 * constants.h + 1)) - 1
 
 
 class TestNthRootFloor:
@@ -39,12 +46,15 @@ class TestNthRootFloor:
             nth_root_floor(-1, 3)
 
 
-class TestRootRational:
-    @given(st.integers(0, 10**12), st.integers(1, 10**6), st.integers(1, 7))
-    def test_ceil_defining_property(self, num, den, root):
-        r = RootRational(num, den, root).ceil()
-        assert r**root * den >= num
-        assert r == 0 or (r - 1) ** root * den < num
+class TestRequired:
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(GRID), st.integers(0, 2), st.integers(0, 10**9))
+    def test_required_is_least_r_with_r_root_c_den_at_least_n4(
+        self, instance, step, offset
+    ):
+        q, m, h = instance
+        constants = explicit_constants(q, m, h)
+        certify(constants, constants.n0 * q ** (step * (3 * h + 1)) + offset)
 
 
 class TestExplicitConstants:
@@ -59,9 +69,17 @@ class TestExplicitConstants:
         assert constants.n0 == 10 ** (3 * (6 + 7)) * (2 * 3 * 100 * 60**3) ** 10
 
     def test_c_is_positive(self):
+        # C = c_den^(-1/(3h+1)) is a positive real exactly when c_den > 0
         for q, m, h in GRID:
-            c = explicit_constants(q, m, h).c
-            assert c.num > 0 and c.den > 0
+            assert explicit_constants(q, m, h).c_den > 0
+
+    def test_c_den_matches_closed_form_on_grid(self):
+        for q, m, h in GRID:
+            constants = explicit_constants(q, m, h)
+            d = h * q * (6 * q) ** h
+            assert constants.c_den == (16 * q**4 * d) ** (3 * h + 1) * q ** (
+                12 * (2 * h + m)
+            )
 
     def test_rejects_gcd_violation(self):
         with pytest.raises(ValueError):
@@ -79,7 +97,7 @@ class TestExplicitConstants:
         # q^(2h+1) > 4^h = max(x^h) * 4^h, so splitting_margin stays at 2h
         for q, m, h in GRID:
             constants = explicit_constants(q, m, h)
-            assert constants.delta == 2 * h
+            assert constants.shift == q ** (3 * (2 * h + m))
             assert constants.u0 == min_u(q, h)
 
 
@@ -87,7 +105,7 @@ def reports_by_step(q, m, h, steps=3):
     """certify_lower_bound at N0 * q^(s(3h+1)) for s = 0 .. steps-1."""
     constants = explicit_constants(q, m, h)
     return [
-        certify_lower_bound(constants, constants.n0 * q ** (s * (3 * h + 1)))
+        certify(constants, constants.n0 * q ** (s * (3 * h + 1)))
         for s in range(steps)
     ]
 
@@ -133,7 +151,7 @@ class TestBracketScale:
         constants = explicit_constants(2, 3, 3)
         for factor in (1, 2**10, 2**20, 3 * 2**17):
             n_limit = constants.n0 * factor
-            u = bracket_scale(constants, n_limit)
+            u = certify(constants, n_limit).u
             shift = 2 ** (3 * (2 * 3 + 3))
             step = 2 ** (3 * 3 + 1)
             assert shift * step**u <= n_limit < shift * step ** (u + 1)
@@ -146,14 +164,14 @@ class TestBracketScale:
 class TestCertifyLowerBound:
     def test_at_n0(self):
         constants = explicit_constants(2, 3, 3)
-        report = certify_lower_bound(constants, constants.n0)
+        report = certify(constants, constants.n0)
         assert report.verdict
         assert report.u == 15
         assert report.guaranteed >= report.required
 
     def test_at_n0_times_q_step(self):
         constants = explicit_constants(2, 3, 3)
-        report = certify_lower_bound(constants, constants.n0 * 2**10)
+        report = certify(constants, constants.n0 * 2**10)
         assert report.verdict and report.u == 16
 
     def test_below_n0_rejected(self):
@@ -165,24 +183,28 @@ class TestCertifyLowerBound:
         # guaranteed >= estimate > C*N^(4/(3h+1)), hence >= required
         for q, m, h in [(2, 3, 3), (3, 5, 4), (10, 7, 5)]:
             constants = explicit_constants(q, m, h)
-            for factor in (1, q ** (3 * h + 1)):
-                report = certify_lower_bound(constants, constants.n0 * factor)
+            root, c_den = 3 * h + 1, constants.c_den
+            for factor in (1, q**root):
+                n_limit = constants.n0 * factor
+                report = certify(constants, n_limit)
                 assert report.verdict
                 assert report.guaranteed >= report.estimate
-                c = report.constants.c
-                value = RootRational(c.num * report.n_limit**4, c.den, c.root)
-                # value < estimate: (num/den)^(1/root) < a/b, cross-multiplied
+                # C*N^(4/root) < estimate = a/b, as (N^4/c_den)^(1/root) < a/b
                 a, b = report.estimate.numerator, report.estimate.denominator
-                assert value.num * b**value.root < a**value.root * value.den
-                assert value.num <= report.required**value.root * value.den
+                assert n_limit**4 * b**root < a**root * c_den
+                assert n_limit**4 <= report.required**root * c_den
                 assert report.guaranteed >= report.required
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.sampled_from(GRID), st.integers(0, 3))
-    def test_grid_passes(self, instance, step):
-        q, m, h = instance
-        constants = explicit_constants(q, m, h)
-        n_limit = constants.n0 * q ** (step * (3 * h + 1))
-        report = certify_lower_bound(constants, n_limit)
-        assert report.verdict
-        assert report.u == constants.u0 + step
+    def test_grid_passes(self):
+        for q, m, h in GRID:
+            constants = explicit_constants(q, m, h)
+            for step in range(4):
+                n_limit = constants.n0 * q ** (step * (3 * h + 1))
+                report = certify(constants, n_limit)
+                assert report.verdict
+                assert report.u == constants.u0 + step
+                # the worst N of the bracket: the largest N with the same u
+                top = bracket_top(constants, report.u)
+                top_report = certify(constants, top)
+                assert top_report.verdict and top_report.u == report.u
+                assert certify(constants, top + 1).u == report.u + 1

@@ -56,6 +56,37 @@ class TestParsePoly:
             with pytest.raises(ValueError, match="degree 1025 is above the cap 1024"):
                 cli.parse_poly(text)
 
+    def test_long_exponent_is_refused_by_its_digit_count(self):
+        cases = [("x^" + "9" * 5000, 5000), ("x^" + "0" * 5000 + "10000", 5)]
+        for text, digits in cases:
+            with pytest.raises(ValueError) as info:
+                cli.parse_poly(text)
+            assert str(info.value) == (
+                f"polynomial degree of {digits} digits is above the cap 1024"
+            )
+        assert cli.parse_poly("x^" + "0" * 5000 + "1024").degree == 1024
+
+    def test_long_coefficient_is_refused_before_int_reads_it(self):
+        assert cli.parse_poly("1,-" + "9" * 4300).coeffs[0] == -int("9" * 4300)
+        for text in ("1," + "9" * 4301, "-" + "1" * 5000 + ",0"):
+            with pytest.raises(ValueError, match="^a coefficient is longer than the "
+                               "4300-digit limit$"):
+                cli.parse_poly(text)
+
+    @pytest.mark.parametrize(
+        "poly, message",
+        [("x^" + "9" * 5000, "polynomial degree of 5000 digits is above the cap 1024"),
+         ("1," + "9" * 5000, "a coefficient is longer than the 4300-digit limit")],
+        ids=["exponent", "coefficient"],
+    )
+    def test_long_numbers_are_a_quick_usage_error(self, capsys, poly, message):
+        start = time.perf_counter()
+        code = run(["density", "--q", "2", "--m", "3", "--poly", poly, "--N", "2"])
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -215,7 +246,7 @@ class TestConstruct:
         if not refused:
             assert err == "error: plan reached\n"
         elif poly == "x^1000000":  # parse_poly's degree cap refuses it first
-            assert err == "error: polynomial degree 1000000 is above the cap 1024\n"
+            assert err == "error: polynomial degree of 7 digits is above the cap 1024\n"
         else:
             assert err.startswith("error: p(n) for p = ")
             assert err.endswith("could exceed the 4194304-bit cap on one witness\n")
@@ -730,7 +761,9 @@ class TestLemma:
         [
             ("2", "3", "10000000", True),
             ("2", "1000000", "15", True),
-            ("10", "3", "400000", True),
+            ("3", "3", "1000000", True),
+            ("10", "3", "400000", False),
+            ("3", "3", "700000", False),
             ("2", "3", "1000000", False),
             ("2", "3", "100000", False),
             ("10", "3", "300000", False),
@@ -739,8 +772,9 @@ class TestLemma:
     def test_value_cap_is_checked_before_the_box(
         self, capsys, monkeypatch, q, l, u, refused
     ):
-        # 4q^u <= 2^(2 + bits(q - 1)*u), and l times that exponent is held
-        # below 2^22
+        # 4q^u <= 2^(2 + ceil(b*u/16)) with q^16 <= 2^b, and l times that
+        # exponent is held below 2^22: (4*3^700000)^3 has 3328428 bits and
+        # (4*10^400000)^3 has 3986319, both under the cap
         def reached(*args):
             raise ValueError("box reached")
 
