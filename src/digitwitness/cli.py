@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import ast
 import csv
-import itertools
 import json
 import operator
 import re
@@ -30,12 +29,16 @@ from functools import partial
 from typing import IO, Callable, Iterator, Optional
 
 from . import bounds, construction, oracle
-from .construction import VALUE_BITS_CAP, CongruenceTarget, CubicParams, Witness
-from .digits import decimal_str
+from .construction import CongruenceTarget, CubicParams, Witness
+from .digits import STR_DIGITS, VALUE_BITS_CAP, decimal_int, decimal_str
 from .intpoly import IntPolynomial
 from .parallel import chunked_map
 
 WITNESS_FIELDS = ["n", "k", "m0", "m1", "m2", "m3", "u", "M", "sq", "residue", "e"]
+# The fields that may be longer than STR_DIGITS characters, which verify
+# reads with decimal_int; witness_values writes exactly these through
+# decimal_str.
+DECIMAL_FIELDS = ("n", "m0", "m1", "m2", "m3")
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -74,9 +77,10 @@ def parse_poly(text: str) -> IntPolynomial:
     if match:
         return IntPolynomial.monomial(degree)
     tokens = s.split(",")
-    # int() refuses strings of more than 4300 digits by default
-    if max(len(tok.strip().lstrip("-")) for tok in tokens) > 4300:
-        raise ValueError("a coefficient is longer than the 4300-digit limit")
+    if max(len(tok.strip().lstrip("-")) for tok in tokens) > STR_DIGITS:
+        raise ValueError(
+            f"a coefficient is longer than the {STR_DIGITS}-digit limit"
+        )
     return IntPolynomial.from_coeffs(reversed([int(tok) for tok in tokens]))
 
 
@@ -115,7 +119,8 @@ def _output(args: argparse.Namespace, fields: list[str]) -> Iterator[_Writer]:
 
 
 def witness_values(w: Witness) -> tuple:
-    """The witness/1 values of w, in WITNESS_FIELDS order."""
+    """The witness/1 values of w, in WITNESS_FIELDS order, DECIMAL_FIELDS
+    as decimal strings."""
     p = w.params
     # one call per value: unpacking a map here costs about 1 us per witness
     return (decimal_str(w.n), w.k, decimal_str(p.m0), decimal_str(p.m1),
@@ -124,11 +129,17 @@ def witness_values(w: Witness) -> tuple:
 
 
 def _witness_from_values(values: list) -> Witness:
+    ints = []
     for field, value in zip(WITNESS_FIELDS, values):
+        if isinstance(value, str):
+            if len(value) > STR_DIGITS and field not in DECIMAL_FIELDS:
+                raise ValueError(f"{field} is longer than {STR_DIGITS} characters")
+            value = decimal_int(value)
         # int() would read a JSON true as 1 and 15.9 as 15
-        if isinstance(value, bool) or not isinstance(value, (int, str)):
+        elif isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{field} must be an integer, got {type(value).__name__}")
-    n, k, m0, m1, m2, m3, u, offset, sq, residue, e = map(int, values)
+        ints.append(value)
+    n, k, m0, m1, m2, m3, u, offset, sq, residue, e = ints
     return Witness(n, k, CubicParams(m0, m1, m2, m3, u), offset, sq, residue, e)
 
 
@@ -136,26 +147,29 @@ def read_witness_file(path: str) -> Iterator[tuple[int, Witness | str]]:
     """Parse a construct output file (JSON lines or CSV, auto-detected) lazily.
 
     Yields (line, Witness) for each witness row and (line, message) for each
-    malformed one, in file order.  Lines are numbered from 1 as
+    malformed one, in file order.  The file is read as UTF-8, and a line
+    that is not UTF-8 is malformed.  Lines are numbered from 1 as
     str.splitlines() splits the whole text; blank lines count but yield
-    nothing.  A CSV file whose header is wrong yields that one message.
+    nothing.  The first other line sets the format; a CSV file whose header
+    is wrong yields that one message.
     """
-    with open(path, "r") as handle:
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
         lines = enumerate((line for raw in handle for line in raw.splitlines()), 1)
-        body = ((lineno, line) for lineno, line in lines if line.strip())
-        first = next(body, None)
-        if first is None:
-            return
-        is_json = first[1].lstrip().startswith("{")
-        if is_json:
-            body = itertools.chain([first], body)
-        else:
-            header = next(csv.reader([first[1]]))
-            if header != WITNESS_FIELDS:
-                yield first[0], f"unexpected CSV header {header}"
-                return
-        for lineno, line in body:
+        is_json = None
+        for lineno, line in lines:
+            if not line.strip():
+                continue
             try:
+                if "\ufffd" in line:
+                    raise ValueError("line is not valid UTF-8")
+                if is_json is None:
+                    is_json = line.lstrip().startswith("{")
+                    if not is_json:
+                        header = _csv_cells(line)
+                        if header != WITNESS_FIELDS:
+                            yield lineno, f"unexpected CSV header {header}"
+                            return
+                        continue
                 if is_json:
                     record = json.loads(line)
                     if not isinstance(record, dict):
@@ -165,15 +179,25 @@ def read_witness_file(path: str) -> Iterator[tuple[int, Witness | str]]:
                         raise ValueError(f"unexpected schema {record.get('schema')!r}")
                     values = [record[f] for f in WITNESS_FIELDS]
                 else:
-                    values = next(csv.reader([line]))
+                    values = _csv_cells(line)
                     if len(values) != len(WITNESS_FIELDS):
                         raise ValueError(
                             f"expected {len(WITNESS_FIELDS)} columns, got {len(values)}"
                         )
                 item: Witness | str = _witness_from_values(values)
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, csv.Error) as exc:
                 item = str(exc)
             yield lineno, item
+
+
+def _csv_cells(line: str) -> list[str]:
+    """The cells of one CSV line.  The csv module refuses a cell of more than
+    131072 characters (an n of 435 kbit), so a line without quotes, which is
+    every line construct writes, is split on its commas as csv would split it.
+    """
+    if '"' in line:
+        return next(csv.reader([line]))
+    return line.split(",")
 
 
 # Witnesses per construct chunk.  Smaller chunks cost measurably more CPU per
@@ -344,6 +368,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
+# Fraction("1e999999999999") builds 10**999999999999 and never returns, so a
+# --tolerance exponent may have at most this many digits (leading zeros aside).
+_TOLERANCE_EXPONENT_DIGITS = 4
+
+
+def parse_tolerance(text: str) -> Fraction:
+    """--tolerance as an exact Fraction: 1/50, 0.02 or 2e-2."""
+    exponent = re.search(r"e[-+]?[0_]*([\d_]*)", text, re.IGNORECASE)
+    digits = exponent.group(1).replace("_", "") if exponent else ""
+    if len(digits) > _TOLERANCE_EXPONENT_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"exponent of {text!r} has more than {_TOLERANCE_EXPONENT_DIGITS} digits"
+        )
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 DENSITY_FIELDS = [
     "residue", "count", "density", "prediction", "deviation", "within_tolerance",
 ]
@@ -475,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--N", dest="n_limit", type=int, required=True)
     d.add_argument(
         "--tolerance",
-        type=Fraction,
+        type=parse_tolerance,
         default=Fraction(1, 50),
         help="max |density - prediction| (exact, default 0.02)",
     )

@@ -309,12 +309,17 @@ class ConstructionPlan:
     k_threshold: int
 
 
+def _degree(p: IntPolynomial) -> int:
+    """The degree of p, which a plan needs to be at least 1."""
+    if p.degree < 1:
+        raise ValueError(f"polynomial degree must be >= 1, got {p.degree}")
+    return p.degree
+
+
 def make_plan(
     target: CongruenceTarget, p: IntPolynomial, u: Optional[int] = None
 ) -> ConstructionPlan:
-    h = p.degree
-    if h < 1:
-        raise ValueError(f"polynomial degree must be >= 1, got {h}")
+    h = _degree(p)
     if u is None:
         u = min_u(target.q, h)
     elif u < min_u(target.q, h):
@@ -334,14 +339,6 @@ def make_plan(
         delta=delta,
         k_threshold=h * u + delta,
     )
-
-
-# Largest value, in bits, that construct lets one witness's p(n) reach, lemma
-# lets (4q^u)^l reach and verify lets one row's p(n) reach, by an upper bound
-# computed before anything is built.  The base-3 digit sum of a 4-Mbit value
-# takes about 20 s, so the cap bounds the work of one witness or row; x^60 at
-# q=2 (a 2.5-Mbit p(n)) runs in 1.5 s.
-VALUE_BITS_CAP = 1 << 22
 
 
 def log2_bracket(q: int) -> tuple[int, int]:
@@ -364,7 +361,7 @@ def witness_bits_bound(q: int, m: int, p: IntPolynomial, u: Optional[int]) -> in
     3q^(u+3k), and p(n) = P(t(q^k)) <= P(1)*t^h.  The same terms bound
     bits(A) + h*bits(n), as n = t + e <= t*(c + 2).
     """
-    h, coeffs = p.degree, p.coeffs
+    h, coeffs = _degree(p), p.coeffs
     a, b = log2_bracket(q)
     if u is None:
         u = -(-(16 * (2 * h * 6**h).bit_length() + (h + 1) * b) // a)

@@ -3,25 +3,33 @@
 Digits are stored least-significant first; a value of 0 expands to the empty
 list.  All arithmetic is arbitrary precision.
 
-This module is the one digit-sum engine: `digit_sum` (one value) and
-`digit_sum_counts` (residue tallies over many values) share `_digit_sum`,
-which dispatches on the base and the size of the value:
+This module is the one digit-sum engine and the one decimal converter.
+`digit_sum` (one value) and `digit_sum_counts` (residue tallies over many
+values) share `_digit_sum`, which dispatches on the base and the size of the
+value:
 
 - q = 2: `int.bit_count`.
 - Values of at most `_SPLIT_BITS` bits: repeated division by a block of
   digits, with a per-base lookup table for the low block.  Above
   `_TABLE_CAP` the block is a single digit, which is its own digit sum.
-- Larger values: one division by the largest block^(2^i) up to the value,
-  and the same dispatch on both parts (the divide-and-conquer radix
-  conversion of Brent and Zimmermann, *Modern Computer Arithmetic*, section
-  1.7, cut down to a digit sum).  The low part stands for 2^i blocks of
-  digits, some of them leading zeros that the division drops; zeros add
+- Larger values: one `_split` by the largest block^(2^i) up to the value,
+  and the same dispatch on both parts.  The low part stands for 2^i blocks
+  of digits, some of them leading zeros that the division drops; zeros add
   nothing to a digit sum, so neither part is ever padded back to its full
-  width.  The powers are cached per base, like the tables.  Each split is
-  one CPython `divmod`, which is schoolbook division, so T(n) = 2T(n/2) +
-  O(n^2): the cost is quadratic, a constant factor below block division.
-  Base-3 sums of 1, 2 and 4 Mbit values take 1.2, 4.9 and 19 s (2-vCPU VM,
-  Python 3.11.7).
+  width.
+
+`_split` is the divide-and-conquer radix conversion of Brent and Zimmermann,
+*Modern Computer Arithmetic*, section 1.7: n = high*root^(2^i) + low over a
+ladder root, root^2, root^4, ... that is cached per root.  One ladder serves
+three conversions: digit sums (rooted at the table block), `decimal_str`
+(rooted at 10, past the 4300 digits `str()` writes by default) and
+`decimal_int` (the same ladder of 10, past the 4300 digits `int()` reads).
+A split of digit sums and `decimal_str` is one CPython `divmod`, which is
+schoolbook division, so T(n) = 2T(n/2) + O(n^2): both are quadratic, a
+constant factor below digit-by-digit work.  Base-3 sums of 1, 2 and 4 Mbit
+values take 1.2, 4.9 and 19 s, and `decimal_str` of 1 Mbit 1.3 s (2-vCPU
+VM, Python 3.11.7).  A join of `decimal_int` is one product, which is
+Karatsuba, so it is O(n^1.59) and runs well below `int()`.
 
 Two power-gap splitting identities decompose s_q across a gap of k base-q
 positions, for a >= 1, k >= 1 and 1 <= b < q^k:
@@ -37,7 +45,7 @@ base-q complement of b, which is where the k*(q-1) term comes from.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import sys
 from typing import Iterable, Sequence
 
 # Largest low-block value: blocks of digits are summed via a lookup table of
@@ -51,9 +59,32 @@ _tables: dict[int, tuple[Sequence[int], int]] = {}
 # from 500 to 1000 bits timed alike within noise (2-vCPU VM, Python 3.11.7).
 _SPLIT_BITS = 768
 
-# _powers[q] = [block, block^2, block^4, ...] for the block of _sum_table(q),
-# extended as larger values arrive.
+# _powers[root] = [root, root^2, root^4, ...], the ladder of _split, grown as
+# larger values arrive.  Roots are the blocks of _sum_table and 10.
 _powers: dict[int, list[int]] = {}
+
+# Largest value, in bits, that construct lets one witness's p(n) reach, lemma
+# lets (4q^u)^l reach and verify lets one row's p(n) reach, by an upper bound
+# computed before anything is built.  The base-3 digit sum of a 4-Mbit value
+# takes about 20 s, so the cap bounds the work of one witness or row; x^60 at
+# q=2 (a 2.5-Mbit p(n)) runs in 1.5 s.
+VALUE_BITS_CAP = 1 << 22
+
+# Python's int() and str() refuse decimal strings of more than 4300 digits
+# by default (CVE-2020-10735: the conversion is quadratic).  The limit can be
+# lowered to 640 (PYTHONINTMAXSTRDIGITS, -X int_max_str_digits) or lifted (0).
+# STR_DIGITS, the most digits converted here in one int() or str() call, is
+# the limit as this module is imported, and never above 4300: past that the
+# ladder is faster.  A limit set later by sys.set_int_max_str_digits is not
+# followed.
+_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+STR_DIGITS = min(_limit, 4300) if _limit else 4300
+
+# Longest string decimal_int reads past STR_DIGITS: the digit count of a
+# VALUE_BITS_CAP-bit value (log10 2 < 0.30103), 1262612 characters.  Reading
+# one takes 1.3-1.6 s, int() with the limit lifted 13.7 s (2-vCPU VM, Python
+# 3.11.7).
+_DECIMAL_CHARS_CAP = -(-VALUE_BITS_CAP * 30103 // 100000)
 
 
 def _require_base(q: int) -> None:
@@ -87,24 +118,68 @@ def _sum_table(q: int) -> tuple[Sequence[int], int]:
     return table, block
 
 
-# Values below 2^_STR_BITS have at most 3914 decimal digits, within the
-# 4300 that Python's int-to-str conversion allows by default.
-_STR_BITS = 13000
+def _power(root: int, i: int) -> int:
+    """root^(2^i), from the ladder _powers[root]."""
+    powers = _powers.setdefault(root, [root])
+    while len(powers) <= i:
+        powers.append(powers[-1] * powers[-1])
+    return powers[i]
+
+
+def _split(n: int, root: int) -> tuple[int, int, int]:
+    """(high, low, i) with n = high*root^(2^i) + low and 0 <= low < root^(2^i),
+    where root^(2^i) is the largest ladder power up to n (n >= root)."""
+    # root^(2^i) < 2^(bits(root)*2^i), so this i has root^(2^i) <= n
+    i = max(0, ((n.bit_length() - 1) // root.bit_length()).bit_length() - 1)
+    while _power(root, i + 1) <= n:
+        i += 1
+    high, low = divmod(n, _power(root, i))
+    return high, low, i
 
 
 def decimal_str(n: int) -> str:
     """n in decimal, also past Python's int-to-str digit limit.
 
-    Larger values are split by a power of 10 into parts that str() accepts;
-    the limit itself is left as it is.
+    Larger values are split by the ladder of 10 into parts that str()
+    accepts; the limit itself is left as it is.
     """
-    if n.bit_length() <= _STR_BITS:
+    # 2^3 < 10, so a value of 3d bits has at most d digits
+    if n.bit_length() <= 3 * STR_DIGITS:
         return str(n)
     if n < 0:
         return "-" + decimal_str(-n)
-    width = n.bit_length() * 3 // 20  # about half of n's decimal digits
-    high, low = divmod(n, 10**width)
-    return decimal_str(high) + decimal_str(low).zfill(width)
+    high, low, i = _split(n, 10)
+    return decimal_str(high) + decimal_str(low).zfill(1 << i)
+
+
+def decimal_int(s: str) -> int:
+    """int(s), also past Python's str-to-int digit limit.
+
+    A string of at most STR_DIGITS characters goes to int() as it is.  A
+    longer one must be at most _DECIMAL_CHARS_CAP characters, checked before
+    any work, and an optional "-" followed by ASCII digits; it is cut by the
+    ladder of 10 into parts that int() accepts.  The limit itself is left as
+    it is.
+    """
+    if len(s) <= STR_DIGITS:
+        return int(s)
+    if len(s) > _DECIMAL_CHARS_CAP:
+        raise ValueError(
+            f"a decimal string of {len(s)} characters is longer than the "
+            f"{_DECIMAL_CHARS_CAP}-character cap"
+        )
+    digits = s.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(
+            f"a decimal string of more than {STR_DIGITS} characters must be "
+            f"ASCII digits after an optional '-'"
+        )
+    if s[0] == "-":
+        return -decimal_int(digits)
+    # cut 2^i digits from the right, 2^i below the length, as decimal_str cuts
+    i = (len(s) - 1).bit_length() - 1
+    width = 1 << i
+    return decimal_int(s[:-width]) * _power(10, i) + decimal_int(s[-width:])
 
 
 def expand(n: int, q: int) -> list[int]:
@@ -144,11 +219,7 @@ def _digit_sum(n: int, q: int, table: Sequence[int], block: int) -> int:
     # a value past _SPLIT_BITS bits is below block only in a base above
     # 2^_SPLIT_BITS, where it is a single digit
     if n.bit_length() > _SPLIT_BITS and n >= block:
-        powers = _powers.setdefault(q, [block])
-        while powers[-1] <= n:
-            powers.append(powers[-1] * powers[-1])
-        # the largest block^(2^i) <= n; both parts are below it
-        high, low = divmod(n, powers[bisect_right(powers, n) - 1])
+        high, low, _ = _split(n, block)
         return _digit_sum(high, q, table, block) + _digit_sum(low, q, table, block)
     total = 0
     while n:

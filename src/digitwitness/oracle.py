@@ -22,13 +22,18 @@ from functools import partial
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
-from .construction import VALUE_BITS_CAP, Witness, build_cubic
-from .digits import decimal_str, digit_sum, digit_sum_counts
+from .construction import Witness, build_cubic, log2_bracket
+from .digits import VALUE_BITS_CAP, decimal_str, digit_sum, digit_sum_counts
 from .intpoly import IntPolynomial, poly_eval
 from .parallel import chunked_map
 
 # Values of n per tally chunk: about 0.1 s of work for a result of m ints.
 _TALLY_CHUNK = 1 << 16
+
+# Largest density modulus.  The table holds three Fractions per residue and
+# every chunk a list of m counts: m = 2^16 at N = 1000 takes 2.4 s and 40 MiB,
+# m = 3*10^6 took 100 s and 983 MiB.
+_MODULUS_CAP = 1 << 16
 
 
 def polynomial_values(p: IntPolynomial, start: int, stop: int) -> Iterator[int]:
@@ -93,6 +98,8 @@ def density_table(
     """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
+    if m > _MODULUS_CAP:
+        raise ValueError(f"modulus {m} is above the cap {_MODULUS_CAP}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if n_limit < 1:
@@ -129,27 +136,39 @@ def verify_witnesses(
     and by VALUE_BITS_CAP: n is not rebuilt when k < 1 (no construction
     picks such a k), or when 2^(k*(bits(q)-1)) <= q^k reaches
     2^max(bits(m1), bits(n - e)): then x = q^k exceeds m1 and |n - e|, so
-    t(x) = x*(m3*x^2 + m2*x - m1) + m0 > x > |n - e| and t(x) + e != n.  And
-    p(n) is not evaluated when bits(A) + h*bits(n), A the sum of p's
-    |coefficients|, passes the cap, as |p(n)| <= A*|n|^h could then pass it;
-    construct never writes such a row (witness_bits_bound bounds this sum).
+    t(x) = x*(m3*x^2 + m2*x - m1) + m0 > x > |n - e| and t(x) + e != n.  Nor
+    is it rebuilt when M + 5 + 3*floor(b*k/16), with M the largest bits(m_i)
+    and q^16 <= 2^b, passes the cap, as |t(q^k)| <= 4*2^M * q^(3k) could
+    then pass it.  And p(n) is not evaluated when bits(A) + h*bits(n), A the
+    sum of p's |coefficients|, passes the cap, as |p(n)| <= A*|n|^h could
+    then pass it; construct never writes such a row (witness_bits_bound
+    bounds this sum).
     """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
     g %= m
     size_of_p = sum(map(abs, p.coeffs)).bit_length()
+    _, b = log2_bracket(q)
     failures: dict[int, list[str]] = {}
     seen: dict[int, int] = {}
     for index, w in enumerate(witnesses):
         problems = []
-        size = max(w.params.m1.bit_length(), abs(w.n - w.e).bit_length())
+        params = w.params
+        size = max(params.m1.bit_length(), abs(w.n - w.e).bit_length())
         if w.k < 1 or w.k * (q.bit_length() - 1) >= size:
             problems.append(f"k {w.k} cannot rebuild n from its quadruple")
+        # the m_i are positive, so their OR has the bits of the largest
+        elif ((params.m0 | params.m1 | params.m2 | params.m3).bit_length() + 5
+              + 3 * (b * w.k // 16) > VALUE_BITS_CAP):
+            problems.append(
+                f"n rebuilt at k {w.k} could exceed the {VALUE_BITS_CAP}-bit cap"
+            )
         else:
-            rebuilt = poly_eval(build_cubic(w.params), q**w.k) + w.e
+            rebuilt = poly_eval(build_cubic(params), q**w.k) + w.e
             if rebuilt != w.n:
                 problems.append(
-                    f"n does not match its quadruple: {decimal_str(rebuilt)} != {w.n}"
+                    f"n does not match its quadruple: {decimal_str(rebuilt)} != "
+                    f"{decimal_str(w.n)}"
                 )
         if w.sq_value != w.k * (q - 1) + w.offset:
             problems.append(

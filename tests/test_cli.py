@@ -1,12 +1,18 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from digitwitness import bounds, cli, construction
-from digitwitness.construction import ConsistencyError, build_cubic
+from digitwitness import bounds, cli, construction, oracle
+from digitwitness.construction import ConsistencyError, CubicParams, Witness, build_cubic
+from digitwitness.digits import _DECIMAL_CHARS_CAP
 from digitwitness.intpoly import IntPolynomial, poly_eval
 
 WITNESS_KEYS = [
@@ -33,6 +39,13 @@ def decimal_value(text):
         chunk = digits[i : i + 1000]
         value = value * 10 ** len(chunk) + int(chunk)
     return -value if text.startswith("-") else value
+
+
+def test_witness_values_writes_the_decimal_fields_as_strings():
+    # verify reads only DECIMAL_FIELDS past STR_DIGITS characters
+    values = cli.witness_values(Witness(1, 2, CubicParams(3, 4, 5, 6, 7), 8, 9, 10, 11))
+    strings = [f for f, v in zip(cli.WITNESS_FIELDS, values) if isinstance(v, str)]
+    assert strings == list(cli.DECIMAL_FIELDS)
 
 
 class TestParsePoly:
@@ -213,6 +226,13 @@ class TestConstruct:
         assert len(record["n"]) > 4300
         assert n == poly_eval(build_cubic(params), 10 ** record["k"]) + record["e"]
 
+
+    @pytest.mark.parametrize("poly", ["0", "0,0"])
+    def test_zero_polynomial_is_a_usage_error(self, capsys, poly):
+        code = run(["construct", "--q", "2", "--m", "3", "--g", "1", "--poly", poly])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: polynomial degree must be >= 1, got -1\n"
 
     @pytest.mark.parametrize(
         "q, m, poly, u, refused",
@@ -506,6 +526,135 @@ class TestVerify:
         assert "digit sum" not in detail
         assert json.loads(lines[1])["detail"] == "total=1 failed=1 malformed=0"
 
+    def test_undecodable_lines_are_malformed_rows(self, tmp_path, capsys):
+        path = self.construct_file(tmp_path, limit=3)
+        rows = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"\xff\xfe" + rows[0] + rows[1] + b"\xc3(\n" + rows[2])
+        code, lines = run_lines(
+            capsys,
+            ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+             "--in", str(path)],
+        )
+        records = [json.loads(line) for line in lines]
+        assert code == 1
+        assert [(r["line"], r["detail"]) for r in records[:2]] == [
+            (1, "malformed row: line is not valid UTF-8"),
+            (3, "malformed row: line is not valid UTF-8"),
+        ]
+        assert [r["ok"] for r in records[2:4]] == [True, True]
+        assert records[-1]["detail"] == "total=2 failed=0 malformed=2"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_values_past_the_str_limit_round_trip(self, tmp_path, capsys, fmt):
+        # an x^30 witness at q = 10 has a 5379-digit n
+        path = tmp_path / f"w.{fmt}"
+        target = ["--q", "10", "--m", "7", "--g", "0", "--poly", "x^30"]
+        assert run(["construct", *target, "--limit", "1", "--format", fmt,
+                    "--out", str(path)]) == 0
+        code, lines = run_lines(capsys, ["verify", *target, "--in", str(path)])
+        assert code == 0
+        assert json.loads(lines[-1])["detail"] == "total=1 failed=0 malformed=0"
+
+        # one digit of n edited: a failing row, not a malformed one
+        text = path.read_text()
+        start = text.index("0" * 20)
+        path.write_text(text[:start] + "1" + text[start + 1 :])
+        code, lines = run_lines(capsys, ["verify", *target, "--in", str(path)])
+        records = [json.loads(line) for line in lines]
+        assert code == 1
+        assert records[0]["index"] == 0
+        assert records[0]["detail"].startswith("n does not match its quadruple: ")
+        assert records[-1]["detail"] == "total=1 failed=1 malformed=0"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
+    )
+    def test_round_trip_under_the_lowest_int_str_limit(self, tmp_path):
+        # -X int_max_str_digits (or PYTHONINTMAXSTRDIGITS) may lower the limit
+        # to 640 digits; an x^20 witness at q = 10 has a 2502-digit n
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(
+            None, [str(Path(__file__).resolve().parents[1] / "src"),
+                   env.get("PYTHONPATH")]
+        ))
+        main = "import sys; from digitwitness.cli import main; sys.exit(main())"
+        path = tmp_path / "w.jsonl"
+        target = ["--q", "10", "--m", "7", "--g", "0", "--poly", "x^20"]
+        for argv in (["construct", *target, "--limit", "1", "--out", str(path)],
+                     ["verify", *target, "--in", str(path)]):
+            result = subprocess.run(
+                [sys.executable, "-X", "int_max_str_digits=640", "-c", main, *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert result.returncode == 0, result.stdout + result.stderr
+        assert len(json.loads(path.read_text())["n"]) == 2502
+
+    def test_csv_cells_past_the_csv_field_limit(self, tmp_path, capsys):
+        # at u = 45000 n has more digits than the 131072 characters csv
+        # reads in one cell
+        path = tmp_path / "w.csv"
+        target = ["--q", "2", "--m", "3", "--g", "1", "--poly", "x^3"]
+        assert run(["construct", *target, "--u", "45000", "--limit", "1",
+                    "--format", "csv", "--out", str(path)]) == 0
+        assert len(path.read_text().splitlines()[1].split(",")[0]) > 131072
+        code, _ = run_lines(capsys, ["verify", *target, "--in", str(path)])
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            ("1" * (_DECIMAL_CHARS_CAP + 1), "longer than the 1262612-character cap"),
+            ("1_" * 2200, "must be ASCII digits"),
+        ],
+        ids=["past-the-cap", "underscores"],
+    )
+    def test_long_bad_digit_strings_are_malformed_quickly(
+        self, tmp_path, capsys, n, message
+    ):
+        path = self.construct_file(tmp_path, limit=1)
+        record = json.loads(path.read_text())
+        record["n"] = n
+        path.write_text(json.dumps(record) + "\n")
+        start = time.perf_counter()
+        code, lines = run_lines(
+            capsys,
+            ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+             "--in", str(path)],
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert json.loads(lines[0])["line"] == 1
+        assert message in json.loads(lines[0])["detail"]
+
+    def test_long_values_outside_n_and_the_quadruple_are_malformed(
+        self, tmp_path, capsys
+    ):
+        # construct writes only n and the quadruple as decimal strings
+        path = self.construct_file(tmp_path, limit=1)
+        record = json.loads(path.read_text())
+        record["k"] = "1" * 5000
+        path.write_text(json.dumps(record) + "\n")
+        code, lines = run_lines(
+            capsys,
+            ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+             "--in", str(path)],
+        )
+        assert code == 1
+        assert json.loads(lines[0])["detail"] == (
+            "malformed row: k is longer than 4300 characters"
+        )
+
+    def test_rebuilt_n_past_the_value_cap_is_flagged_quickly(self, tmp_path, capsys):
+        # n has 1.49 Mbit, so k may pass the size rule up to there; q^(3k)
+        # has 4.35 Mbit: a row failure, found before n is rebuilt or quoted
+        start = time.perf_counter()
+        detail, _ = self.edited_row_records(
+            tmp_path, capsys, {"n": "1" + "0" * 450_000, "k": 1_450_000}
+        )
+        assert time.perf_counter() - start < 2
+        assert "n rebuilt at k 1450000 could exceed the 4194304-bit cap" in detail
+        assert "does not match" not in detail
+
     def test_wrong_target_residue_fails(self, tmp_path, capsys):
         path = self.construct_file(tmp_path, limit=2)
         code, _ = run_lines(
@@ -689,6 +838,41 @@ class TestDensity:
         code = run(["density", "--q", "2", "--m", "3", "--poly", "x^2", "--N", "0"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "tolerance, message",
+        [
+            ("1/0", "invalid Fraction value: '1/0'"),
+            ("1e999999999999", "exponent of '1e999999999999' has more than 4 digits"),
+            ("1E-0_999_999_999", "exponent of '1E-0_999_999_999' has more than 4 digits"),
+        ],
+    )
+    def test_bad_tolerance_is_a_quick_usage_error(self, capsys, tolerance, message):
+        start = time.perf_counter()
+        code = run(["density", "--q", "2", "--m", "3", "--poly", "x^2", "--N", "10",
+                    "--tolerance", tolerance])
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1].endswith(f"error: argument --tolerance: {message}")
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("1/50", Fraction(1, 50)), ("0.02", Fraction(1, 50)), ("1", Fraction(1)),
+         ("2e-2", Fraction(1, 50)), ("1e-9999", Fraction(1, 10**9999))],
+    )
+    def test_tolerance_is_an_exact_fraction(self, text, value):
+        assert cli.parse_tolerance(text) == value
+
+    def test_modulus_cap_is_a_quick_usage_error(self, capsys):
+        m = oracle._MODULUS_CAP + 1
+        start = time.perf_counter()
+        code = run(["density", "--q", "2", "--m", str(m), "--poly", "x^2",
+                    "--N", "1000"])
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: modulus {m} is above the cap 65536\n"
 
     def test_rejects_base_below_two(self, capsys):
         # a base-1 digit table would never stop growing

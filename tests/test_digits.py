@@ -1,11 +1,17 @@
 import random
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from digitwitness import digits
 from digitwitness.digits import (
+    _DECIMAL_CHARS_CAP,
     _SPLIT_BITS,
+    STR_DIGITS,
+    decimal_int,
     decimal_str,
     digit_sum,
     digit_sum_counts,
@@ -88,6 +94,76 @@ class TestDecimalStr:
             chunk = digits[i : i + 1000]
             value = value * 10 ** len(chunk) + int(chunk)
         assert (-value if text.startswith("-") else value) == n
+
+
+@pytest.fixture
+def unlimited_int_str():
+    """Lift Python's int/str digit limit for one test (3.10 has none)."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestDecimalLadder:
+    """decimal_str and decimal_int against str and int with the limit lifted."""
+
+    def check(self, n):
+        text = str(n)
+        for value, string in ((n, text), (-n, "-" + text)):
+            assert decimal_str(value) == string
+            assert decimal_int(string) == value
+
+    def test_random_values_up_to_1_mbit(self, unlimited_int_str):
+        rng = random.Random("ladder")
+        # decimal_str hands values of up to 3 * STR_DIGITS bits to str()
+        for bits in (1, 64, 4000, 3 * STR_DIGITS, 3 * STR_DIGITS + 1, 14300,
+                     50_000, 200_000, 1 << 20):
+            self.check(rng.getrandbits(bits) | 1 << (bits - 1))
+
+    def test_values_where_the_splits_fall(self, unlimited_int_str):
+        # 10^(2^i) is a ladder power; 2^11 = 2048 digits is below the limit
+        for i in range(11, 17):
+            for delta in (-1, 0, 1):
+                self.check(10 ** (1 << i) + delta)
+
+    def test_long_strings_must_be_ascii_digits(self):
+        digits = "7" * 5000
+        for text in (digits[:2000] + "_" + digits, digits + " ", " " + digits,
+                     "+" + digits, "--" + digits, digits[:-1] + "\u0663"):
+            with pytest.raises(ValueError, match="must be ASCII digits"):
+                decimal_int(text)
+
+    def test_short_strings_are_read_by_int(self):
+        # "-" and 4300 digits is 4301 characters, and int() reads it too
+        for text in ("1_000", " 12 ", "+7", "-0", "\u0661\u0662", "9" * 4300,
+                     "-" + "9" * 4300):
+            assert decimal_int(text) == int(text)
+        for text in ("", "abc", "1__0", " - 5", "9" * 4299 + "x"):
+            with pytest.raises(ValueError) as expected:
+                int(text)
+            with pytest.raises(ValueError) as raised:
+                decimal_int(text)
+            assert str(raised.value) == str(expected.value)
+
+    def test_string_past_the_cap_is_refused_before_any_work(self):
+        text = "1" * (_DECIMAL_CHARS_CAP + 1)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="longer than the 1262612-character cap"):
+            decimal_int(text)
+        assert time.perf_counter() - start < 0.1
+
+    def test_ladders_are_kept_apart_by_root(self):
+        n = 10**5000 + 7
+        assert digit_sum(n, 10) == 8 and decimal_int(decimal_str(n)) == n
+        assert digits._powers[10][:2] == [10, 100]
+        assert digits._powers[10**4][:2] == [10**4, 10**8]
 
 
 class TestDigitSum:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digitwitness.construction import VALUE_BITS_CAP, CongruenceTarget, construct_family
-from digitwitness.digits import expand
+from digitwitness.construction import CongruenceTarget, construct_family
+from digitwitness.digits import VALUE_BITS_CAP, expand
 from digitwitness.intpoly import IntPolynomial, poly_eval
 from digitwitness.oracle import (
     density_table,
