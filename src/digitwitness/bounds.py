@@ -24,7 +24,7 @@ from .construction import (
     m1_divisor,
     make_plan,
 )
-from .digits import decimal_str
+from .digits import decimal_str, ilog
 from .intpoly import IntPolynomial
 
 
@@ -56,7 +56,6 @@ class ExplicitConstants:
     """u0, shift = q^(3(delta+m)), N0 and c_den for x^h at base q, modulus m."""
 
     q: int
-    m: int
     h: int
     u0: int
     shift: int
@@ -80,7 +79,7 @@ def explicit_constants(q: int, m: int, h: int) -> ExplicitConstants:
     root = 3 * h + 1
     shift = q ** (3 * (plan.delta + m))
     n0, c_den = shift * (2 * q * d) ** root, (16 * q**4 * d) ** root * shift**4
-    return ExplicitConstants(q, m, h, plan.box.u, shift, n0, c_den)
+    return ExplicitConstants(q, h, plan.box.u, shift, n0, c_den)
 
 
 @dataclass(frozen=True)
@@ -109,12 +108,7 @@ def certify_lower_bound(constants: ExplicitConstants, n_limit: int) -> BoundsRep
             f"N={decimal_str(n_limit)} is below N0={decimal_str(constants.n0)}"
         )
     root = 3 * h + 1
-    base = q**root
-    x = n_limit // constants.shift
-    u, power = 0, 1
-    while power * base <= x:
-        power *= base
-        u += 1
+    u = ilog(q**root, n_limit // constants.shift)
     if u < constants.u0:
         raise ConsistencyError(f"bracketed u={u} below u0={constants.u0}")
     guaranteed = admissible_ranges(q, h, u).size

@@ -30,7 +30,7 @@ from typing import IO, Callable, Iterator, Optional
 
 from . import bounds, construction, oracle
 from .construction import CongruenceTarget, CubicParams, Witness
-from .digits import STR_DIGITS, VALUE_BITS_CAP, decimal_int, decimal_str
+from .digits import STR_DIGITS, VALUE_BITS_CAP, decimal_int, decimal_str, log2_bracket
 from .intpoly import IntPolynomial
 from .parallel import chunked_map
 
@@ -171,6 +171,7 @@ def read_witness_file(path: str) -> Iterator[tuple[int, Witness | str]]:
                             return
                         continue
                 if is_json:
+                    # a deeply nested line raises RecursionError: malformed too
                     record = json.loads(line)
                     if not isinstance(record, dict):
                         kind = type(record).__name__
@@ -185,7 +186,7 @@ def read_witness_file(path: str) -> Iterator[tuple[int, Witness | str]]:
                             f"expected {len(WITNESS_FIELDS)} columns, got {len(values)}"
                         )
                 item: Witness | str = _witness_from_values(values)
-            except (ValueError, KeyError, TypeError, csv.Error) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError, csv.Error) as exc:
                 item = str(exc)
             yield lineno, item
 
@@ -435,7 +436,7 @@ def _lemma_quadruples(
 
 def cmd_lemma(args: argparse.Namespace) -> int:
     # q^16 <= 2^b, so (4q^u)^l has at most l*(2 + ceil(b*u/16)) + 1 bits
-    _, b = construction.log2_bracket(args.q)
+    _, b = log2_bracket(args.q)
     if args.l * (2 + -(-b * args.u // 16)) >= VALUE_BITS_CAP:
         raise ValueError(
             f"(4q^u)^l at q={args.q}, l={args.l}, u={args.u} could exceed the "
@@ -557,8 +558,6 @@ def _validate(args: argparse.Namespace) -> None:
             raise ValueError("count must be >= 1")
     if getattr(args, "max_per_range", None) is not None and args.max_per_range < 1:
         raise ValueError("max-per-range must be >= 1")
-    if args.command == "density" and args.n_limit < 1:
-        raise ValueError("N must be >= 1")
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, Optional
 
-from .digits import digit_sum
+from .digits import digit_sum, ilog, log2_bracket
 from .intpoly import (
     IntPolynomial,
     max_abs_coeff,
@@ -119,12 +119,7 @@ def m1_divisor(q: int, h: int) -> int:
 
 def min_u(q: int, h: int) -> int:
     """Smallest scale exponent u with q^u >= 2*m1_divisor(q, h), exactly."""
-    bound = 2 * m1_divisor(q, h)
-    u, power = 1, q
-    while power < bound:
-        power *= q
-        u += 1
-    return u
+    return ilog(q, 2 * m1_divisor(q, h) - 1) + 1
 
 
 def m1_upper(q: int, h: int, u: int) -> int:
@@ -281,12 +276,7 @@ def splitting_margin(q: int, h: int, p_shifted: IntPolynomial) -> int:
     """
     if p_shifted.is_zero() or any(c < 0 for c in p_shifted.coeffs):
         raise ValueError("expected nonnegative coefficients with positive leading")
-    bound = max(p_shifted.coeffs) << 2 * h
-    delta, power = 2 * h, q ** (2 * h + 1)
-    while power <= bound:
-        power *= q
-        delta += 1
-    return delta
+    return max(2 * h, ilog(q, max(p_shifted.coeffs) << 2 * h))
 
 
 @dataclass(frozen=True)
@@ -339,12 +329,6 @@ def make_plan(
         delta=delta,
         k_threshold=h * u + delta,
     )
-
-
-def log2_bracket(q: int) -> tuple[int, int]:
-    """(a, b) with 2^a <= q^16 <= 2^b, so log2 q lies in [a/16, b/16]."""
-    q16 = q**16
-    return q16.bit_length() - 1, (q16 - 1).bit_length()
 
 
 def witness_bits_bound(q: int, m: int, p: IntPolynomial, u: Optional[int]) -> int:

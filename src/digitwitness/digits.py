@@ -3,7 +3,11 @@
 Digits are stored least-significant first; a value of 0 expands to the empty
 list.  All arithmetic is arbitrary precision.
 
-This module is the one digit-sum engine and the one decimal converter.
+This module is the one digit-sum engine, the one decimal converter and the
+one place powers of q are measured: `ilog(q, x)` is the largest e with
+q^e <= x (construct's minimum scale and splitting margin, certify's
+bracketed scale, the table block below), and `log2_bracket(q)` brackets
+log2 q by the bits of q^16 for size caps checked before any large power.
 `digit_sum` (one value) and `digit_sum_counts` (residue tallies over many
 values) share `_digit_sum`, which dispatches on the base and the size of the
 value:
@@ -108,14 +112,30 @@ def _sum_table(q: int) -> tuple[Sequence[int], int]:
     cached = _tables.get(q)
     if cached is not None:
         return cached
-    block = q
-    while block * q <= _TABLE_CAP:
-        block *= q
+    block = q ** ilog(q, _TABLE_CAP)
     table = [0] * block
     for i in range(1, block):
         table[i] = table[i // q] + i % q
     _tables[q] = (table, block)
     return table, block
+
+
+def ilog(base: int, x: int) -> int:
+    """The largest e >= 0 with base^e <= x, for base >= 2 and x >= 1."""
+    _require_base(base)
+    if x < 1:
+        raise ValueError(f"expected x >= 1, got {x}")
+    e, power = 0, base
+    while power <= x:
+        power *= base
+        e += 1
+    return e
+
+
+def log2_bracket(q: int) -> tuple[int, int]:
+    """(a, b) with 2^a <= q^16 <= 2^b, so log2 q lies in [a/16, b/16]."""
+    q16 = q**16
+    return q16.bit_length() - 1, (q16 - 1).bit_length()
 
 
 def _power(root: int, i: int) -> int:

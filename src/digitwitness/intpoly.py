@@ -27,10 +27,10 @@ class IntPolynomial:
         return cls(tuple(out))
 
     @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "IntPolynomial":
+    def monomial(cls, degree: int) -> "IntPolynomial":
         if degree < 0:
             raise ValueError(f"degree must be >= 0, got {degree}")
-        return cls.from_coeffs([0] * degree + [coeff])
+        return cls.from_coeffs([0] * degree + [1])
 
     @property
     def degree(self) -> int:

@@ -22,8 +22,14 @@ from functools import partial
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
-from .construction import Witness, build_cubic, log2_bracket
-from .digits import VALUE_BITS_CAP, decimal_str, digit_sum, digit_sum_counts
+from .construction import Witness, build_cubic
+from .digits import (
+    VALUE_BITS_CAP,
+    decimal_str,
+    digit_sum,
+    digit_sum_counts,
+    log2_bracket,
+)
 from .intpoly import IntPolynomial, poly_eval
 from .parallel import chunked_map
 
@@ -64,9 +70,6 @@ class DensityTable:
     """Residue tallies of s_q(p(n)) mod m over [0, N), with exact densities
     and the equidistribution main term Q*(g,d)/m next to each."""
 
-    q: int
-    m: int
-    p: IntPolynomial
     n_limit: int
     counts: tuple[int, ...]
     densities: tuple[Fraction, ...]
@@ -112,9 +115,6 @@ def density_table(
     d = gcd(m, q - 1)
     residues = [poly_eval(p, n) % d for n in range(d)]
     return DensityTable(
-        q=q,
-        m=m,
-        p=p,
         n_limit=n_limit,
         counts=tuple(counts),
         densities=tuple(Fraction(c, n_limit) for c in counts),
@@ -146,6 +146,8 @@ def verify_witnesses(
     """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
+    if q < 2:
+        raise ValueError(f"base must be >= 2, got {q}")
     g %= m
     size_of_p = sum(map(abs, p.coeffs)).bit_length()
     _, b = log2_bracket(q)

@@ -447,6 +447,32 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == f"error: modulus must be >= 1, got {m}\n"
 
+    @pytest.mark.parametrize("q", ["1", "0", "-3"])
+    def test_base_below_two_is_usage_error_before_any_row(self, tmp_path, capsys, q):
+        path, out = tmp_path / "rows.jsonl", tmp_path / "out"
+        path.write_text("not a witness\n")
+        code = run(["verify", "--q", q, "--m", "3", "--g", "1", "--poly", "x^3",
+                    "--in", str(path), "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err == f"error: base must be >= 2, got {q}\n"
+
+    def test_deeply_nested_json_row_is_malformed(self, tmp_path, capsys):
+        path = self.construct_file(tmp_path, limit=2)
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join([rows[0], '{"n":' + "[" * 100000, rows[1]]) + "\n")
+        code, lines = run_lines(
+            capsys,
+            ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+             "--in", str(path)],
+        )
+        records = [json.loads(line) for line in lines]
+        assert code == 1
+        assert records[0]["line"] == 2
+        assert records[0]["detail"].startswith("malformed row: ")
+        assert [r["ok"] for r in records[1:3]] == [True, True]
+        assert records[-1]["detail"] == "total=2 failed=0 malformed=1"
+
     def edited_row_records(self, tmp_path, capsys, edits, traced=False):
         """Verify records after applying `edits` to the second of three rows."""
         path = self.construct_file(tmp_path, limit=3)

@@ -340,6 +340,12 @@ class TestSplittingMargin:
         # q^(2h+1) > 4^h = max(x^h) * 4^h
         assert splitting_margin(q, h, IntPolynomial.monomial(h)) == 2 * h
 
+    @pytest.mark.parametrize("q", [1, 0])
+    def test_rejects_base_below_two(self, q):
+        # no power of 1 or 0 passes the bound, so a search by q^j never ends
+        with pytest.raises(ValueError, match="base must be >= 2"):
+            splitting_margin(q, 3, X3)
+
 
 def _plan_with_threshold(q, m, g, k_threshold):
     plan = make_plan(CongruenceTarget(q=q, m=m, g=g), X3, 15)

@@ -16,6 +16,7 @@ from digitwitness.digits import (
     digit_sum,
     digit_sum_counts,
     expand,
+    ilog,
 )
 
 # q = 2 takes int.bit_count; 2^16 + 1 is above the lookup-table cap, so its
@@ -66,6 +67,38 @@ class TestExpand:
                 for d in reversed(expand(n, q)):
                     value = value * q + d
                 assert value == n
+
+
+def brute_ilog(base, x):
+    e = 0
+    while base ** (e + 1) <= x:
+        e += 1
+    return e
+
+
+class TestIlog:
+    @settings(max_examples=300)
+    @given(st.integers(2, 20), st.integers(1, 10**40))
+    def test_matches_brute_force(self, base, x):
+        assert ilog(base, x) == brute_ilog(base, x)
+
+    @pytest.mark.parametrize("base", [2, 3, 10, 2**16 + 1])
+    @pytest.mark.parametrize("e", [1, 2, 7, 40])
+    def test_boundaries_of_each_power(self, base, e):
+        power = base**e
+        assert ilog(base, power - 1) == e - 1
+        assert ilog(base, power) == e
+        assert ilog(base, power + 1) == e
+
+    @pytest.mark.parametrize("base", [1, 0, -2])
+    def test_rejects_base_below_two(self, base):
+        with pytest.raises(ValueError, match="base must be >= 2"):
+            ilog(base, 100)
+
+    @pytest.mark.parametrize("x", [0, -1])
+    def test_rejects_x_below_one(self, x):
+        with pytest.raises(ValueError, match="expected x >= 1"):
+            ilog(3, x)
 
 
 class TestDecimalStr:
