@@ -35,7 +35,9 @@ def main():
     target = CongruenceTarget(q=args.q, m=args.m, g=args.g)
     p = parse_poly(args.poly)
     plan = make_plan(target, p, None)
-    w = witness_for(plan, plan.box.params_at(args.index))
+    params = plan.box.params_at(args.index)
+    composed = poly_compose(plan.p_shifted, build_cubic(params))
+    w = witness_for(plan, params, composed)
 
     q, k = target.q, w.k
     print(f"target: s_{q}(p(n)) = {target.g} (mod {target.m}),  p = {p}")
@@ -44,7 +46,6 @@ def main():
     print(f"selected k = {k}  (window starts at {plan.k_threshold + 1})")
     print(f"n = t({q}^{k}) + {w.e} has {len(str(w.n))} decimal digits")
 
-    composed = poly_compose(plan.p_shifted, build_cubic(w.params))
     print(f"\ncomposed coefficients (x^0 up): {composed.coeffs}")
 
     value = poly_eval(p, w.n)

@@ -23,6 +23,7 @@ from .construction import (
     Witness,
     admissible_ranges,
     build_cubic,
+    compositions,
     construct_family,
     digit_sum_offset,
     m1_divisor,
@@ -39,6 +40,7 @@ from .construction import (
 from .digits import digit_sum, expand
 from .intpoly import (
     IntPolynomial,
+    difference_walk,
     max_abs_coeff,
     poly_compose,
     poly_eval,

@@ -209,8 +209,8 @@ _CONSTRUCT_CHUNK = 256
 def _witness_rows(plan, start: int, stop: int) -> list[tuple]:
     """witness/1 values for the quadruples at indices [start, stop) of plan.box."""
     return [
-        witness_values(construction.witness_for(plan, plan.box.params_at(i)))
-        for i in range(start, stop)
+        witness_values(construction.witness_for(plan, params, composed))
+        for params, composed in construction.compositions(plan, start, stop)
     ]
 
 

@@ -23,6 +23,11 @@ yields one explicit witness n = t(q^k) + e with s_q(p(n)) = g (mod m), where
 e is the translation making p's coefficients nonnegative.  Lemma's t^l and
 construct's p_shifted(t) come from the one product, intpoly.poly_compose,
 and pass the one sign test, sign_violation.
+
+Consecutive quadruples in params_at order differ only in m0, and every
+coefficient of p_shifted(t(x)) is a polynomial of degree <= h in m0, so
+`compositions` steps them with intpoly.difference_walk.  witness_for's
+self-check evaluates p at n directly, never from the stepped coefficients.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from typing import Iterator, Optional
 from .digits import digit_sum, ilog, log2_bracket
 from .intpoly import (
     IntPolynomial,
+    difference_walk,
     max_abs_coeff,
     poly_compose,
     poly_eval,
@@ -356,11 +362,41 @@ def witness_bits_bound(q: int, m: int, p: IntPolynomial, u: Optional[int]) -> in
     return p1_bits + h * (2 + -(-b * (u + 3 * k) // 16))
 
 
-def digit_sum_offset(plan: ConstructionPlan, params: CubicParams) -> int:
-    """The k-independent part of s_q(p_shifted(t(q^k))).
+def compositions(
+    plan: ConstructionPlan, start: int, stop: int
+) -> Iterator[tuple[CubicParams, IntPolynomial]]:
+    """(params, p_shifted(t)) for the quadruples at indices [start, stop) of
+    plan.box, in order.
 
-    With c_i the coefficients of P = p_shifted(t(x)), the splitting identities
-    telescope the digit sum of P(q^k) into k*(q-1) plus
+    Each run of consecutive indices that share (m1, m2, m3) is seeded by
+    poly_compose at its first min(h + 1, run) quadruples, so no quadruple
+    outside the range is built, and its coefficient columns are stepped
+    along m0 by one difference_walk each.
+    """
+    box, h = plan.box, plan.p_shifted.degree
+    index = start
+    while index < stop:
+        end = min(stop, index - index % box.side + box.side)
+        seeds = [
+            poly_compose(plan.p_shifted, build_cubic(box.params_at(i))).coeffs
+            for i in range(index, min(end, index + h + 1))
+        ]
+        # the leading coefficient, lead(p)*m3^h, is never zero, so every
+        # stepped tuple is already a normalised coefficient tuple
+        columns = zip(*map(difference_walk, zip(*seeds)))
+        for i, coeffs in zip(range(index, end), columns):
+            yield box.params_at(i), IntPolynomial(coeffs)
+        index = end
+
+
+def digit_sum_offset(
+    plan: ConstructionPlan, params: CubicParams, composed: IntPolynomial
+) -> int:
+    """The k-independent part of s_q(p_shifted(t(q^k))), from composed =
+    p_shifted(t(x)) for t = build_cubic(params).
+
+    With c_i the coefficients of composed, the splitting identities
+    telescope the digit sum of composed(q^k) into k*(q-1) plus
 
         sum_{i>=3} s_q(c_i) + s_q(c_2 - 1) - s_q(|c_1| - 1) + s_q(c_0),
 
@@ -368,7 +404,6 @@ def digit_sum_offset(plan: ConstructionPlan, params: CubicParams) -> int:
     """
     q = plan.target.q
     plan.box.require(params)
-    composed = poly_compose(plan.p_shifted, build_cubic(params))
     violation = sign_violation(composed)
     if violation is not None:
         raise ConsistencyError(
@@ -408,16 +443,20 @@ class Witness:
     e: int
 
 
-def witness_for(plan: ConstructionPlan, params: CubicParams) -> Witness:
+def witness_for(
+    plan: ConstructionPlan, params: CubicParams, composed: IntPolynomial
+) -> Witness:
     """Run the construction for one quadruple and recheck it from scratch.
 
-    The returned witness has already had s_q(p(n)) recomputed by direct
-    evaluation and digit expansion; a mismatch with the predicted
+    composed is p_shifted(t(x)) for t = build_cubic(params), as
+    `compositions` yields it.  The returned witness has already had
+    s_q(p(n)) recomputed by direct evaluation of p at n and digit expansion,
+    which never reads composed; a mismatch with the predicted
     k*(q-1) + offset raises ConsistencyError.
     """
     target = plan.target
     q = target.q
-    offset = digit_sum_offset(plan, params)
+    offset = digit_sum_offset(plan, params, composed)
     k = select_k(plan, offset)
     n = poly_eval(build_cubic(params), q**k) + plan.e
     sq_value = digit_sum(poly_eval(plan.p, n), q)
@@ -457,7 +496,7 @@ def construct_family(
     oracle.verify_witnesses) so the stream itself stays memoryless.
     """
     plan = make_plan(target, p, u)
-    box = plan.box
-    count = box.size if limit is None else min(limit, box.size)
-    for index in range(count):
-        yield witness_for(plan, box.params_at(index))
+    size = plan.box.size
+    count = size if limit is None else min(limit, size)
+    for params, composed in compositions(plan, 0, count):
+        yield witness_for(plan, params, composed)

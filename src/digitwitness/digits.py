@@ -134,6 +134,7 @@ def ilog(base: int, x: int) -> int:
 
 def log2_bracket(q: int) -> tuple[int, int]:
     """(a, b) with 2^a <= q^16 <= 2^b, so log2 q lies in [a/16, b/16]."""
+    _require_base(q)
     q16 = q**16
     return q16.bit_length() - 1, (q16 - 1).bit_length()
 

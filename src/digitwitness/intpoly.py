@@ -5,12 +5,16 @@ zeros; the zero polynomial has an empty coefficient tuple.  Everything is
 plain ``int`` arithmetic, so evaluation points and coefficients may be
 thousands of digits long.  `poly_compose` is the one polynomial product:
 translation, construct's p_shifted(t) and lemma's t^l all run its loop.
+`difference_walk` is the one stepper: density's values p(n) and construct's
+composed coefficients along m0 both advance by its finite differences.
+`poly_eval` runs Horner's rule over the nonzero coefficients only, so a
+sparse p such as x^8 costs one power of x instead of a product per degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -80,10 +84,36 @@ def poly_compose(outer: IntPolynomial, inner: IntPolynomial) -> IntPolynomial:
 
 
 def poly_eval(p: IntPolynomial, x: int) -> int:
-    value = 0
+    """p(x) by Horner's rule over the nonzero coefficients.
+
+    A run of zero coefficients is crossed by one multiplication by x**gap
+    (by x itself when gap is 1), so x^8 costs the three squarings of x**8.
+    """
+    value, gap = 0, 0
     for c in reversed(p.coeffs):
-        value = value * x + c
-    return value
+        gap += 1
+        if c:
+            value = value * (x if gap == 1 else x**gap) + c
+            gap = 0
+    return value * x**gap if gap else value
+
+
+def difference_walk(values: Sequence[int]) -> Iterator[int]:
+    """Yield f(0), f(1), ... without end, f the polynomial of degree
+    < len(values) with f(i) = values[i]; values must not be empty.
+
+    The values become a forward-difference table once; each later value
+    then costs len(values) - 1 additions, all exact.
+    """
+    diffs = list(values)
+    h = len(diffs) - 1
+    for level in range(1, h + 1):
+        for idx in range(h, level - 1, -1):
+            diffs[idx] -= diffs[idx - 1]
+    while True:
+        yield diffs[0]
+        for i in range(h):
+            diffs[i] += diffs[i + 1]
 
 
 def poly_translate(p: IntPolynomial, e: int) -> IntPolynomial:

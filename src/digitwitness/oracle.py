@@ -4,8 +4,9 @@ Everything here is deliberately independent of the construction: counts come
 from enumerating [0, N) and tallying digit sums through `digits`, and witness
 verification re-evaluates p(n) from scratch, in one pass over any iterable,
 returning only the problems of the witnesses that fail.  Enumeration
-advances p(n) with an exact finite-difference table (h additions per step);
-per-n Horner evaluation is kept around as the dumber cross-check path.
+advances p(n) by intpoly.difference_walk, the stepper construct also runs
+along m0 (h additions per step); per-n Horner evaluation is kept around as
+the dumber cross-check path.
 
 [0, N) is cut into fixed-size chunks that `parallel.chunked_map` tallies,
 across processes when there are several workers (never more processes than
@@ -19,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
@@ -30,7 +32,7 @@ from .digits import (
     digit_sum_counts,
     log2_bracket,
 )
-from .intpoly import IntPolynomial, poly_eval
+from .intpoly import IntPolynomial, difference_walk, poly_eval
 from .parallel import chunked_map
 
 # Values of n per tally chunk: about 0.1 s of work for a result of m ints.
@@ -43,18 +45,10 @@ _MODULUS_CAP = 1 << 16
 
 
 def polynomial_values(p: IntPolynomial, start: int, stop: int) -> Iterator[int]:
-    """Yield p(start), p(start+1), ..., p(stop-1) by finite differences."""
-    if stop <= start:
-        return
-    h = max(p.degree, 0)
-    diffs = [poly_eval(p, start + i) for i in range(h + 1)]
-    for level in range(1, h + 1):
-        for idx in range(h, level - 1, -1):
-            diffs[idx] -= diffs[idx - 1]
-    for _ in range(stop - start):
-        yield diffs[0]
-        for i in range(h):
-            diffs[i] += diffs[i + 1]
+    """p(start), p(start+1), ..., p(stop-1), stepped by intpoly.difference_walk
+    from the h + 1 values at start."""
+    seeds = [poly_eval(p, start + i) for i in range(max(p.degree, 0) + 1)]
+    return islice(difference_walk(seeds), max(stop - start, 0))
 
 
 def tally_range(

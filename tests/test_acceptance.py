@@ -98,7 +98,8 @@ def test_criterion_3_offset_identity_and_invariance(acceptance_log):
     box = admissible_ranges(2, 3, 15)
     ok = True
     for params in box.sample(100, seed=31337):
-        offset = digit_sum_offset(plan, params)
+        composed = poly_compose(plan.p_shifted, build_cubic(params))
+        offset = digit_sum_offset(plan, params, composed)
         t = build_cubic(params)
         observed = {
             digit_sum(poly_eval(t, 2**k) ** 3, 2) - k * (2 - 1)
@@ -118,7 +119,8 @@ def test_criterion_4_residue_coverage_binary(acceptance_log):
     plan = make_plan(target, X3, 15)
     ok = True
     for params in admissible_ranges(2, 3, 15).sample(100, seed=31337):
-        offset = digit_sum_offset(plan, params)
+        composed = poly_compose(plan.p_shifted, build_cubic(params))
+        offset = digit_sum_offset(plan, params, composed)
         t = build_cubic(params)
         residues = {digit_sum(poly_eval(t, 2**k) ** 3, 2) % 3 for k in (52, 53, 54)}
         ok = ok and residues == {0, 1, 2}
@@ -160,7 +162,8 @@ def test_criterion_4_residue_coverage_second_base(q, m, window, acceptance_log):
     assert plan.k_threshold + 1 == window[0]
     ok = True
     for params in admissible_ranges(q, 3, 8).sample(100, seed=31337):
-        offset = digit_sum_offset(plan, params)
+        composed = poly_compose(plan.p_shifted, build_cubic(params))
+        offset = digit_sum_offset(plan, params, composed)
         t = build_cubic(params)
         residues = {
             digit_sum(poly_eval(t, q**k) ** 3, q) % m for k in window

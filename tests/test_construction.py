@@ -13,6 +13,7 @@ from digitwitness.construction import (
     Lcg64,
     admissible_ranges,
     build_cubic,
+    compositions,
     construct_family,
     digit_sum_offset,
     m1_upper,
@@ -40,6 +41,11 @@ X3 = IntPolynomial.monomial(3)
 
 def power(p, l):
     return poly_compose(IntPolynomial.monomial(l), p)
+
+
+def composed_for(plan, params):
+    """p_shifted(t) for one quadruple, composed directly."""
+    return poly_compose(plan.p_shifted, build_cubic(params))
 
 
 class TestCongruenceTarget:
@@ -400,14 +406,14 @@ class TestOffset:
             - digit_sum(params.m1 - 1, 2)
             + digit_sum(params.m0, 2)
         )
-        assert digit_sum_offset(plan, params) == expected
+        assert digit_sum_offset(plan, params, composed_for(plan, params)) == expected
 
     def test_matches_direct_digit_sum_and_is_k_independent(self):
         target = CongruenceTarget(q=2, m=3, g=0)
         plan = make_plan(target, X3, 15)
         box = admissible_ranges(2, 3, 15)
         for params in box.sample(25, seed=3):
-            offset = digit_sum_offset(plan, params)
+            offset = digit_sum_offset(plan, params, composed_for(plan, params))
             t = build_cubic(params)
             for k in (52, 53, 60):
                 direct = digit_sum(poly_eval(t, 2**k) ** 3, 2)
@@ -418,7 +424,7 @@ class TestOffset:
         plan = make_plan(target, X3, 8)
         box = admissible_ranges(10, 3, 8)
         for params in box.sample(10, seed=4):
-            offset = digit_sum_offset(plan, params)
+            offset = digit_sum_offset(plan, params, composed_for(plan, params))
             t = build_cubic(params)
             for k in (31, 33, 40):
                 assert digit_sum(poly_eval(t, 10**k) ** 3, 10) == 9 * k + offset
@@ -426,26 +432,25 @@ class TestOffset:
     def test_inadmissible_params_rejected(self):
         target = CongruenceTarget(q=2, m=3, g=0)
         plan = make_plan(target, X3, 15)
+        params = CubicParams(m0=1, m1=1, m2=1, m3=1, u=15)
         with pytest.raises(ValueError):
-            digit_sum_offset(plan, CubicParams(m0=1, m1=1, m2=1, m3=1, u=15))
+            digit_sum_offset(plan, params, composed_for(plan, params))
 
-    def test_lost_sign_pattern_is_a_consistency_error(self, monkeypatch):
+    def test_lost_sign_pattern_is_a_consistency_error(self):
         plan = make_plan(CongruenceTarget(q=2, m=3, g=0), X3, 15)
         params = plan.box.params_at(0)
         broken = IntPolynomial.from_coeffs([1, -1, 0, 1])
-        monkeypatch.setattr(
-            "digitwitness.construction.poly_compose", lambda outer, inner: broken
-        )
         with pytest.raises(ConsistencyError, match=r"lost the \(\+,-,\+,\.\.\.,\+\) "
                            r"sign pattern for .*: at x\^2$"):
-            digit_sum_offset(plan, params)
+            digit_sum_offset(plan, params, broken)
 
 
 class TestConstructWitness:
     def test_end_to_end_binary(self):
         target = CongruenceTarget(q=2, m=3, g=0)
         params = CubicParams(m0=2**14, m1=1, m2=2**14, m3=2**14, u=15)
-        w = witness_for(make_plan(target, X3, params.u), params)
+        plan = make_plan(target, X3, params.u)
+        w = witness_for(plan, params, composed_for(plan, params))
         assert w.residue == 0
         assert digit_sum(w.n**3, 2) % 3 == 0
         assert w.sq_value == digit_sum(w.n**3, 2)
@@ -454,7 +459,8 @@ class TestConstructWitness:
     def test_end_to_end_decimal(self):
         target = CongruenceTarget(q=10, m=7, g=2)
         params = CubicParams(m0=10**7, m1=5, m2=10**7 + 3, m3=10**8 - 1, u=8)
-        w = witness_for(make_plan(target, X3, params.u), params)
+        plan = make_plan(target, X3, params.u)
+        w = witness_for(plan, params, composed_for(plan, params))
         assert w.residue == 2 == digit_sum(w.n**3, 10) % 7
 
     def test_all_targets_hit_within_one_window(self):
@@ -463,7 +469,8 @@ class TestConstructWitness:
         ns = set()
         for g in range(3):
             target = CongruenceTarget(q=2, m=3, g=g)
-            w = witness_for(make_plan(target, X3, params.u), params)
+            plan = make_plan(target, X3, params.u)
+            w = witness_for(plan, params, composed_for(plan, params))
             ks.append(w.k)
             ns.add(w.n)
         assert sorted(ks) == [52, 53, 54]
@@ -473,7 +480,7 @@ class TestConstructWitness:
         target = CongruenceTarget(q=2, m=3, g=0)
         plan = make_plan(target, X3, 15)
         for params in admissible_ranges(2, 3, 15).sample(20, seed=6):
-            offset = digit_sum_offset(plan, params)
+            offset = digit_sum_offset(plan, params, composed_for(plan, params))
             t = build_cubic(params)
             residues = {
                 digit_sum(poly_eval(t, 2**k) ** 3, 2) % 3 for k in (52, 53, 54)
@@ -528,6 +535,81 @@ class TestConstructFamily:
         for w in construct_family(target, X3, u=15, limit=60):
             assert w.n < bound
 
+
+class TestCompositions:
+    # (q, p, u): the binary cube at u=15, whose m0 run (side) is 16384 long;
+    # construct-deep's x^8 at q=3; p = x, the shortest walk; and x^3 - 2x at
+    # q=10, whose shift e is 2
+    PLANS = [
+        (2, X3, 15),
+        (3, IntPolynomial.monomial(8), None),
+        (2, IntPolynomial.monomial(1), None),
+        (10, IntPolynomial.from_coeffs([0, -2, 0, 1]), None),
+    ]
+
+    @staticmethod
+    def check(plan, start, stop):
+        got = list(compositions(plan, start, stop))
+        assert [params for params, _ in got] == [
+            plan.box.params_at(i) for i in range(start, stop)
+        ]
+        for params, composed in got:
+            assert composed == composed_for(plan, params)
+
+    @pytest.mark.parametrize("q, p, u", PLANS)
+    def test_straddles_an_m0_wrap(self, q, p, u):
+        plan = make_plan(CongruenceTarget(q=q, m=3 if q == 2 else 7, g=0), p, u)
+        side = plan.box.side
+        self.check(plan, side - 3, side + 5)
+        self.check(plan, 2 * side - 1, 2 * side + 12)
+
+    @pytest.mark.parametrize("q, p, u", PLANS)
+    def test_starts_mid_run(self, q, p, u):
+        plan = make_plan(CongruenceTarget(q=q, m=3 if q == 2 else 7, g=0), p, u)
+        self.check(plan, 7, 40)
+
+    def test_runs_shorter_than_h_plus_one(self):
+        # runs of 2 and 1 quadruples around a wrap, under 9 seeds at h=8
+        plan = make_plan(CongruenceTarget(q=3, m=5, g=2), IntPolynomial.monomial(8))
+        side = plan.box.side
+        self.check(plan, side - 2, side + 1)
+        self.check(plan, 0, 1)
+        self.check(plan, 5, 5)
+
+    def test_general_polynomial_with_shift(self):
+        p = IntPolynomial.from_coeffs([7, 1, -5, 0, 2])  # 2x^4 - 5x^2 + x + 7
+        plan = make_plan(CongruenceTarget(q=10, m=7, g=3), p)
+        assert plan.e > 0
+        self.check(plan, 0, 30)
+
+    def test_last_quadruples_of_the_box(self):
+        plan = make_plan(CongruenceTarget(q=2, m=3, g=0), IntPolynomial.monomial(1))
+        size = plan.box.size
+        self.check(plan, size - 4, size)
+
+    def test_composes_only_the_seeds(self, monkeypatch):
+        plan = make_plan(CongruenceTarget(q=3, m=5, g=2), IntPolynomial.monomial(8))
+        side = plan.box.side
+        calls = []
+
+        def counted(outer, inner):
+            calls.append(inner)
+            return poly_compose(outer, inner)
+
+        monkeypatch.setattr("digitwitness.construction.poly_compose", counted)
+        for start, stop, seeds in [(0, 1, 1), (0, 100, 9), (side - 2, side + 20, 11)]:
+            calls.clear()
+            list(compositions(plan, start, stop))
+            assert len(calls) == seeds
+
+    def test_a_stepping_fault_is_a_consistency_error(self):
+        # the self-check evaluates p at n, so a composed polynomial that keeps
+        # the sign pattern but not the quadruple's coefficients cannot pass
+        plan = make_plan(CongruenceTarget(q=2, m=3, g=0), X3, 15)
+        params = plan.box.params_at(1)
+        wrong = composed_for(plan, plan.box.params_at(0))
+        with pytest.raises(ConsistencyError):
+            witness_for(plan, params, wrong)
 
 class TestWitnessBitsBound:
     # (q, m, p, u): every golden and acceptance construct case, the
@@ -599,6 +681,11 @@ class TestWitnessBitsBound:
             for w in construct_family(target, p, u, limit=20):
                 assert poly_eval(p, w.n).bit_length() <= bound
 
+    @pytest.mark.parametrize("q", [1, 0, -3])
+    def test_rejects_base_below_two(self, q):
+        with pytest.raises(ValueError, match="base must be >= 2"):
+            witness_bits_bound(q, 3, X3, None)
+
     def test_grows_with_degree_scale_and_modulus(self):
         base = witness_bits_bound(2, 3, X3, 15)
         assert witness_bits_bound(2, 3, X3, 16) > base
@@ -645,5 +732,6 @@ def test_witness_for_is_internally_checked():
     # a plan/params mismatch in scale is caught up front
     target = CongruenceTarget(q=2, m=3, g=0)
     plan = make_plan(target, X3, 15)
+    params = CubicParams(m0=2**15, m1=1, m2=2**15, m3=2**15, u=16)
     with pytest.raises(ValueError):
-        witness_for(plan, CubicParams(m0=2**15, m1=1, m2=2**15, m3=2**15, u=16))
+        witness_for(plan, params, composed_for(plan, params))

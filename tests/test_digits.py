@@ -17,6 +17,7 @@ from digitwitness.digits import (
     digit_sum_counts,
     expand,
     ilog,
+    log2_bracket,
 )
 
 # q = 2 takes int.bit_count; 2^16 + 1 is above the lookup-table cap, so its
@@ -100,6 +101,18 @@ class TestIlog:
         with pytest.raises(ValueError, match="expected x >= 1"):
             ilog(3, x)
 
+
+
+class TestLog2Bracket:
+    @pytest.mark.parametrize("q", [2, 3, 10, 16, 2**16 + 1])
+    def test_brackets_log2_q(self, q):
+        a, b = log2_bracket(q)
+        assert 2**a <= q**16 <= 2**b
+
+    @pytest.mark.parametrize("q", [1, 0, -3])
+    def test_rejects_base_below_two(self, q):
+        with pytest.raises(ValueError, match="base must be >= 2"):
+            log2_bracket(q)
 
 class TestDecimalStr:
     @given(st.integers(min_value=-(10**3000), max_value=10**3000))

@@ -23,6 +23,24 @@ GOLDEN = {
          "--limit", "5", "--format", "csv", "--workers", "2"],
         0, "46ffe1da42feeae522e306f8f83e5872b327f44476f23847b503c86711dfe94e",
     ),
+    # x^8 at q=3 runs the stepped compositions at h=8; the cube at 16400
+    # rows crosses its m0 wrap at 16384 inside a chunk of one of two
+    # workers; the quartic has a shift e > 0 and zero coefficients in p
+    "construct-deep-x8": (
+        ["construct", "--q", "3", "--m", "5", "--g", "2", "--poly", "x^8",
+         "--limit", "20"],
+        0, "1f8132279628bf8ae13064503773d31fe182ccc3b2dde74d4a3687afd24a5893",
+    ),
+    "construct-cube-wrap": (
+        ["construct", "--q", "2", "--m", "3", "--g", "0", "--poly", "x^3",
+         "--limit", "16400", "--workers", "2"],
+        0, "5a55de540214ef0da677035fb0435a762a57f2d4860cd0690ef7e11e0ae95cd2",
+    ),
+    "construct-quartic-csv": (
+        ["construct", "--q", "10", "--m", "7", "--g", "3", "--poly", "2,0,-5,1,7",
+         "--limit", "12", "--format", "csv"],
+        0, "3cec1be4a8ae4c53cf98cf6102ae9356a822d08c8c4160cab982ede751c5183e",
+    ),
     "density-json-1": (
         ["density", "--q", "2", "--m", "3", "--poly", "x^2", "--N", "200000",
          "--workers", "1"],

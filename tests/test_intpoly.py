@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from digitwitness.construction import sign_violation
 from digitwitness.intpoly import (
     IntPolynomial,
+    difference_walk,
     max_abs_coeff,
     poly_compose,
     poly_eval,
@@ -17,6 +20,11 @@ CUBIC = IntPolynomial.from_coeffs([1, -1, 1, 1])  # x^3 + x^2 - x + 1
 CUBIC_SQUARED = (1, -2, 3, 0, -1, 2, 1)  # convolution done by hand, x^0 upward
 
 polys = st.lists(st.integers(-50, 50), max_size=6).map(IntPolynomial.from_coeffs)
+# mostly zero coefficients, so runs of zeros sit at the low end, under the
+# leading coefficient and in between
+sparse_polys = st.lists(
+    st.one_of(st.just(0), st.just(0), st.integers(-10**30, 10**30)), max_size=14
+).map(IntPolynomial.from_coeffs)
 
 
 def test_normalization_strips_trailing_zeros():
@@ -41,6 +49,14 @@ def schoolbook(p, r):
 
 def power(p, l):
     return poly_compose(IntPolynomial.monomial(l), p)
+
+
+def dense_horner(p, x):
+    """p(x) with one product per degree, the reference for poly_eval."""
+    value = 0
+    for c in reversed(p.coeffs):
+        value = value * x + c
+    return value
 
 
 class TestPow:
@@ -143,6 +159,45 @@ class TestEval:
         assert poly_eval(power(p, 2), x) == poly_eval(p, x) ** 2
         assert poly_eval(schoolbook(p, r), x) == poly_eval(p, x) * poly_eval(r, x)
 
+
+    @settings(max_examples=200)
+    @given(sparse_polys, st.integers(-(10**12), 10**12))
+    def test_matches_dense_horner(self, p, x):
+        assert poly_eval(p, x) == dense_horner(p, x)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[], [0, 0, 0, 0, 0, 1], [0, 0, 0, 5, -3], [1, 0, 0, 0, 0, 0, 0, 2],
+         [-4, 0, 0, 9, 0, 0, 0, 0, 1], [0, 1]],
+        ids=["zero", "x^5", "low-zeros", "top-zeros", "both", "x"],
+    )
+    @pytest.mark.parametrize("x", [-7, -1, 0, 1, 3, -(3**500)])
+    def test_zero_runs_match_dense_horner(self, coeffs, x):
+        p = IntPolynomial.from_coeffs(coeffs)
+        assert poly_eval(p, x) == dense_horner(p, x)
+
+
+class TestDifferenceWalk:
+    @settings(max_examples=150)
+    @given(polys, st.integers(-300, 300), st.integers(0, 3), st.integers(0, 60))
+    def test_matches_poly_eval(self, p, start, extra, span):
+        # seeds beyond degree + 1 fit the same polynomial; the walk starts
+        # at its first seed
+        seeds = [poly_eval(p, start + i) for i in range(max(p.degree, 0) + 1 + extra)]
+        walked = list(islice(difference_walk(seeds), span))
+        assert walked == [poly_eval(p, start + i) for i in range(span)]
+
+    def test_short_seeds_repeat_themselves_first(self):
+        # fewer seeds than the degree needs: the walk still yields the seeds
+        assert list(islice(difference_walk([3, 1, 4]), 3)) == [3, 1, 4]
+        assert list(islice(difference_walk([9]), 4)) == [9] * 4
+
+    def test_big_coefficients_stay_exact(self):
+        p = IntPolynomial.from_coeffs([10**400, -(3**900), 0, 7])
+        seeds = [poly_eval(p, i) for i in range(4)]
+        assert list(islice(difference_walk(seeds), 50)) == [
+            poly_eval(p, i) for i in range(50)
+        ]
 
 class TestTranslate:
     def test_zero_shift(self):
