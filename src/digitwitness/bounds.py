@@ -2,14 +2,14 @@
 
 For monomials x^h the guaranteed number of witnesses below N is certified
 against C * N^(4/(3h+1)) for explicit C and N0.  Nothing here restates the
-construction: u0 and delta are read from construct's own plan for x^h (the
-scale of its box and its splitting margin), D = h*q*(6q)^h is
-`construction.m1_divisor`, and the guaranteed count is the size of
-construct's box at the bracketed scale.  For every monomial delta = 2h.  The
-constant C involves a fractional power of q; it is carried as the one
-integer c_den with C = c_den^(-1/(3h+1)), so a link x >= C * N^(4/(3h+1))
-is decided as x^(3h+1) * c_den >= N^4 in exact integers.  No floating point
-touches any verdict.
+construction: u0 is `construction.min_u`, delta `splitting_margin` of x^h
+(2h for every monomial), D = h*q*(6q)^h `m1_divisor`, and the guaranteed
+count is the size of construct's box at the bracketed scale.  No plan is
+made, as certify never builds the witnesses construct's cap is about.  C
+involves a fractional power of q; it is carried as the one integer c_den
+with C = c_den^(-1/(3h+1)), so a link x >= C * N^(4/(3h+1)) is decided as
+x^(3h+1) * c_den >= N^4 in exact integers.  No floating point touches any
+verdict.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from .construction import (
     ConsistencyError,
     admissible_ranges,
     m1_divisor,
-    make_plan,
+    min_u,
+    splitting_margin,
 )
 from .digits import decimal_str, ilog
 from .intpoly import IntPolynomial
@@ -64,9 +65,9 @@ class ExplicitConstants:
 
 
 def explicit_constants(q: int, m: int, h: int) -> ExplicitConstants:
-    """N0 and C in closed form over construct's plan for x^h, in exact integers.
+    """N0 and C in closed form for x^h, in exact integers.
 
-    With u0 and delta the plan's scale and splitting margin, D = h*q*(6q)^h:
+    With u0 = min_u, delta the splitting margin of x^h, D = h*q*(6q)^h:
 
         N0 = q^(3(delta+m)) * (2qD)^(3h+1)
         C  = 1 / (16q^4 D * q^(12(delta+m)/(3h+1)))
@@ -74,12 +75,12 @@ def explicit_constants(q: int, m: int, h: int) -> ExplicitConstants:
     C is carried as c_den = (16q^4 D)^(3h+1) * q^(12(delta+m)), the integer
     with C = c_den^(-1/(3h+1)).
     """
-    plan = make_plan(CongruenceTarget(q, m, 0), IntPolynomial.monomial(h))
-    d = m1_divisor(q, h)
-    root = 3 * h + 1
-    shift = q ** (3 * (plan.delta + m))
+    CongruenceTarget(q, m, 0)  # refuses q < 2, m < 2 and gcd(m, q-1) > 1
+    u0, d, root = min_u(q, h), m1_divisor(q, h), 3 * h + 1
+    delta = splitting_margin(q, h, IntPolynomial.monomial(h))
+    shift = q ** (3 * (delta + m))
     n0, c_den = shift * (2 * q * d) ** root, (16 * q**4 * d) ** root * shift**4
-    return ExplicitConstants(q, h, plan.box.u, shift, n0, c_den)
+    return ExplicitConstants(q, h, u0, shift, n0, c_den)
 
 
 @dataclass(frozen=True)

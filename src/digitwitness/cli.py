@@ -30,7 +30,7 @@ from typing import IO, Callable, Iterator, Optional
 
 from . import bounds, construction, oracle
 from .construction import CongruenceTarget, CubicParams, Witness
-from .digits import STR_DIGITS, VALUE_BITS_CAP, decimal_int, decimal_str, log2_bracket
+from .digits import STR_DIGITS, decimal_int, decimal_str
 from .intpoly import IntPolynomial
 from .parallel import chunked_map
 
@@ -216,12 +216,6 @@ def _witness_rows(plan, start: int, stop: int) -> list[tuple]:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     target = CongruenceTarget(q=args.q, m=args.m, g=args.g)
-    bits = construction.witness_bits_bound(args.q, args.m, args.poly, args.u)
-    if bits > VALUE_BITS_CAP:
-        raise ValueError(
-            f"p(n) for p = {args.poly} at q={args.q}, m={args.m} could exceed "
-            f"the {VALUE_BITS_CAP}-bit cap on one witness"
-        )
     plan = construction.make_plan(target, args.poly, args.u)
     size = plan.box.size
     total = size if args.limit is None else min(args.limit, size)
@@ -435,13 +429,6 @@ def _lemma_quadruples(
 
 
 def cmd_lemma(args: argparse.Namespace) -> int:
-    # q^16 <= 2^b, so (4q^u)^l has at most l*(2 + ceil(b*u/16)) + 1 bits
-    _, b = log2_bracket(args.q)
-    if args.l * (2 + -(-b * args.u // 16)) >= VALUE_BITS_CAP:
-        raise ValueError(
-            f"(4q^u)^l at q={args.q}, l={args.l}, u={args.u} could exceed the "
-            f"{VALUE_BITS_CAP}-bit cap"
-        )
     box = construction.admissible_ranges(args.q, args.l, args.u)
     total = passed = 0
     with _output(args, LEMMA_FIELDS) as writer:
@@ -556,6 +543,10 @@ def _validate(args: argparse.Namespace) -> None:
             raise ValueError("random mode requires --seed and --count")
         if args.count < 1:
             raise ValueError("count must be >= 1")
+        if args.max_per_range is not None:
+            raise ValueError("--max-per-range applies to exhaustive mode only")
+    elif args.command == "lemma" and (args.seed, args.count) != (None, None):
+        raise ValueError("--count and --seed apply to random mode only")
     if getattr(args, "max_per_range", None) is not None and args.max_per_range < 1:
         raise ValueError("max-per-range must be >= 1")
 

@@ -28,6 +28,8 @@ Consecutive quadruples in params_at order differ only in m0, and every
 coefficient of p_shifted(t(x)) is a polynomial of degree <= h in m0, so
 `compositions` steps them with intpoly.difference_walk.  witness_for's
 self-check evaluates p at n directly, never from the stepped coefficients.
+Before any work, make_plan refuses a plan whose p(n) (witness_bits_bound),
+and admissible_ranges a box whose (4q^u)^h, could pass digits.VALUE_BITS_CAP.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, Optional
 
-from .digits import digit_sum, ilog, log2_bracket
+from .digits import VALUE_BITS_CAP, digit_sum, ilog, log2_bracket
 from .intpoly import (
     IntPolynomial,
     difference_walk,
@@ -124,8 +126,10 @@ def m1_divisor(q: int, h: int) -> int:
 
 
 def min_u(q: int, h: int) -> int:
-    """Smallest scale exponent u with q^u >= 2*m1_divisor(q, h), exactly."""
-    return ilog(q, 2 * m1_divisor(q, h) - 1) + 1
+    """Least u with q^u >= 2*m1_divisor(q, h) = 2h*6^h * q^(h+1); builds no q^u."""
+    if q < 2 or h < 1:
+        raise ValueError(f"need q >= 2 and h >= 1, got q={q}, h={h}")
+    return h + 2 + ilog(q, 2 * h * 6**h - 1)
 
 
 def m1_upper(q: int, h: int, u: int) -> int:
@@ -195,6 +199,11 @@ class AdmissibleBox:
 def admissible_ranges(q: int, h: int, u: int) -> AdmissibleBox:
     if u < 1:
         raise ValueError(f"scale u must be >= 1, got {u}")
+    # q^16 <= 2^b, so (4q^u)^h has at most h*(2 + ceil(b*u/16)) + 1 bits
+    _, b = log2_bracket(q)
+    if h * (2 + -(-b * u // 16)) >= VALUE_BITS_CAP:
+        cap = f"{VALUE_BITS_CAP}-bit cap"
+        raise ValueError(f"(4q^u)^l at q={q}, l={h}, u={u} could exceed the {cap}")
     return AdmissibleBox(u=u, lo=q ** (u - 1), hi=q**u, m1_max=m1_upper(q, h, u))
 
 
@@ -315,23 +324,23 @@ def _degree(p: IntPolynomial) -> int:
 def make_plan(
     target: CongruenceTarget, p: IntPolynomial, u: Optional[int] = None
 ) -> ConstructionPlan:
-    h = _degree(p)
-    if u is None:
-        u = min_u(target.q, h)
-    elif u < min_u(target.q, h):
-        raise ValueError(
-            f"u={u} is below the minimum scale {min_u(target.q, h)} "
-            f"for q={target.q}, h={h}"
-        )
+    q, m, h = target.q, target.m, _degree(p)
+    least = min_u(q, h)
+    u = least if u is None else u
+    if witness_bits_bound(q, m, p, u) > VALUE_BITS_CAP:
+        cap = f"{VALUE_BITS_CAP}-bit cap on one witness"
+        raise ValueError(f"p(n) for p = {p} at q={q}, m={m} could exceed the {cap}")
+    if u < least:
+        raise ValueError(f"u={u} is below the minimum scale {least} for q={q}, h={h}")
     e = translate_shift(p)
     p_shifted = poly_translate(p, e)
-    delta = splitting_margin(target.q, h, p_shifted)
+    delta = splitting_margin(q, h, p_shifted)
     return ConstructionPlan(
         target=target,
         p=p,
         e=e,
         p_shifted=p_shifted,
-        box=admissible_ranges(target.q, h, u),
+        box=admissible_ranges(q, h, u),
         delta=delta,
         k_threshold=h * u + delta,
     )
@@ -341,20 +350,19 @@ def witness_bits_bound(q: int, m: int, p: IntPolynomial, u: Optional[int]) -> in
     """An upper bound on bits(p(n)) over the witnesses of a plan for p at scale u.
 
     Bit lengths only, and no power of q above q^16, so it is cheap at any
-    degree and scale.  With (a, b) = log2_bracket(q) and 2D = 2h*6^h *
-    q^(h+1), min_u is at most the first u with a*u >= 16*bits(2h*6^h) +
-    (h+1)*b.  The shift e is at most c + 1, c the largest |coefficient| below
-    the leading one (Cauchy's root bound, for every derivative of p), so P =
-    p_shifted has max(P) <= P(1) = p(1 + e) <= A*(c + 2)^h, A the sum of
-    |coefficients|.  splitting_margin is below the first j > 2h with
-    j*log2 q >= bits(P(1)) + 2h, so every k is below h*u + j + m; t(q^k) <
-    3q^(u+3k), and p(n) = P(t(q^k)) <= P(1)*t^h.  The same terms bound
-    bits(A) + h*bits(n), as n = t + e <= t*(c + 2).
+    degree and scale; u=None reads min_u.  With (a, b) = log2_bracket(q), the
+    shift e is at most c + 1, c the largest |coefficient| below the leading
+    one (Cauchy's root bound, for every derivative of p), so P = p_shifted
+    has max(P) <= P(1) = p(1 + e) <= A*(c + 2)^h, A the sum of |coefficients|.
+    splitting_margin is below the first j > 2h with j*log2 q >= bits(P(1)) +
+    2h, so every k is below h*u + j + m; t(q^k) < 3q^(u+3k), and p(n) =
+    P(t(q^k)) <= P(1)*t^h.  The same terms bound bits(A) + h*bits(n), as
+    n = t + e <= t*(c + 2).
     """
     h, coeffs = _degree(p), p.coeffs
     a, b = log2_bracket(q)
     if u is None:
-        u = -(-(16 * (2 * h * 6**h).bit_length() + (h + 1) * b) // a)
+        u = min_u(q, h)
     c = max(map(abs, coeffs[:-1]), default=0)
     p1_bits = sum(map(abs, coeffs)).bit_length() + h * (c + 2).bit_length()
     j = max(2 * h + 1, -(-16 * (p1_bits + 2 * h) // a))

@@ -255,7 +255,7 @@ class TestConstruct:
         def reached(*args):
             raise ValueError("plan reached")
 
-        monkeypatch.setattr(construction, "make_plan", reached)
+        monkeypatch.setattr(construction, "translate_shift", reached)
         argv = ["construct", "--q", q, "--m", m, "--g", "1", "--poly", poly,
                 "--limit", "1"] + (["--u", u] if u else [])
         start = time.perf_counter()
@@ -960,6 +960,24 @@ class TestLemma:
         assert code == 2 and out == ""
         assert err == "error: max-per-range must be >= 1\n"
 
+    @pytest.mark.parametrize(
+        "mode, extra, message",
+        [
+            ("exhaustive", ["--max-per-range", "1", "--count", "5"],
+             "--count and --seed apply to random mode only"),
+            ("exhaustive", ["--max-per-range", "1", "--seed", "5"],
+             "--count and --seed apply to random mode only"),
+            ("random", ["--count", "1", "--seed", "1", "--max-per-range", "1"],
+             "--max-per-range applies to exhaustive mode only"),
+        ],
+    )
+    def test_options_of_the_other_mode_are_refused(self, capsys, mode, extra, message):
+        code = run(["lemma", "--q", "2", "--l", "3", "--u", "15", "--mode", mode]
+                   + extra)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_unbounded_exhaustive_run_is_refused(self, capsys):
         code = run(["lemma", "--q", "2", "--l", "3", "--u", "15", "--mode",
                     "exhaustive"])
@@ -988,7 +1006,7 @@ class TestLemma:
         def reached(*args):
             raise ValueError("box reached")
 
-        monkeypatch.setattr(construction, "admissible_ranges", reached)
+        monkeypatch.setattr(construction, "m1_upper", reached)
         start = time.perf_counter()
         code = run(["lemma", "--q", q, "--l", l, "--u", u, "--mode", "random",
                     "--count", "1", "--seed", "1"])

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import time
 from math import gcd
 
 import pytest
@@ -76,12 +77,22 @@ class TestCubicParams:
 
 class TestMinU:
     @pytest.mark.parametrize(
-        "q, h, expected", [(2, 3, 15), (10, 3, 8), (10, 1, 4), (2, 1, 6), (2, 4, 19)]
+        "q, h, expected",
+        [(2, 3, 15), (10, 3, 8), (10, 1, 4), (2, 1, 6), (2, 4, 19),
+         # 1296 = 2h*6^h at h = 3, where the closed form's ilog steps
+         (1295, 3, 6), (1296, 3, 5), (2**4000 + 1, 3, 5)],
     )
     def test_frozen_values(self, q, h, expected):
         assert min_u(q, h) == expected
 
-    @pytest.mark.parametrize("q, h", [(2, 3), (3, 2), (5, 4), (10, 1)])
+    def test_builds_no_power_of_q(self):
+        start = time.perf_counter()
+        assert min_u(10**4000, 1024) == 1026
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize(
+        "q, h", [(2, 3), (3, 2), (5, 4), (10, 1), (1295, 3), (1296, 3)]
+    )
     def test_definition(self, q, h):
         u = min_u(q, h)
         bound = 2 * h * q * (6 * q) ** h
@@ -691,6 +702,33 @@ class TestWitnessBitsBound:
         assert witness_bits_bound(2, 3, X3, 16) > base
         assert witness_bits_bound(2, 3, IntPolynomial.monomial(4), 15) > base
         assert witness_bits_bound(2, 5, X3, 15) > base
+
+
+class TestLibraryRefusals:
+    """make_plan and admissible_ranges refuse oversize inputs before any work,
+    so library callers get the CLI's refusals."""
+
+    def test_construct_family_refuses_a_witness_past_the_cap(self):
+        start = time.perf_counter()
+        family = construct_family(
+            CongruenceTarget(2, 3, 1), IntPolynomial.monomial(200), limit=1
+        )
+        with pytest.raises(ValueError) as info:
+            next(family)
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == (
+            "p(n) for p = x^200 at q=2, m=3 could exceed the 4194304-bit cap "
+            "on one witness"
+        )
+
+    def test_admissible_ranges_refuses_a_power_past_the_cap(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            admissible_ranges(3, 3, 10**8)
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == (
+            "(4q^u)^l at q=3, l=3, u=100000000 could exceed the 4194304-bit cap"
+        )
 
 
 class TestGeneralPolynomials:

@@ -42,3 +42,10 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"^```python\n(.*?)^```$", text, re.S | re.M)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_witness_anatomy_refuses_a_witness_past_the_cap():
+    # make_plan holds the cap, so the script refuses before building anything
+    result = run_script("witness_anatomy.py", "--poly", "x^200")
+    assert result.returncode != 0 and result.stdout == ""
+    assert "could exceed the 4194304-bit cap on one witness" in result.stderr
