@@ -15,12 +15,12 @@ import argparse
 from digitwitness.cli import parse_poly
 from digitwitness.construction import (
     CongruenceTarget,
-    build_cubic,
+    compositions,
     make_plan,
     witness_for,
 )
 from digitwitness.digits import digit_sum, expand
-from digitwitness.intpoly import poly_compose, poly_eval
+from digitwitness.intpoly import poly_eval
 
 
 def main():
@@ -35,8 +35,7 @@ def main():
     target = CongruenceTarget(q=args.q, m=args.m, g=args.g)
     p = parse_poly(args.poly)
     plan = make_plan(target, p, None)
-    params = plan.box.params_at(args.index)
-    composed = poly_compose(plan.p_shifted, build_cubic(params))
+    params, composed = next(compositions(plan, args.index, args.index + 1))
     w = witness_for(plan, params, composed)
 
     q, k = target.q, w.k

@@ -19,7 +19,6 @@ from .construction import (
     ConsistencyError,
     ConstructionPlan,
     CubicParams,
-    SignPatternReport,
     Witness,
     admissible_ranges,
     build_cubic,
@@ -41,7 +40,6 @@ from .digits import digit_sum, expand
 from .intpoly import (
     IntPolynomial,
     difference_walk,
-    max_abs_coeff,
     poly_compose,
     poly_eval,
     poly_translate,

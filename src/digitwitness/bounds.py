@@ -77,7 +77,7 @@ def explicit_constants(q: int, m: int, h: int) -> ExplicitConstants:
     """
     CongruenceTarget(q, m, 0)  # refuses q < 2, m < 2 and gcd(m, q-1) > 1
     u0, d, root = min_u(q, h), m1_divisor(q, h), 3 * h + 1
-    delta = splitting_margin(q, h, IntPolynomial.monomial(h))
+    delta = splitting_margin(q, IntPolynomial.monomial(h))
     shift = q ** (3 * (delta + m))
     n0, c_den = shift * (2 * q * d) ** root, (16 * q**4 * d) ** root * shift**4
     return ExplicitConstants(q, h, u0, shift, n0, c_den)

@@ -42,7 +42,6 @@ from .digits import VALUE_BITS_CAP, digit_sum, ilog, log2_bracket
 from .intpoly import (
     IntPolynomial,
     difference_walk,
-    max_abs_coeff,
     poly_compose,
     poly_eval,
     poly_translate,
@@ -89,29 +88,6 @@ class CubicParams:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-
-
-class Lcg64:
-    """64-bit linear congruential generator, fixed for reproducible grids.
-
-    state <- (6364136223846793005 * state + 1442695040888963407) mod 2^64,
-    each draw returning the new state; `below(n)` reduces it mod n.  The
-    recurrence is pinned so seeded runs can be replayed elsewhere.
-    """
-
-    MULT = 6364136223846793005
-    INC = 1442695040888963407
-    MASK = (1 << 64) - 1
-
-    def __init__(self, seed: int):
-        self.state = seed & self.MASK
-
-    def next(self) -> int:
-        self.state = (self.MULT * self.state + self.INC) & self.MASK
-        return self.state
-
-    def below(self, n: int) -> int:
-        return self.next() % n
 
 
 def m1_divisor(q: int, h: int) -> int:
@@ -186,14 +162,23 @@ class AdmissibleBox:
         )
 
     def sample(self, count: int, seed: int) -> Iterator[CubicParams]:
-        """`count` seeded-random quadruples; four Lcg64 draws each, in field order."""
-        rng = Lcg64(seed)
+        """`count` seeded-random quadruples, reproducible anywhere.
+
+        A pinned 64-bit LCG, state <- (6364136223846793005 * state +
+        1442695040888963407) mod 2^64 from state = seed mod 2^64, makes four
+        draws per quadruple in field order (m0, m1, m2, m3), each the new
+        state mod the field's range (side, m1_max, side, side).
+        """
+        mask = (1 << 64) - 1
+        state, ranges = seed & mask, (self.side, self.m1_max, self.side, self.side)
         for _ in range(count):
-            m0 = self.lo + rng.below(self.side)
-            m1 = 1 + rng.below(self.m1_max)
-            m2 = self.lo + rng.below(self.side)
-            m3 = self.lo + rng.below(self.side)
-            yield CubicParams(m0=m0, m1=m1, m2=m2, m3=m3, u=self.u)
+            draws = []
+            for n in ranges:
+                state = (6364136223846793005 * state + 1442695040888963407) & mask
+                draws.append(state % n)
+            i0, i1, i2, i3 = draws
+            yield CubicParams(m0=self.lo + i0, m1=1 + i1, m2=self.lo + i2,
+                              m3=self.lo + i3, u=self.u)
 
 
 def admissible_ranges(q: int, h: int, u: int) -> AdmissibleBox:
@@ -214,14 +199,6 @@ def build_cubic(params: CubicParams) -> IntPolynomial:
     )
 
 
-@dataclass(frozen=True)
-class SignPatternReport:
-    """Outcome of checking one quadruple's power for the (+,-,+,...,+) pattern."""
-
-    first_violation: Optional[int]
-    ok: bool
-
-
 def sign_violation(p: IntPolynomial) -> Optional[int]:
     """First exponent breaking the (+,-,+,...,+) pattern, or None if p keeps it.
 
@@ -235,9 +212,10 @@ def sign_violation(p: IntPolynomial) -> Optional[int]:
 
 def verify_sign_pattern(
     box: AdmissibleBox, l: int, params: CubicParams
-) -> SignPatternReport:
-    """Check that t^l, composed as x^l(t) by construct's product, has the
-    single-negative-coefficient pattern and |c_i| <= (4*q^u)^l, q^u = box.hi.
+) -> Optional[int]:
+    """First exponent at which t^l, composed as x^l(t) by construct's product,
+    breaks the lemma, or None: first the single-negative-coefficient pattern
+    (sign_violation), then |c_i| <= (4*q^u)^l with q^u = box.hi.
 
     `box` is the admissible box for degree l at scale params.u; a quadruple
     outside it is rejected (ValueError), not reported as a failure.
@@ -250,9 +228,11 @@ def verify_sign_pattern(
         raise ConsistencyError(f"constant coefficient of t^{l} is not m0^{l}")
     if powered.coeffs[1] != -l * params.m1 * params.m0 ** (l - 1):
         raise ConsistencyError(f"linear coefficient of t^{l} is not -{l}*m1*m0^{l - 1}")
-    first_violation = sign_violation(powered)
-    ok = first_violation is None and max_abs_coeff(powered) <= (4 * box.hi) ** l
-    return SignPatternReport(first_violation=first_violation, ok=ok)
+    first = sign_violation(powered)
+    if first is None:
+        bound = (4 * box.hi) ** l
+        first = next((i for i, c in enumerate(powered.coeffs) if abs(c) > bound), None)
+    return first
 
 
 def translate_shift(p: IntPolynomial) -> int:
@@ -281,16 +261,18 @@ def translate_shift(p: IntPolynomial) -> int:
     return hi
 
 
-def splitting_margin(q: int, h: int, p_shifted: IntPolynomial) -> int:
+def splitting_margin(q: int, p_shifted: IntPolynomial) -> int:
     """The margin delta of the plan's splitting exponents, exactly.
 
-    Every k > h*u + delta splits p_shifted(t(q^k)) into base-q blocks: the
-    conditions q^k > max(p_shifted) * (4*q^u)^h and k > h*u + 2*h lose their
-    common factor q^(h*u), so delta is the largest j >= 2*h with
-    q^j <= max(p_shifted) * 4^h (2*h when there is none), whatever u is.
+    With h = p_shifted.degree, every k > h*u + delta splits p_shifted(t(q^k))
+    into base-q blocks: the conditions q^k > max(p_shifted) * (4*q^u)^h and
+    k > h*u + 2*h lose their common factor q^(h*u), so delta is the largest
+    j >= 2*h with q^j <= max(p_shifted) * 4^h (2*h when there is none),
+    whatever u is.
     """
     if p_shifted.is_zero() or any(c < 0 for c in p_shifted.coeffs):
         raise ValueError("expected nonnegative coefficients with positive leading")
+    h = p_shifted.degree
     return max(2 * h, ilog(q, max(p_shifted.coeffs) << 2 * h))
 
 
@@ -310,7 +292,6 @@ class ConstructionPlan:
     e: int
     p_shifted: IntPolynomial
     box: AdmissibleBox
-    delta: int
     k_threshold: int
 
 
@@ -334,26 +315,24 @@ def make_plan(
         raise ValueError(f"u={u} is below the minimum scale {least} for q={q}, h={h}")
     e = translate_shift(p)
     p_shifted = poly_translate(p, e)
-    delta = splitting_margin(q, h, p_shifted)
     return ConstructionPlan(
         target=target,
         p=p,
         e=e,
         p_shifted=p_shifted,
         box=admissible_ranges(q, h, u),
-        delta=delta,
-        k_threshold=h * u + delta,
+        k_threshold=h * u + splitting_margin(q, p_shifted),
     )
 
 
-def witness_bits_bound(q: int, m: int, p: IntPolynomial, u: Optional[int]) -> int:
+def witness_bits_bound(q: int, m: int, p: IntPolynomial, u: int) -> int:
     """An upper bound on bits(p(n)) over the witnesses of a plan for p at scale u.
 
     Bit lengths only, and no power of q above q^16, so it is cheap at any
-    degree and scale; u=None reads min_u.  With (a, b) = log2_bracket(q), the
-    shift e is at most c + 1, c the largest |coefficient| below the leading
-    one (Cauchy's root bound, for every derivative of p), so P = p_shifted
-    has max(P) <= P(1) = p(1 + e) <= A*(c + 2)^h, A the sum of |coefficients|.
+    degree and scale.  With (a, b) = log2_bracket(q), the shift e is at most
+    c + 1, c the largest |coefficient| below the leading one (Cauchy's root
+    bound, for every derivative of p), so P = p_shifted has max(P) <= P(1) =
+    p(1 + e) <= A*(c + 2)^h, A the sum of |coefficients|.
     splitting_margin is below the first j > 2h with j*log2 q >= bits(P(1)) +
     2h, so every k is below h*u + j + m; t(q^k) < 3q^(u+3k), and p(n) =
     P(t(q^k)) <= P(1)*t^h.  The same terms bound bits(A) + h*bits(n), as
@@ -361,8 +340,6 @@ def witness_bits_bound(q: int, m: int, p: IntPolynomial, u: Optional[int]) -> in
     """
     h, coeffs = _degree(p), p.coeffs
     a, b = log2_bracket(q)
-    if u is None:
-        u = min_u(q, h)
     c = max(map(abs, coeffs[:-1]), default=0)
     p1_bits = sum(map(abs, coeffs)).bit_length() + h * (c + 2).bit_length()
     j = max(2 * h + 1, -(-16 * (p1_bits + 2 * h) // a))

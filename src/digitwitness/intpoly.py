@@ -119,7 +119,3 @@ def difference_walk(values: Sequence[int]) -> Iterator[int]:
 def poly_translate(p: IntPolynomial, e: int) -> IntPolynomial:
     """p(x + e), exactly."""
     return poly_compose(p, IntPolynomial.from_coeffs([e, 1]))
-
-
-def max_abs_coeff(p: IntPolynomial) -> int:
-    return max((abs(c) for c in p.coeffs), default=0)

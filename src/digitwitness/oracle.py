@@ -163,8 +163,9 @@ def verify_witnesses(
             rebuilt = poly_eval(build_cubic(params), q**w.k) + w.e
             if rebuilt != w.n:
                 problems.append(
-                    f"n does not match its quadruple: {decimal_str(rebuilt)} != "
-                    f"{decimal_str(w.n)}"
+                    f"n does not match its quadruple: the rebuilt n has "
+                    f"{rebuilt.bit_length()} bits, n has {w.n.bit_length()} and "
+                    f"their difference {(rebuilt - w.n).bit_length()}"
                 )
         if w.sq_value != w.k * (q - 1) + w.offset:
             problems.append(

@@ -12,7 +12,7 @@ import pytest
 
 from digitwitness import bounds, cli, construction, oracle
 from digitwitness.construction import ConsistencyError, CubicParams, Witness, build_cubic
-from digitwitness.digits import _DECIMAL_CHARS_CAP
+from digitwitness.digits import _DECIMAL_CHARS_CAP, decimal_str, digit_sum
 from digitwitness.intpoly import IntPolynomial, poly_eval
 
 WITNESS_KEYS = [
@@ -529,6 +529,21 @@ class TestVerify:
         # each quoted number has more than the 4300 digits str() allows
         detail, _ = self.edited_row_records(tmp_path, capsys, edits)
         assert message in detail
+
+    def test_mismatch_message_writes_bit_lengths(self, tmp_path, capsys):
+        # a 5000-digit n whose row passes every other check, and a rebuilt n
+        # of about 10850 digits: the message gives sizes, not the numbers
+        n = 10**4999
+        while digit_sum(n**3, 2) % 3 != 1:
+            n += 1
+        sq = digit_sum(n**3, 2)
+        edits = {"n": decimal_str(n), "k": 12000, "M": sq - 12000, "sq": sq}
+        detail, _ = self.edited_row_records(tmp_path, capsys, edits)
+        assert len(detail) < 200
+        assert detail == (
+            "n does not match its quadruple: the rebuilt n has 36015 bits, "
+            "n has 16607 and their difference 36015"
+        )
 
     def test_row_past_the_value_cap_is_flagged_quickly(self, tmp_path, capsys):
         # |p(n)| <= A*|n|^h could reach 1000 * 13288 bits: a row failure,

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digitwitness.construction import (
+    AdmissibleBox,
     CongruenceTarget,
     ConsistencyError,
     CubicParams,
-    Lcg64,
     admissible_ranges,
     build_cubic,
     compositions,
@@ -31,7 +31,6 @@ from digitwitness.construction import (
 from digitwitness.digits import digit_sum
 from digitwitness.intpoly import (
     IntPolynomial,
-    max_abs_coeff,
     poly_compose,
     poly_eval,
     poly_translate,
@@ -170,9 +169,17 @@ class TestAdmissibleBox:
             box.require(p)
 
     def test_lcg_recurrence_is_pinned(self):
-        rng = Lcg64(1)
-        first = (6364136223846793005 * 1 + 1442695040888963407) % 2**64
-        assert rng.next() == first
+        # four draws per quadruple in field order, each the next state of
+        # state <- (a*state + c) mod 2^64 reduced mod its field's range
+        box = admissible_ranges(2, 3, 15)
+        states, state = [], 1
+        for _ in range(4):
+            state = (6364136223846793005 * state + 1442695040888963407) % 2**64
+            states.append(state)
+        assert next(box.sample(1, seed=1)) == CubicParams(
+            m0=box.lo + states[0] % box.side, m1=1 + states[1] % box.m1_max,
+            m2=box.lo + states[2] % box.side, m3=box.lo + states[3] % box.side, u=15,
+        )
 
 
 class TestSignViolation:
@@ -202,15 +209,14 @@ class TestSignPattern:
     def test_admissible_quadruples_pass(self):
         box = admissible_ranges(2, 3, 15)
         for params in box.sample(50, seed=11):
-            report = verify_sign_pattern(box, 3, params)
-            assert report.ok
-            assert report.first_violation is None
-            assert max_abs_coeff(power(build_cubic(params), 3)) <= (4 * 2**15) ** 3
+            assert verify_sign_pattern(box, 3, params) is None
+            powered = power(build_cubic(params), 3)
+            assert max(map(abs, powered.coeffs)) <= (4 * 2**15) ** 3
 
     def test_power_one_is_the_cubic_itself(self):
         params = CubicParams(m0=2**14, m1=1, m2=2**14, m3=2**14, u=15)
-        report = verify_sign_pattern(admissible_ranges(2, 1, 15), 1, params)
-        assert report.ok and sign_violation(build_cubic(params)) is None
+        first = verify_sign_pattern(admissible_ranges(2, 1, 15), 1, params)
+        assert first is None and sign_violation(build_cubic(params)) is None
 
     def test_out_of_range_m1_is_a_precondition_error(self):
         params = CubicParams(m0=2**14, m1=2**15, m2=2**14, m3=2**14, u=15)
@@ -222,7 +228,14 @@ class TestSignPattern:
         box = admissible_ranges(2, 3, 15)
         top = CubicParams(m0=2**15 - 1, m1=box.m1_max, m2=2**15 - 1, m3=2**15 - 1,
                           u=15)
-        assert verify_sign_pattern(box, 3, top).ok
+        assert verify_sign_pattern(box, 3, top) is None
+
+    def test_coefficient_bound_is_part_of_the_verdict(self):
+        # t = x^3 + x^2 - 9x + 1 keeps the sign pattern, but |c_1| = 9 > 4*2
+        box = AdmissibleBox(u=1, lo=1, hi=2, m1_max=100)
+        params = CubicParams(m0=1, m1=9, m2=1, m3=1, u=1)
+        assert sign_violation(build_cubic(params)) is None
+        assert verify_sign_pattern(box, 1, params) == 1
 
     @pytest.mark.parametrize("q, l, u", [(2, 3, 15), (3, 2, 8), (10, 3, 8)])
     def test_extreme_low_coefficients_have_closed_forms(self, q, l, u):
@@ -283,7 +296,7 @@ class TestTranslateShift:
 
 def _min_k(q, h, u, p_shifted):
     """The smallest usable splitting exponent, h*u + delta + 1."""
-    return h * u + splitting_margin(q, h, p_shifted) + 1
+    return h * u + splitting_margin(q, p_shifted) + 1
 
 
 class TestMinK:
@@ -322,7 +335,7 @@ class TestMinK:
 
     def test_rejects_negative_coefficients(self):
         with pytest.raises(ValueError):
-            splitting_margin(2, 3, IntPolynomial.from_coeffs([0, -2, 0, 1]))
+            splitting_margin(2, IntPolynomial.from_coeffs([0, -2, 0, 1]))
 
 
 class TestSplittingMargin:
@@ -338,9 +351,10 @@ class TestSplittingMargin:
         u0 = min_u(q, p.degree)
         plans = [make_plan(CongruenceTarget(q=q, m=7, g=0), p, u)
                  for u in range(u0, u0 + 5)]
-        assert len({plan.delta for plan in plans}) == 1
-        for plan in plans:
-            assert plan.k_threshold == p.degree * plan.box.u + plan.delta
+        margins = [splitting_margin(q, plan.p_shifted) for plan in plans]
+        assert len(set(margins)) == 1
+        for plan, delta in zip(plans, margins):
+            assert plan.k_threshold == p.degree * plan.box.u + delta
 
     @pytest.mark.parametrize(
         "coeffs, delta",
@@ -349,19 +363,20 @@ class TestSplittingMargin:
     def test_general_polynomials_at_base_two(self, coeffs, delta):
         # x^3 - 2x, 2x^4 + x, 7x^3 and x^3 + 5 split later than monomials
         p = IntPolynomial.from_coeffs(coeffs)
-        assert make_plan(CongruenceTarget(q=2, m=3, g=0), p).delta == delta
+        plan = make_plan(CongruenceTarget(q=2, m=3, g=0), p)
+        assert splitting_margin(2, plan.p_shifted) == delta
 
     @pytest.mark.parametrize("q", [2, 3, 10, 16])
     @pytest.mark.parametrize("h", [1, 3, 8, 30])
     def test_monomials_keep_2h(self, q, h):
         # q^(2h+1) > 4^h = max(x^h) * 4^h
-        assert splitting_margin(q, h, IntPolynomial.monomial(h)) == 2 * h
+        assert splitting_margin(q, IntPolynomial.monomial(h)) == 2 * h
 
     @pytest.mark.parametrize("q", [1, 0])
     def test_rejects_base_below_two(self, q):
         # no power of 1 or 0 passes the bound, so a search by q^j never ends
         with pytest.raises(ValueError, match="base must be >= 2"):
-            splitting_margin(q, 3, X3)
+            splitting_margin(q, X3)
 
 
 def _plan_with_threshold(q, m, g, k_threshold):
@@ -653,6 +668,11 @@ class TestWitnessBitsBound:
     def largest_bits(cls, q, m, p, u):
         return poly_eval(p, cls.largest_n(q, m, p, u)).bit_length()
 
+    @staticmethod
+    def bound(q, m, p, u):
+        # u=None in CASES is make_plan's default, the minimum scale
+        return witness_bits_bound(q, m, p, min_u(q, p.degree) if u is None else u)
+
     @classmethod
     def verify_row_bits(cls, q, m, p, u):
         # what verify compares with the cap before it evaluates p(n)
@@ -661,13 +681,13 @@ class TestWitnessBitsBound:
 
     @pytest.mark.parametrize("q, m, p, u", CASES)
     def test_bounds_the_largest_value_of_the_plan(self, q, m, p, u):
-        largest, bound = self.largest_bits(q, m, p, u), witness_bits_bound(q, m, p, u)
+        largest, bound = self.largest_bits(q, m, p, u), self.bound(q, m, p, u)
         assert largest <= bound <= 1.25 * largest
 
     @pytest.mark.parametrize("q, m, p, u", CASES)
     def test_bounds_the_row_size_verify_checks(self, q, m, p, u):
         # so verify never flags a row that construct writes
-        assert self.verify_row_bits(q, m, p, u) <= witness_bits_bound(q, m, p, u)
+        assert self.verify_row_bits(q, m, p, u) <= self.bound(q, m, p, u)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -680,7 +700,7 @@ class TestWitnessBitsBound:
         # depend on the Cauchy bound
         q, m = qm
         p = IntPolynomial.from_coeffs(low + [lead])
-        bound = witness_bits_bound(q, m, p, None)
+        bound = witness_bits_bound(q, m, p, min_u(q, p.degree))
         assert self.largest_bits(q, m, p, None) <= bound
         assert self.verify_row_bits(q, m, p, None) <= bound
 
@@ -688,14 +708,14 @@ class TestWitnessBitsBound:
     def test_bounds_every_constructed_value(self, q, m, p, u):
         for g in range(m):
             target = CongruenceTarget(q=q, m=m, g=g)
-            bound = witness_bits_bound(q, m, p, u)
+            bound = self.bound(q, m, p, u)
             for w in construct_family(target, p, u, limit=20):
                 assert poly_eval(p, w.n).bit_length() <= bound
 
     @pytest.mark.parametrize("q", [1, 0, -3])
     def test_rejects_base_below_two(self, q):
         with pytest.raises(ValueError, match="base must be >= 2"):
-            witness_bits_bound(q, 3, X3, None)
+            witness_bits_bound(q, 3, X3, 15)
 
     def test_grows_with_degree_scale_and_modulus(self):
         base = witness_bits_bound(2, 3, X3, 15)

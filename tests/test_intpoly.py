@@ -8,7 +8,6 @@ from digitwitness.construction import sign_violation
 from digitwitness.intpoly import (
     IntPolynomial,
     difference_walk,
-    max_abs_coeff,
     poly_compose,
     poly_eval,
     poly_translate,
@@ -231,13 +230,6 @@ class TestSignProfile:
         assert sign_violation(IntPolynomial(CUBIC_SQUARED)) == 3
 
 
-class TestMaxAbsCoeff:
-    def test_values(self):
-        assert max_abs_coeff(CUBIC) == 1
-        assert max_abs_coeff(IntPolynomial(CUBIC_SQUARED)) == 3
-        assert max_abs_coeff(ZERO) == 0
-
-
 def test_power_coefficient_bound_for_admissible_cubics():
     # every coefficient of t^l stays within (4*q^u)^l when the quadruple is
     # drawn from the admissible box
@@ -248,4 +240,4 @@ def test_power_coefficient_bound_for_admissible_cubics():
             box = admissible_ranges(q, l, u)
             for params in box.sample(20, seed=99):
                 powered = power(build_cubic(params), l)
-                assert max_abs_coeff(powered) <= (4 * q**u) ** l
+                assert max(map(abs, powered.coeffs)) <= (4 * q**u) ** l
