@@ -411,28 +411,23 @@ LEMMA_FIELDS = [
 _EXHAUSTIVE_CAP = 10**7
 
 
-def _lemma_quadruples(
-    args: argparse.Namespace, box: construction.AdmissibleBox
-) -> Iterator[CubicParams]:
-    if args.mode == "random":
-        yield from box.sample(args.count, args.seed)
-        return
-    per = args.max_per_range
-    if per is not None:
-        box = replace(box, hi=min(box.lo + per, box.hi), m1_max=min(per, box.m1_max))
-    if box.size > _EXHAUSTIVE_CAP:
-        raise ValueError(
-            f"exhaustive run would cover {box.size} quadruples; "
-            f"truncate with --max-per-range"
-        )
-    yield from map(box.params_at, range(box.size))
-
-
 def cmd_lemma(args: argparse.Namespace) -> int:
     box = construction.admissible_ranges(args.q, args.l, args.u)
+    if args.mode == "random":
+        quadruples = box.sample(args.count, args.seed)
+    else:
+        # only the grid is cut: the check's bound (4q^u)^l reads the whole box
+        per = args.max_per_range or box.size
+        grid = replace(box, hi=min(box.lo + per, box.hi), m1_max=min(per, box.m1_max))
+        if grid.size > _EXHAUSTIVE_CAP:
+            raise ValueError(
+                f"exhaustive run would cover {grid.size} quadruples; "
+                f"truncate with --max-per-range"
+            )
+        quadruples = map(grid.params_at, range(grid.size))
     total = passed = 0
     with _output(args, LEMMA_FIELDS) as writer:
-        for params in _lemma_quadruples(args, box):
+        for params in quadruples:
             first = construction.verify_sign_pattern(box, args.l, params)
             total += 1
             passed += first is None

@@ -108,16 +108,6 @@ def min_u(q: int, h: int) -> int:
     return h + 2 + ilog(q, 2 * h * 6**h - 1)
 
 
-def m1_upper(q: int, h: int, u: int) -> int:
-    """Largest m1 with m1 * m1_divisor(q, h) < q^u (the inequality is strict)."""
-    top = (q**u - 1) // m1_divisor(q, h)
-    if top < 1:
-        raise ValueError(
-            f"empty m1 range at q={q}, h={h}, u={u}; scale u is too small"
-        )
-    return top
-
-
 @dataclass(frozen=True)
 class AdmissibleBox:
     """Integer parameter ranges for degree h at scale u.
@@ -189,7 +179,13 @@ def admissible_ranges(q: int, h: int, u: int) -> AdmissibleBox:
     if h * (2 + -(-b * u // 16)) >= VALUE_BITS_CAP:
         cap = f"{VALUE_BITS_CAP}-bit cap"
         raise ValueError(f"(4q^u)^l at q={q}, l={h}, u={u} could exceed the {cap}")
-    return AdmissibleBox(u=u, lo=q ** (u - 1), hi=q**u, m1_max=m1_upper(q, h, u))
+    # the largest m1 with m1 * m1_divisor(q, h) < q^u (the inequality is strict)
+    m1_max = (q**u - 1) // m1_divisor(q, h)
+    if m1_max < 1:
+        raise ValueError(
+            f"empty m1 range at q={q}, h={h}, u={u}; scale u is too small"
+        )
+    return AdmissibleBox(u=u, lo=q ** (u - 1), hi=q**u, m1_max=m1_max)
 
 
 def build_cubic(params: CubicParams) -> IntPolynomial:

@@ -66,14 +66,15 @@ class DensityTable:
 
     n_limit: int
     counts: tuple[int, ...]
-    densities: tuple[Fraction, ...]
     predictions: tuple[Fraction, ...]
 
     def __post_init__(self):
         if sum(self.counts) != self.n_limit:
             raise ValueError("counts must sum to N")
-        if sum(self.densities, Fraction(0)) != 1:
-            raise ValueError("densities must sum to 1")
+
+    @property
+    def densities(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.n_limit) for c in self.counts)
 
     @property
     def deviations(self) -> tuple[Fraction, ...]:
@@ -111,7 +112,6 @@ def density_table(
     return DensityTable(
         n_limit=n_limit,
         counts=tuple(counts),
-        densities=tuple(Fraction(c, n_limit) for c in counts),
         predictions=tuple(Fraction(residues.count(g % d), m) for g in range(m)),
     )
 

@@ -999,6 +999,26 @@ class TestLemma:
         err = capsys.readouterr().err
         assert code == 2 and "--max-per-range" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_unbounded_exhaustive_run_is_refused_before_any_output(
+        self, capsys, tmp_path, fmt
+    ):
+        # the box is 16384^3 * 3 quadruples; nothing is written, not even a
+        # CSV header, and a file --out names keeps its bytes
+        argv = ["lemma", "--q", "2", "--l", "3", "--u", "15", "--mode",
+                "exhaustive", "--format", fmt]
+        code = run(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == ("error: exhaustive run would cover 13194139533312 "
+                       "quadruples; truncate with --max-per-range\n")
+        kept = tmp_path / "kept.jsonl"
+        kept.write_bytes(b"earlier output\n")
+        code = run(argv + ["--out", str(kept)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and err.startswith("error: exhaustive run")
+        assert kept.read_bytes() == b"earlier output\n"
+
     @pytest.mark.parametrize(
         "q, l, u, refused",
         [
@@ -1021,7 +1041,7 @@ class TestLemma:
         def reached(*args):
             raise ValueError("box reached")
 
-        monkeypatch.setattr(construction, "m1_upper", reached)
+        monkeypatch.setattr(construction, "m1_divisor", reached)
         start = time.perf_counter()
         code = run(["lemma", "--q", q, "--l", l, "--u", u, "--mode", "random",
                     "--count", "1", "--seed", "1"])

@@ -17,7 +17,7 @@ from digitwitness.construction import (
     compositions,
     construct_family,
     digit_sum_offset,
-    m1_upper,
+    m1_divisor,
     make_plan,
     min_u,
     select_k,
@@ -104,7 +104,7 @@ class TestMinU:
         with pytest.raises(ValueError, match="need q >= 2 and h >= 1"):
             min_u(q, h)
         with pytest.raises(ValueError, match="need q >= 2 and h >= 1"):
-            m1_upper(q, h, 40)
+            m1_divisor(q, h)
 
 
 class TestM1Upper:
@@ -112,18 +112,18 @@ class TestM1Upper:
         "q, h, u, expected", [(2, 3, 15, 3), (2, 3, 16, 6), (10, 3, 8, 15)]
     )
     def test_frozen_values(self, q, h, u, expected):
-        assert m1_upper(q, h, u) == expected
+        assert admissible_ranges(q, h, u).m1_max == expected
 
     @pytest.mark.parametrize("q, h, u", [(2, 3, 15), (3, 3, 11), (10, 3, 8), (2, 1, 6)])
     def test_strict_maximality(self, q, h, u):
-        top = m1_upper(q, h, u)
+        top = admissible_ranges(q, h, u).m1_max
         denominator = h * q * (6 * q) ** h
         assert top * denominator < q**u
         assert (top + 1) * denominator >= q**u
 
     def test_empty_range_rejected(self):
-        with pytest.raises(ValueError):
-            m1_upper(2, 3, 5)
+        with pytest.raises(ValueError, match="empty m1 range at q=2, h=3, u=5"):
+            admissible_ranges(2, 3, 5)
 
 
 class TestBuildCubic:

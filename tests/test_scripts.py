@@ -37,6 +37,16 @@ def test_script_runs(name, args, header):
     assert result.stdout.splitlines()[0] == header
 
 
+def test_witness_anatomy_runs_past_the_str_limit():
+    # n has 5379 decimal digits and p(n) 536 kbits, past the 4300 digits
+    # str() writes
+    result = run_script("witness_anatomy.py", "--q", "10", "--m", "7", "--g", "0",
+                        "--poly", "x^30")
+    assert result.returncode == 0, result.stderr
+    assert "has 5379 decimal digits" in result.stdout
+    assert "\ntotal digit sum 362782 = k*(q-1) + offset" in result.stdout
+
+
 def test_readme_library_example_runs():
     text = (ROOT / "README.md").read_text()
     blocks = re.findall(r"^```python\n(.*?)^```$", text, re.S | re.M)
