@@ -28,6 +28,10 @@ from .construction import (
 from .digits import decimal_str, ilog
 from .intpoly import IntPolynomial
 
+# Largest N, in bits, that certify_lower_bound (and any --N-at value) takes:
+# certifying an N of 2^16 bits takes about half a second, 2^20 bits minutes.
+N_BITS_CAP = 1 << 16
+
 
 def nth_root_floor(x: int, n: int) -> int:
     """Largest r with r**n <= x, by integer Newton iteration."""
@@ -75,6 +79,16 @@ def explicit_constants(q: int, m: int, h: int) -> ExplicitConstants:
     C is carried as c_den = (16q^4 D)^(3h+1) * q^(12(delta+m)), the integer
     with C = c_den^(-1/(3h+1)).
     """
+    if h < 1:
+        raise ValueError(f"need h >= 1, got h={h}")
+    # N0 = q^(3(delta+m)) * (2qD)^(3h+1) with delta >= 2h and 2qD > 8^h has
+    # more bits than this bound; past the cap no N that certify_lower_bound
+    # accepts reaches it, so it is not built
+    if 3 * (q.bit_length() - 1) * (2 * h + m) + 3 * h * (3 * h + 1) >= N_BITS_CAP:
+        raise ValueError(
+            f"N0 at q={q}, m={m}, h={h} is above the {N_BITS_CAP}-bit "
+            f"cap on N, so every accepted N is below N0"
+        )
     CongruenceTarget(q, m, 0)  # refuses q < 2, m < 2 and gcd(m, q-1) > 1
     u0, d, root = min_u(q, h), m1_divisor(q, h), 3 * h + 1
     delta = splitting_margin(q, IntPolynomial.monomial(h))
@@ -95,7 +109,7 @@ class BoundsReport:
 
 
 def certify_lower_bound(constants: ExplicitConstants, n_limit: int) -> BoundsReport:
-    """Certify guaranteed-count >= C * N^(4/(3h+1)) for a concrete N >= N0.
+    """Certify guaranteed-count >= C * N^(4/(3h+1)) for N0 <= N < 2^N_BITS_CAP.
 
     Finds the unique scale u with shift * q^(u(3h+1)) <= N < shift *
     q^((u+1)(3h+1)), takes the size of construct's box at that u, checks it
@@ -104,6 +118,8 @@ def certify_lower_bound(constants: ExplicitConstants, n_limit: int) -> BoundsRep
     the smallest integer at or above C * N^(4/(3h+1)) (the `required` field).
     """
     q, h = constants.q, constants.h
+    if n_limit.bit_length() > N_BITS_CAP:
+        raise ValueError(f"N is above the {N_BITS_CAP}-bit cap")
     if n_limit < constants.n0:
         raise ValueError(
             f"N={decimal_str(n_limit)} is below N0={decimal_str(constants.n0)}"

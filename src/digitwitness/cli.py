@@ -45,9 +45,10 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-# Largest --poly degree, checked before any coefficient is built.  The
-# density tally starts from h + 1 values of p whatever N is (x^4000 took over
-# a minute at N = 2), and construct and certify refuse every degree above 86.
+# Largest --poly degree, checked before any coefficient is built.  density
+# seeds its difference table with min(h + 1, N) values of p, about h^2
+# additions, and each later value costs h more (x^1024 at N = 1025 takes
+# 1.2 s); construct and certify refuse every degree above 86.
 _DEGREE_CAP = 1 << 10
 
 
@@ -234,11 +235,6 @@ BOUNDS_FIELDS = [
     "guaranteed", "estimate_num", "estimate_den", "required", "verdict",
 ]
 
-
-# Largest --N-at value, and any value met on the way, in bits.  Certifying an
-# N of 2^16 bits takes about half a second; 2^20 bits takes minutes.
-_N_BITS_CAP = 1 << 16
-
 _N_OPERATORS = {
     ast.Add: operator.add,
     ast.Sub: operator.sub,
@@ -263,13 +259,13 @@ def _n_value(node: ast.AST, names: dict[str, int]) -> int:
         if op is operator.pow and right < 0:
             raise ValueError(f"negative exponent {right}")
         # a power of a b-bit base has more than (b - 1) * exponent bits
-        if op is operator.pow and (left.bit_length() - 1) * right >= _N_BITS_CAP:
-            raise ValueError(f"a power exceeds {_N_BITS_CAP} bits")
+        if op is operator.pow and (left.bit_length() - 1) * right >= bounds.N_BITS_CAP:
+            raise ValueError(f"a power exceeds {bounds.N_BITS_CAP} bits")
         value = op(left, right)
     else:
         raise ValueError(f"unsupported term {ast.unparse(node)!r}")
-    if value.bit_length() > _N_BITS_CAP:
-        raise ValueError(f"a value exceeds {_N_BITS_CAP} bits")
+    if value.bit_length() > bounds.N_BITS_CAP:
+        raise ValueError(f"a value exceeds {bounds.N_BITS_CAP} bits")
     return value
 
 
@@ -300,17 +296,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
                 f"use `construct` for general polynomials"
             )
         h = p.degree
-    if h < 1:
-        raise ValueError(f"need h >= 1, got h={h}")
-    # N0 = q^(3(delta+m)) * (2qD)^(3h+1) with delta >= 2h and 2qD > 8^h has
-    # more bits than this bound; past the cap no N that --N or --N-at
-    # accepts reaches it, so it is not built
-    bits = 3 * (args.q.bit_length() - 1) * (2 * h + args.m) + 3 * h * (3 * h + 1)
-    if bits >= _N_BITS_CAP:
-        raise ValueError(
-            f"N0 at q={args.q}, m={args.m}, h={h} is above the {_N_BITS_CAP}-bit "
-            f"cap on N, so every accepted N is below N0"
-        )
     constants = bounds.explicit_constants(args.q, args.m, h)
     if args.n_expr is not None:
         n_limit = _eval_n_expression(args.n_expr, args.q, args.m, h, constants.n0)

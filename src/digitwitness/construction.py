@@ -326,9 +326,11 @@ def witness_bits_bound(q: int, m: int, p: IntPolynomial, u: int) -> int:
 
     Bit lengths only, and no power of q above q^16, so it is cheap at any
     degree and scale.  With (a, b) = log2_bracket(q), the shift e is at most
-    c + 1, c the largest |coefficient| below the leading one (Cauchy's root
-    bound, for every derivative of p), so P = p_shifted has max(P) <= P(1) =
-    p(1 + e) <= A*(c + 2)^h, A the sum of |coefficients|.
+    c + 1, c the largest |negative coefficient| below the leading one (e = 0
+    when there is none): for x >= c + 1 every derivative has p^(j)(x) >=
+    (h)_j x^(h-j) (1 - c/(x-1)) >= 0, and p(x + e) has the coefficients
+    p^(j)(e)/j!.  So P = p_shifted has max(P) <= P(1) = p(1 + e) <=
+    A*(c + 2)^h, A the sum of |coefficients|.
     splitting_margin is below the first j > 2h with j*log2 q >= bits(P(1)) +
     2h, so every k is below h*u + j + m; t(q^k) < 3q^(u+3k), and p(n) =
     P(t(q^k)) <= P(1)*t^h.  The same terms bound bits(A) + h*bits(n), as
@@ -336,7 +338,7 @@ def witness_bits_bound(q: int, m: int, p: IntPolynomial, u: int) -> int:
     """
     h, coeffs = _degree(p), p.coeffs
     a, b = log2_bracket(q)
-    c = max(map(abs, coeffs[:-1]), default=0)
+    c = -min(0, *coeffs[:-1])
     p1_bits = sum(map(abs, coeffs)).bit_length() + h * (c + 2).bit_length()
     j = max(2 * h + 1, -(-16 * (p1_bits + 2 * h) // a))
     k = h * u + j + m - 1

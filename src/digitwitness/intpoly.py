@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .digits import decimal_str
+
 
 @dataclass(frozen=True)
 class IntPolynomial:
@@ -55,10 +57,10 @@ class IntPolynomial:
             sign = "-" if c < 0 else ("+" if parts else "")
             mag = abs(c)
             if i == 0:
-                term = str(mag)
+                term = decimal_str(mag)
             else:
                 x = "x" if i == 1 else f"x^{i}"
-                term = x if mag == 1 else f"{mag}{x}"
+                term = x if mag == 1 else f"{decimal_str(mag)}{x}"
             parts.append(f"{sign}{term}" if not parts else f" {sign} {term}")
         return "".join(parts)
 

@@ -5,8 +5,7 @@ from enumerating [0, N) and tallying digit sums through `digits`, and witness
 verification re-evaluates p(n) from scratch, in one pass over any iterable,
 returning only the problems of the witnesses that fail.  Enumeration
 advances p(n) by intpoly.difference_walk, the stepper construct also runs
-along m0 (h additions per step); per-n Horner evaluation is kept around as
-the dumber cross-check path.
+along m0 (h additions per step).
 
 [0, N) is cut into fixed-size chunks that `parallel.chunked_map` tallies,
 across processes when there are several workers (never more processes than
@@ -46,8 +45,9 @@ _MODULUS_CAP = 1 << 16
 
 def polynomial_values(p: IntPolynomial, start: int, stop: int) -> Iterator[int]:
     """p(start), p(start+1), ..., p(stop-1), stepped by intpoly.difference_walk
-    from the h + 1 values at start."""
-    seeds = [poly_eval(p, start + i) for i in range(max(p.degree, 0) + 1)]
+    from the first min(h + 1, stop - start) of them."""
+    count = min(max(p.degree, 0) + 1, stop - start)
+    seeds = [poly_eval(p, start + i) for i in range(count)]
     return islice(difference_walk(seeds), max(stop - start, 0))
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from digitwitness import bounds
 from digitwitness.bounds import certify_lower_bound, explicit_constants, nth_root_floor
 from digitwitness.construction import admissible_ranges, min_u
 
@@ -84,6 +85,21 @@ class TestExplicitConstants:
     def test_rejects_gcd_violation(self):
         with pytest.raises(ValueError):
             explicit_constants(10, 3, 3)
+
+    @pytest.mark.parametrize("h", [300, 1000])
+    def test_n0_past_the_n_cap_is_refused_before_it_is_built(self, monkeypatch, h):
+        # N0 has more than 3(bits(q)-1)(2h+m) + 3h(3h+1) bits; min_u, which
+        # builds 6^h, is the first call after the guard
+        def refused(*args):
+            raise AssertionError("constants built past the cap")
+
+        monkeypatch.setattr(bounds, "min_u", refused)
+        with pytest.raises(ValueError) as info:
+            explicit_constants(2, 3, h)
+        assert str(info.value) == (
+            f"N0 at q=2, m=3, h={h} is above the 65536-bit cap on N, so every "
+            f"accepted N is below N0"
+        )
 
     def test_n0_matches_closed_form_on_grid(self):
         for q, m, h in GRID:
@@ -178,6 +194,19 @@ class TestCertifyLowerBound:
         constants = explicit_constants(2, 3, 3)
         with pytest.raises(ValueError):
             certify_lower_bound(constants, constants.n0 - 1)
+
+    def test_n_past_the_cap_is_refused_before_any_root(self, monkeypatch):
+        constants = explicit_constants(2, 3, 3)
+        assert certify(constants, 2 ** (2**16) - 1).verdict  # 2^16 bits
+
+        def refused(*args):
+            raise AssertionError("N bracketed past the cap")
+
+        monkeypatch.setattr(bounds, "ilog", refused)
+        monkeypatch.setattr(bounds, "nth_root_floor", refused)
+        for n_limit in (2 ** (2**16), 2 ** (2**16 + 1)):
+            with pytest.raises(ValueError, match="N is above the 65536-bit cap"):
+                certify_lower_bound(constants, n_limit)
 
     def test_every_link_in_the_chain(self):
         # guaranteed >= estimate > C*N^(4/(3h+1)), hence >= required

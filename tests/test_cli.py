@@ -227,6 +227,18 @@ class TestConstruct:
         assert n == poly_eval(build_cubic(params), 10 ** record["k"]) + record["e"]
 
 
+    def test_large_positive_constant_term_round_trips(self, tmp_path, capsys):
+        # x^30 + 10^1000 at q = 2: a 6206-digit n, and p(n) of 618 kbit, which
+        # the witness bound, charging the shift for negative coefficients
+        # only, keeps under the 2^22-bit cap
+        path = tmp_path / "w.jsonl"
+        target = ["--q", "2", "--m", "3", "--g", "1",
+                  "--poly", ",".join(["1"] + ["0"] * 29 + [str(10**1000)])]
+        assert run(["construct", *target, "--limit", "2", "--out", str(path)]) == 0
+        code, lines = run_lines(capsys, ["verify", *target, "--in", str(path)])
+        assert code == 0
+        assert json.loads(lines[-1])["detail"] == "total=2 failed=0 malformed=0"
+
     @pytest.mark.parametrize("poly", ["0", "0,0"])
     def test_zero_polynomial_is_a_usage_error(self, capsys, poly):
         code = run(["construct", "--q", "2", "--m", "3", "--g", "1", "--poly", poly])
@@ -784,11 +796,12 @@ class TestCertify:
         self, capsys, monkeypatch, q, m, h
     ):
         # N0 has more than 3(bits(q)-1)(2h+m) + 3h(3h+1) bits, so none of
-        # these N0 is reachable under the 2^16-bit cap on --N-at
+        # these N0 is reachable under the 2^16-bit cap on --N-at; min_u is
+        # explicit_constants' first call after its guard
         def refused(*args):
             raise AssertionError("constants built past the cap")
 
-        monkeypatch.setattr(bounds, "explicit_constants", refused)
+        monkeypatch.setattr(bounds, "min_u", refused)
         code = run(["certify", "--q", str(q), "--m", str(m), "--h", str(h),
                     "--N", "5"])
         out, err = capsys.readouterr()

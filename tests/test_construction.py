@@ -653,6 +653,12 @@ class TestWitnessBitsBound:
         (10, 7, IntPolynomial.monomial(30), None),
         (2, 3, IntPolynomial.monomial(60), None),
     ]
+    # a large positive constant term does not move the shift e, so it must
+    # not inflate the bound (it did 10.6-fold for x^12 + 10^1000 at q=10)
+    LARGE_CONSTANT = [
+        (2, 3, IntPolynomial.from_coeffs([10**1000] + [0] * 29 + [1]), None),
+        (10, 7, IntPolynomial.from_coeffs([10**1000] + [0] * 11 + [1]), None),
+    ]
 
     @staticmethod
     def largest_n(q, m, p, u):
@@ -679,12 +685,12 @@ class TestWitnessBitsBound:
         size_of_p = sum(map(abs, p.coeffs)).bit_length()
         return size_of_p + p.degree * cls.largest_n(q, m, p, u).bit_length()
 
-    @pytest.mark.parametrize("q, m, p, u", CASES)
+    @pytest.mark.parametrize("q, m, p, u", CASES + LARGE_CONSTANT)
     def test_bounds_the_largest_value_of_the_plan(self, q, m, p, u):
         largest, bound = self.largest_bits(q, m, p, u), self.bound(q, m, p, u)
         assert largest <= bound <= 1.25 * largest
 
-    @pytest.mark.parametrize("q, m, p, u", CASES)
+    @pytest.mark.parametrize("q, m, p, u", CASES + LARGE_CONSTANT)
     def test_bounds_the_row_size_verify_checks(self, q, m, p, u):
         # so verify never flags a row that construct writes
         assert self.verify_row_bits(q, m, p, u) <= self.bound(q, m, p, u)
@@ -739,6 +745,15 @@ class TestLibraryRefusals:
         assert str(info.value) == (
             "p(n) for p = x^200 at q=2, m=3 could exceed the 4194304-bit cap "
             "on one witness"
+        )
+
+    def test_refusal_quotes_a_coefficient_past_the_str_limit(self):
+        p = IntPolynomial.from_coeffs([10**5000] + [0] * 70 + [1])
+        with pytest.raises(ValueError) as info:
+            make_plan(CongruenceTarget(2, 3, 0), p)
+        head = "p(n) for p = x^71 + 1" + "0" * 5000
+        assert str(info.value) == (
+            f"{head} at q=2, m=3 could exceed the 4194304-bit cap on one witness"
         )
 
     def test_admissible_ranges_refuses_a_power_past_the_cap(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from digitwitness import oracle
 from digitwitness.construction import CongruenceTarget, construct_family
 from digitwitness.digits import VALUE_BITS_CAP, expand
 from digitwitness.intpoly import IntPolynomial, poly_eval
@@ -43,6 +44,18 @@ class TestPolynomialValues:
 
     def test_zero_polynomial(self):
         assert list(polynomial_values(IntPolynomial.from_coeffs([]), 0, 3)) == [0] * 3
+
+    def test_seeds_no_more_values_than_the_range_holds(self, monkeypatch):
+        # N values of p and d = gcd(m, q-1) for the predictions, not h + 1
+        calls = []
+
+        def counted(p, x):
+            calls.append(x)
+            return poly_eval(p, x)
+
+        monkeypatch.setattr(oracle, "poly_eval", counted)
+        table = density_table(2, 3, IntPolynomial.monomial(200), 2)
+        assert table.counts == (1, 1, 0) and len(calls) <= 2 + 1
 
 
 class TestBruteForceCount:
