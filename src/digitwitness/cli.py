@@ -148,20 +148,20 @@ def read_witness_file(path: str) -> Iterator[tuple[int, Witness | str]]:
     """Parse a construct output file (JSON lines or CSV, auto-detected) lazily.
 
     Yields (line, Witness) for each witness row and (line, message) for each
-    malformed one, in file order.  The file is read as UTF-8, and a line
-    that is not UTF-8 is malformed.  Lines are numbered from 1 as
-    str.splitlines() splits the whole text; blank lines count but yield
-    nothing.  The first other line sets the format; a CSV file whose header
-    is wrong yields that one message.
+    malformed one, in file order.  The file is read as UTF-8; a line with a
+    byte that is not UTF-8 (escaped to U+DC80-U+DCFF) is malformed, one with
+    U+FFFD is not.  Lines are numbered from 1 as str.splitlines() splits the
+    whole text; blank lines count but yield nothing.  The first other line
+    sets the format; a CSV file whose header is wrong yields that one message.
     """
-    with open(path, "r", encoding="utf-8", errors="replace") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         lines = enumerate((line for raw in handle for line in raw.splitlines()), 1)
         is_json = None
         for lineno, line in lines:
             if not line.strip():
                 continue
             try:
-                if "\ufffd" in line:
+                if not line.isascii() and re.search("[\udc80-\udcff]", line):
                     raise ValueError("line is not valid UTF-8")
                 if is_json is None:
                     is_json = line.lstrip().startswith("{")

@@ -174,11 +174,17 @@ class AdmissibleBox:
 def admissible_ranges(q: int, h: int, u: int) -> AdmissibleBox:
     if u < 1:
         raise ValueError(f"scale u must be >= 1, got {u}")
-    # q^16 <= 2^b, so (4q^u)^h has at most h*(2 + ceil(b*u/16)) + 1 bits
+    # q^16 <= 2^b, so (4q^u)^h has at most v + 1 bits, v = h*(2 + ceil(b*u/16))
     _, b = log2_bracket(q)
-    if h * (2 + -(-b * u // 16)) >= VALUE_BITS_CAP:
+    v = h * (2 + -(-b * u // 16))
+    if v >= VALUE_BITS_CAP:
         cap = f"{VALUE_BITS_CAP}-bit cap"
         raise ValueError(f"(4q^u)^l at q={q}, l={h}, u={u} could exceed the {cap}")
+    # work = h*(3h+1)*v, as lemma builds t^h's 3h+1 coefficients in h Horner
+    # steps: 1.1e9 took 1 s (q=2, h=100), 1.75e10 27 s (h=200).  Below about
+    # h*2^22 under make_plan's witness cap, and 5e8 at certify's largest h, 84.
+    if h * (3 * h + 1) * v >= 1 << 32:
+        raise ValueError(f"t^l at q={q}, l={h}, u={u} could pass the 2^32 work cap")
     # the largest m1 with m1 * m1_divisor(q, h) < q^u (the inequality is strict)
     m1_max = (q**u - 1) // m1_divisor(q, h)
     if m1_max < 1:
@@ -231,16 +237,24 @@ def verify_sign_pattern(
     return first
 
 
+def _shift_bound(p: IntPolynomial) -> int:
+    """c + 1 >= translate_shift(p), c = max(0, -coefficients below the lead)."""
+    return 1 - min((0, *p.coeffs[:-1]))
+
+
 def translate_shift(p: IntPolynomial) -> int:
     """Smallest e >= 0 such that p(x + e) has no negative coefficient.
 
     Requires a positive leading coefficient.  If p(x + e) has no negative
     coefficient, neither has p(x + e + d) for d >= 0, so e is found by
-    doubling and then bisecting: O(log e) translations.  Callers are
-    responsible for p mapping nonnegative integers to nonnegative integers.
+    doubling and then bisecting: about 2*bits(e) translations, so it refuses
+    h*bits(_shift_bound(p)) > 2^14.  Callers are responsible for p mapping
+    nonnegative integers to nonnegative integers.
     """
     if p.is_zero() or p.coeffs[-1] <= 0:
         raise ValueError("polynomial must have a positive leading coefficient")
+    if (work := p.degree * _shift_bound(p).bit_length()) > 1 << 14:
+        raise ValueError(f"shift search: h*bits(c + 1) = {work} passes the 2^14 cap")
 
     def nonnegative_at(e: int) -> bool:
         return all(c >= 0 for c in poly_translate(p, e).coeffs)
@@ -338,8 +352,8 @@ def witness_bits_bound(q: int, m: int, p: IntPolynomial, u: int) -> int:
     """
     h, coeffs = _degree(p), p.coeffs
     a, b = log2_bracket(q)
-    c = -min(0, *coeffs[:-1])
-    p1_bits = sum(map(abs, coeffs)).bit_length() + h * (c + 2).bit_length()
+    c2_bits = (_shift_bound(p) + 1).bit_length()
+    p1_bits = sum(map(abs, coeffs)).bit_length() + h * c2_bits
     j = max(2 * h + 1, -(-16 * (p1_bits + 2 * h) // a))
     k = h * u + j + m - 1
     return p1_bits + h * (2 + -(-b * (u + 3 * k) // 16))

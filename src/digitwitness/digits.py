@@ -9,18 +9,18 @@ q^e <= x (construct's minimum scale and splitting margin, certify's
 bracketed scale, the table block below), and `log2_bracket(q)` brackets
 log2 q by the bits of q^16 for size caps checked before any large power.
 `digit_sum` (one value) and `digit_sum_counts` (residue tallies over many
-values) share `_digit_sum`, which dispatches on the base and the size of the
-value:
+values) call one summing function per base, `_summer(q)`, which chooses how
+to sum in base q once per process:
 
 - q = 2: `int.bit_count`.
-- Values of at most `_SPLIT_BITS` bits: repeated division by a block of
-  digits, with a per-base lookup table for the low block.  Above
-  `_TABLE_CAP` the block is a single digit, which is its own digit sum.
-- Larger values: one `_split` by the largest block^(2^i) up to the value,
-  and the same dispatch on both parts.  The low part stands for 2^i blocks
-  of digits, some of them leading zeros that the division drops; zeros add
-  nothing to a digit sum, so neither part is ever padded back to its full
-  width.
+- Any other base: a function over a per-base lookup table of a block of
+  digits.  Above `_TABLE_CAP` the block is a single digit, which is its own
+  digit sum.  Values of at most `_SPLIT_BITS` bits are divided by the block
+  repeatedly; a larger value is first split by `_split` at the largest
+  block^(2^i) up to it, and both parts are summed the same way.  The low
+  part stands for 2^i blocks of digits, some of them leading zeros that the
+  division drops; zeros add nothing to a digit sum, so neither part is ever
+  padded back to its full width.
 
 `_split` is the divide-and-conquer radix conversion of Brent and Zimmermann,
 *Modern Computer Arithmetic*, section 1.7: n = high*root^(2^i) + low over a
@@ -50,13 +50,12 @@ base-q complement of b, which is where the k*(q-1) term comes from.
 from __future__ import annotations
 
 import sys
-from typing import Iterable, Sequence
+from functools import cache
+from typing import Callable, Iterable
 
 # Largest low-block value: blocks of digits are summed via a lookup table of
 # at most this many entries, built once per base.
 _TABLE_CAP = 1 << 16
-
-_tables: dict[int, tuple[Sequence[int], int]] = {}
 
 # Values of at most this many bits are summed block by block; larger ones are
 # split by block^(2^i) first.  At 8.6 and 100 kbit in bases 3 and 10, cutoffs
@@ -64,7 +63,7 @@ _tables: dict[int, tuple[Sequence[int], int]] = {}
 _SPLIT_BITS = 768
 
 # _powers[root] = [root, root^2, root^4, ...], the ladder of _split, grown as
-# larger values arrive.  Roots are the blocks of _sum_table and 10.
+# larger values arrive.  Roots are the blocks of _summer and 10.
 _powers: dict[int, list[int]] = {}
 
 # Largest value, in bits, that construct lets one witness's p(n) reach, lemma
@@ -99,25 +98,6 @@ def _require_base(q: int) -> None:
 def _require_nonnegative(n: int) -> None:
     if n < 0:
         raise ValueError(f"expected a nonnegative integer, got {n}")
-
-
-def _sum_table(q: int) -> tuple[Sequence[int], int]:
-    """(table, block): table[r] = s_q(r) for every r below block.
-
-    block is the largest power of q up to _TABLE_CAP, or q itself above it
-    and at q = 2, where _digit_sum reads no table.
-    """
-    if q > _TABLE_CAP or q == 2:
-        return range(q), q
-    cached = _tables.get(q)
-    if cached is not None:
-        return cached
-    block = q ** ilog(q, _TABLE_CAP)
-    table = [0] * block
-    for i in range(1, block):
-        table[i] = table[i // q] + i % q
-    _tables[q] = (table, block)
-    return table, block
 
 
 def ilog(base: int, x: int) -> int:
@@ -218,32 +198,46 @@ def digit_sum(n: int, q: int) -> int:
     """Sum of the base-q digits of n."""
     _require_base(q)
     _require_nonnegative(n)
-    return _digit_sum(n, q, *_sum_table(q))
+    return _summer(q)(n)
 
 
 def digit_sum_counts(values: Iterable[int], q: int, m: int) -> list[int]:
     """counts[r] = how many of the values have s_q(value) = r (mod m)."""
     _require_base(q)
-    table, block = _sum_table(q)
+    total = _summer(q)
     counts = [0] * m
     for value in values:
         if value < 0:
             raise ValueError(f"polynomial takes negative value {value}")
-        counts[_digit_sum(value, q, table, block) % m] += 1
+        counts[total(value) % m] += 1
     return counts
 
 
-def _digit_sum(n: int, q: int, table: Sequence[int], block: int) -> int:
-    """s_q(n) for n >= 0, where (table, block) = _sum_table(q)."""
+@cache
+def _summer(q: int) -> Callable[[int], int]:
+    """The function n -> s_q(n) for n >= 0, in base q >= 2."""
     if q == 2:
-        return n.bit_count()
-    # a value past _SPLIT_BITS bits is below block only in a base above
-    # 2^_SPLIT_BITS, where it is a single digit
-    if n.bit_length() > _SPLIT_BITS and n >= block:
-        high, low, _ = _split(n, block)
-        return _digit_sum(high, q, table, block) + _digit_sum(low, q, table, block)
-    total = 0
-    while n:
-        n, r = divmod(n, block)
-        total += table[r]
+        return int.bit_count
+    if q > _TABLE_CAP:
+        table, block = range(q), q
+    else:
+        # table[r] = s_q(r) for every r below block, a power of q
+        block = q ** ilog(q, _TABLE_CAP)
+        table = [0] * block
+        for i in range(1, block):
+            table[i] = table[i // q] + i % q
+
+    # table and block are defaults, so they are locals: faster than closure cells
+    def total(n: int, table=table, block=block) -> int:
+        # a value past _SPLIT_BITS bits is below block only in a base above
+        # 2^_SPLIT_BITS, where it is a single digit
+        if n.bit_length() > _SPLIT_BITS and n >= block:
+            high, low, _ = _split(n, block)
+            return total(high) + total(low)
+        s = 0
+        while n:
+            n, r = divmod(n, block)
+            s += table[r]
+        return s
+
     return total

@@ -140,8 +140,6 @@ def verify_witnesses(
     """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
-    if q < 2:
-        raise ValueError(f"base must be >= 2, got {q}")
     g %= m
     size_of_p = sum(map(abs, p.coeffs)).bit_length()
     _, b = log2_bracket(q)

@@ -283,6 +283,20 @@ class TestConstruct:
             assert err.startswith("error: p(n) for p = ")
             assert err.endswith("could exceed the 4194304-bit cap on one witness\n")
 
+    def test_shift_search_past_the_cap_is_a_usage_error(self, capsys, monkeypatch):
+        # x^3 - 10^4299*x^2: the witness bound accepts it, and the search for
+        # e = 10^4299 took 16.4 s before the cap refused it
+        def reached(*args):
+            raise ValueError("translation reached")
+
+        monkeypatch.setattr(construction, "poly_translate", reached)
+        poly = ",".join(["1", str(-(10**4299)), "0", "0"])
+        code = run(["construct", "--q", "2", "--m", "3", "--g", "1", "--poly", poly,
+                    "--limit", "1"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: shift search: h*bits(c + 1) = 42843 passes the 2^14 cap\n"
+
 
 class TestVerify:
     def construct_file(self, tmp_path, fmt="json", limit=8):
@@ -596,6 +610,20 @@ class TestVerify:
         ]
         assert [r["ok"] for r in records[2:4]] == [True, True]
         assert records[-1]["detail"] == "total=2 failed=0 malformed=2"
+
+    def test_replacement_character_is_valid_utf8(self, tmp_path, capsys):
+        # U+FFFD written as UTF-8 is a valid character, not a decoding error
+        path = self.construct_file(tmp_path, limit=2)
+        rows = path.read_text().splitlines()
+        rows[1] = rows[1][:-1] + ',"note":"\ufffd"}'
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code, lines = run_lines(
+            capsys,
+            ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+             "--in", str(path)],
+        )
+        assert code == 0
+        assert json.loads(lines[-1])["detail"] == "total=2 failed=0 malformed=0"
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_values_past_the_str_limit_round_trip(self, tmp_path, capsys, fmt):
@@ -1066,6 +1094,21 @@ class TestLemma:
                            f"the 4194304-bit cap\n")
         else:
             assert err == "error: box reached\n"
+
+    def test_t_l_too_costly_to_build_is_refused_before_the_box(
+        self, capsys, monkeypatch
+    ):
+        # l*(3l+1)*v = 1.75e10 is past 2^32; building t^200 took 26.6 s
+        def reached(*args):
+            raise ValueError("box reached")
+
+        monkeypatch.setattr(construction, "m1_divisor", reached)
+        monkeypatch.setattr(construction, "poly_compose", reached)
+        code = run(["lemma", "--q", "2", "--l", "200", "--u", "727", "--mode",
+                    "random", "--count", "1", "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: t^l at q=2, l=200, u=727 could pass the 2^32 work cap\n"
 
     def test_values_past_the_str_limit_are_written(self, capsys):
         code, lines = run_lines(

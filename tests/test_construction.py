@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from digitwitness import construction
 from digitwitness.construction import (
     AdmissibleBox,
     CongruenceTarget,
@@ -284,7 +285,9 @@ class TestTranslateShift:
     @pytest.mark.parametrize(
         "coeffs",
         [[0, -2, 0, 1], [1, -2, 1], [-7, 0, 0, 0, 3], [0, 1, 0, 0, 2],
-         [0, -10**9, 1]],
+         [0, -10**9, 1],
+         # h*bits(c + 1) = 4983 and 9966, under the search cap; degree 0
+         [0, 0, -(10**500), 1], [0, 0, -(10**1000), 1], [5]],
     )
     def test_minimality(self, coeffs):
         p = IntPolynomial.from_coeffs(coeffs)
@@ -292,6 +295,30 @@ class TestTranslateShift:
         assert all(c >= 0 for c in poly_translate(p, e).coeffs)
         if e > 0:
             assert any(c < 0 for c in poly_translate(p, e - 1).coeffs)
+
+    @pytest.mark.parametrize(
+        "coeffs, work",
+        [
+            ([0, 0, -(10**4299), 1], 42843),
+            ([0, 0, -(10**2000), 1], 19932),
+            ([0] * 19 + [-(10**300), 1], 19940),
+            # e is 4761 bits here and the search takes under a second, but
+            # the bound c + 1 = 10^4299 + 1 decides
+            ([-(10**4299), 0, 0, 1], 42843),
+        ],
+    )
+    def test_search_past_the_cap_is_refused_before_any_translation(
+        self, monkeypatch, coeffs, work
+    ):
+        def reached(*args):
+            raise AssertionError("poly_translate reached")
+
+        monkeypatch.setattr(construction, "poly_translate", reached)
+        with pytest.raises(ValueError) as info:
+            translate_shift(IntPolynomial.from_coeffs(coeffs))
+        assert str(info.value) == (
+            f"shift search: h*bits(c + 1) = {work} passes the 2^14 cap"
+        )
 
 
 def _min_k(q, h, u, p_shifted):
@@ -764,6 +791,25 @@ class TestLibraryRefusals:
         assert str(info.value) == (
             "(4q^u)^l at q=3, l=3, u=100000000 could exceed the 4194304-bit cap"
         )
+
+    def test_admissible_ranges_refuses_a_t_l_too_costly_to_build(self, monkeypatch):
+        # l*(3l+1)*v = 1.75e10: verify_sign_pattern took 26.6 s on this box
+        def reached(*args):
+            raise AssertionError("m1_divisor reached")
+
+        monkeypatch.setattr(construction, "m1_divisor", reached)
+        with pytest.raises(ValueError) as info:
+            admissible_ranges(2, 200, 727)
+        assert str(info.value) == (
+            "t^l at q=2, l=200, u=727 could pass the 2^32 work cap"
+        )
+
+    def test_admissible_ranges_keeps_the_largest_l_at_the_minimum_scale(self):
+        # l*(3l+1)*v = 4.24e9, just below 2^32; l = 141 is refused
+        assert min_u(2, 140) == 512
+        assert admissible_ranges(2, 140, 512).u == 512
+        with pytest.raises(ValueError, match="2\\^32 work cap"):
+            admissible_ranges(2, 141, min_u(2, 141))
 
 
 class TestGeneralPolynomials:
