@@ -6,7 +6,8 @@ plain ``int`` arithmetic, so evaluation points and coefficients may be
 thousands of digits long.  `poly_compose` is the one polynomial product:
 translation, construct's p_shifted(t) and lemma's t^l all run its loop.
 `difference_walk` is the one stepper: density's values p(n) and construct's
-composed coefficients along m0 both advance by its finite differences.
+composed coefficients along m0 both advance by its finite differences, whose
+additions run in C through nested `itertools.accumulate`.
 `poly_eval` runs Horner's rule over the nonzero coefficients only, so a
 sparse p such as x^8 costs one power of x instead of a product per degree.
 """
@@ -14,6 +15,7 @@ sparse p such as x^8 costs one power of x instead of a product per degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .digits import decimal_str
@@ -101,21 +103,25 @@ def poly_eval(p: IntPolynomial, x: int) -> int:
 
 
 def difference_walk(values: Sequence[int]) -> Iterator[int]:
-    """Yield f(0), f(1), ... without end, f the polynomial of degree
-    < len(values) with f(i) = values[i]; values must not be empty.
+    """f(0), f(1), ... without end, f the polynomial of degree < len(values)
+    with f(i) = values[i]; values must not be empty.
 
-    The values become a forward-difference table once; each later value
-    then costs len(values) - 1 additions, all exact.
+    The values become a forward-difference table once.  Each level below
+    the top difference is then one itertools.accumulate over the level
+    above it, so each later value costs len(values) - 1 exact additions,
+    all run in C.
     """
     diffs = list(values)
+    if not diffs:
+        raise ValueError("values must not be empty")
     h = len(diffs) - 1
     for level in range(1, h + 1):
         for idx in range(h, level - 1, -1):
             diffs[idx] -= diffs[idx - 1]
-    while True:
-        yield diffs[0]
-        for i in range(h):
-            diffs[i] += diffs[i + 1]
+    walk: Iterator[int] = repeat(diffs[h])
+    for d in reversed(diffs[:h]):
+        walk = accumulate(walk, initial=d)
+    return walk
 
 
 def poly_translate(p: IntPolynomial, e: int) -> IntPolynomial:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from digitwitness import digits
 from digitwitness.digits import (
+    _COUNT_CHUNK,
     _DECIMAL_CHARS_CAP,
     _SPLIT_BITS,
     STR_DIGITS,
@@ -292,8 +293,23 @@ class TestDigitSumCounts:
             assert digit_sum_counts(values, q, m) == recount(values, q, m)
 
     def test_rejects_negative_value(self):
-        with pytest.raises(ValueError, match="polynomial takes negative value -1"):
-            digit_sum_counts([4, -1, 5], 2, 3)
+        # -7 is the chunk's minimum, -1 the first negative value read
+        with pytest.raises(ValueError, match="^polynomial takes negative value -1$"):
+            digit_sum_counts([4, -1, -7, 5], 2, 3)
+
+    @pytest.mark.parametrize("q", [2, 3, 10])
+    def test_one_shot_values_across_chunks(self, q):
+        # three full chunks and a last one holding 7 values, read once
+        rng = random.Random(q)
+        values = [
+            rng.getrandbits(rng.randrange(1, 80)) for _ in range(3 * _COUNT_CHUNK + 7)
+        ]
+        assert digit_sum_counts(iter(values), q, 5) == recount(values, q, 5)
+
+    def test_rejects_negative_value_in_a_later_chunk(self):
+        values = [1] * (2 * _COUNT_CHUNK + 5) + [-3] + [1] * 10
+        with pytest.raises(ValueError, match="^polynomial takes negative value -3$"):
+            digit_sum_counts(iter(values), 3, 4)
 
 
 class TestSplitting:

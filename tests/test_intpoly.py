@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from digitwitness.cli import _DEGREE_CAP
 from digitwitness.construction import sign_violation
 from digitwitness.intpoly import (
     IntPolynomial,
@@ -190,6 +191,18 @@ class TestDifferenceWalk:
         # fewer seeds than the degree needs: the walk still yields the seeds
         assert list(islice(difference_walk([3, 1, 4]), 3)) == [3, 1, 4]
         assert list(islice(difference_walk([9]), 4)) == [9] * 4
+
+    def test_empty_values_fail_at_call_time(self):
+        with pytest.raises(ValueError, match="values must not be empty"):
+            difference_walk([])
+
+    def test_degree_cap_chain(self):
+        # the CLI's largest degree, 1024: a chain of 1024 nested accumulates
+        p = IntPolynomial.monomial(_DEGREE_CAP)
+        seeds = [poly_eval(p, i) for i in range(_DEGREE_CAP + 1)]
+        assert list(islice(difference_walk(seeds), 30)) == [
+            poly_eval(p, i) for i in range(30)
+        ]
 
     def test_big_coefficients_stay_exact(self):
         p = IntPolynomial.from_coeffs([10**400, -(3**900), 0, 7])
