@@ -2,7 +2,9 @@
 
 All commands emit machine-readable JSON lines (default) or CSV, and
 identical configuration reproduces identical bytes.  Exit codes: 0 success /
-all checks passed, 1 verification failure, 2 usage or configuration error.
+all checks passed, 1 verification failure or output cut short by a reader
+that closed stdout, 2 usage or configuration error.  `lemma --mode proof`
+writes the verdict of construction.sign_lemma_proof, the sign lemma's proof.
 
 Each record's fields and their order are stated once, in a *_FIELDS list:
 it is the CSV header, and a JSON record is "schema" followed by those fields
@@ -20,10 +22,10 @@ import ast
 import csv
 import json
 import operator
+import os
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from typing import IO, Callable, Iterator, Optional
@@ -392,30 +394,21 @@ def cmd_density(args: argparse.Namespace) -> int:
 LEMMA_FIELDS = [
     "m0", "m1", "m2", "m3", "u", "ok", "first_violation", "total", "passed", "failed",
 ]
-
-# Refuse unbounded exhaustive runs past this many quadruples.
-_EXHAUSTIVE_CAP = 10**7
+LEMMA_PROOF_FIELDS = ["q", "l", "D", "ok", "first_violation"]
 
 
 def cmd_lemma(args: argparse.Namespace) -> int:
+    if args.mode == "proof":
+        first = construction.sign_lemma_proof(args.q, args.l)
+        d = decimal_str(construction.m1_divisor(args.q, args.l))
+        with _output(args, LEMMA_PROOF_FIELDS) as writer:
+            writer.write("lemma-proof/1", args.q, args.l, d, first is None, first)
+        return EXIT_OK if first is None else EXIT_FAIL
     box = construction.admissible_ranges(args.q, args.l, args.u)
-    if args.mode == "random":
-        quadruples = box.sample(args.count, args.seed)
-    else:
-        # only the grid is cut: the check's bound (4q^u)^l reads the whole box
-        per = args.max_per_range or box.size
-        grid = replace(box, hi=min(box.lo + per, box.hi), m1_max=min(per, box.m1_max))
-        if grid.size > _EXHAUSTIVE_CAP:
-            raise ValueError(
-                f"exhaustive run would cover {grid.size} quadruples; "
-                f"truncate with --max-per-range"
-            )
-        quadruples = map(grid.params_at, range(grid.size))
-    total = passed = 0
+    total, passed = args.count, 0
     with _output(args, LEMMA_FIELDS) as writer:
-        for params in quadruples:
+        for params in box.sample(total, args.seed):
             first = construction.verify_sign_pattern(box, args.l, params)
-            total += 1
             passed += first is None
             writer.write(
                 "lemma/1",
@@ -493,18 +486,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(d, cmd_density, workers=True)
 
-    le = sub.add_parser("lemma", help="certify sign patterns over quadruple grids")
+    le = sub.add_parser("lemma", help="prove the sign lemma, or sample its box")
     le.add_argument("--q", type=int, required=True)
     le.add_argument("--l", type=int, required=True, help="power of the cubic")
-    le.add_argument("--u", type=int, required=True)
-    le.add_argument("--mode", choices=["exhaustive", "random"], required=True)
+    le.add_argument("--mode", choices=["proof", "random"], required=True)
+    le.add_argument("--u", type=int, help="scale (random mode)")
     le.add_argument("--count", type=int, help="sample size (random mode)")
     le.add_argument("--seed", type=int, help="generator seed (random mode)")
-    le.add_argument(
-        "--max-per-range",
-        type=int,
-        help="truncate each parameter range to its first K values (exhaustive mode)",
-    )
     add_common(le, cmd_lemma)
     return parser
 
@@ -520,16 +508,12 @@ def _validate(args: argparse.Namespace) -> None:
     if getattr(args, "limit", None) is not None and args.limit < 0:
         raise ValueError("limit must be >= 0")
     if args.command == "lemma" and args.mode == "random":
-        if args.seed is None or args.count is None:
-            raise ValueError("random mode requires --seed and --count")
+        if None in (args.u, args.seed, args.count):
+            raise ValueError("random mode requires --u, --seed and --count")
         if args.count < 1:
             raise ValueError("count must be >= 1")
-        if args.max_per_range is not None:
-            raise ValueError("--max-per-range applies to exhaustive mode only")
-    elif args.command == "lemma" and (args.seed, args.count) != (None, None):
-        raise ValueError("--count and --seed apply to random mode only")
-    if getattr(args, "max_per_range", None) is not None and args.max_per_range < 1:
-        raise ValueError("max-per-range must be >= 1")
+    elif args.command == "lemma" and (args.u, args.seed, args.count) != (None,) * 3:
+        raise ValueError("--u, --count and --seed apply to random mode only")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -543,6 +527,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.run(args)
     except construction.ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except BrokenPipeError:
+        # output cut short; on devnull, the interpreter's final flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAIL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

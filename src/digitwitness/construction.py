@@ -10,7 +10,8 @@ with the four parameters drawn from the admissible box
 
 has the property that every power t(x)^l (and more generally p(t(x)) for any
 p with nonnegative coefficients and positive leading coefficient) keeps a
-single negative coefficient, at x^1, with everything else positive.  Feeding
+single negative coefficient, at x^1, with everything else positive; this
+sign lemma is stated and proved at every scale by sign_lemma_proof.  Feeding
 x = q^k for k past an exact threshold separates the coefficients into
 non-interfering base-q blocks, so the digit sum of p(t(q^k)) collapses to
 
@@ -235,6 +236,37 @@ def verify_sign_pattern(
         bound = (4 * box.hi) ** l
         first = next((i for i, c in enumerate(powered.coeffs) if abs(c) > bound), None)
     return first
+
+
+def sign_lemma_proof(q: int, l: int) -> Optional[int]:
+    """First i at which one exact test fails to prove the sign lemma for t^l,
+    or None: then verify_sign_pattern passes every quadruple at every scale.
+
+    The box is q^(u-1) <= m0, m2, m3 < q^u and 1 <= m1 < q^u/D, with
+    D = m1_divisor(q, l).  Let P = (1 + x^2 + x^3)^l and A, B =
+    (D(1 + x^2 + x^3) +- x)^l.  In c_i, the coefficient of x^i in t^l, the
+    terms free of m1 sum to at least q^(ul-l)*P[i].  Those with an odd power
+    c of m1 are each at most q^(ul)*D^(-c) times their multinomial, so their
+    sum is at most q^(ul)*D^(-l)*(A[i] - B[i])/2 in size, and those with an
+    even c >= 2 are positive.  So u cancels: D^l*P[i] > q^l*(A[i] - B[i])/2
+    makes c_i > 0, tested for 2 <= i <= 3l.  c_0 = m0^l > 0 and
+    c_1 = -l*m1*m0^(l-1) < 0, and |c_i| <= (4q^u)^l as m0+m1+m2+m3 < 4q^u.
+    """
+    # A and B each take l Horner steps over 3l + 1 coefficients of up to
+    # l*bits bits, bits = bits(3lq) + l*bits(6q) >= bits(3D + 1), each times
+    # D, whose size counts past 2^9 bits; no D is built before the cap.
+    # `lemma --mode proof --l 86` runs 1.2, 1.6 and 2.6 s at q = 2, 3 and 10,
+    # no admitted l takes over 2.5 s at q < 2^1024, and q = 2 is refused from
+    # l = 97, at l = 100 in 0.2 s (2-vCPU VM, Python 3.11.7).
+    bits = (3 * l * q).bit_length() + l * (6 * q).bit_length()
+    if l * (3 * l + 1) * l * bits * max(bits, 1 << 9) >= 1 << 39:
+        raise ValueError(f"the proof at q={q}, l={l} could pass the 2^39 work cap")
+    d, power = m1_divisor(q, l), IntPolynomial.monomial(l)
+    p, a, b = (poly_compose(power, IntPolynomial.from_coeffs([s, c, s, s])).coeffs
+               for s, c in ((1, 0), (d, 1), (d, -1)))
+    dl, ql = d**l, q**l
+    fails = (i for i in range(2, 3 * l + 1) if dl * p[i] <= ql * (a[i] - b[i]) // 2)
+    return next(fails, None)
 
 
 def _shift_bound(p: IntPolynomial) -> int:

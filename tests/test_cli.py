@@ -998,66 +998,80 @@ class TestLemma:
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_exhaustive_truncated_box(self, capsys):
-        code, lines = run_lines(
-            capsys,
-            ["lemma", "--q", "2", "--l", "3", "--u", "15", "--mode", "exhaustive",
-             "--max-per-range", "4"],
-        )
+    def test_proof_mode_writes_one_record(self, capsys):
+        code, lines = run_lines(capsys, ["lemma", "--q", "2", "--l", "3", "--mode",
+                                         "proof"])
         assert code == 0
-        summary = json.loads(lines[-1])
-        assert summary["total"] == 4**3 * 3  # m1 range holds only 3 values
+        assert [json.loads(line) for line in lines] == [
+            {"schema": "lemma-proof/1", "q": 2, "l": 3, "D": "10368", "ok": True,
+             "first_violation": None},
+        ]
 
-    @pytest.mark.parametrize("per", ["0", "-2"])
-    def test_exhaustive_rejects_nonpositive_max_per_range(self, capsys, per):
-        code = run(["lemma", "--q", "2", "--l", "3", "--u", "15", "--mode",
-                    "exhaustive", "--max-per-range", per])
+    def test_proof_mode_fails_with_exit_1(self, capsys, monkeypatch):
+        # at D = 4 the test fails at x^3, and the q=2, u=6 box does hold
+        # quadruples whose t^3 has a negative x^3 coefficient
+        monkeypatch.setattr(construction, "m1_divisor", lambda q, h: 4)
+        code, lines = run_lines(capsys, ["lemma", "--q", "2", "--l", "3", "--mode",
+                                         "proof", "--format", "csv"])
+        assert code == 1
+        assert lines == ["q,l,D,ok,first_violation", "2,3,4,False,3"]
+
+    @pytest.mark.parametrize(
+        "old, message",
+        [(["--mode", "exhaustive"], "argument --mode: invalid choice: 'exhaustive'"),
+         (["--mode", "proof", "--max-per-range", "4"],
+          "unrecognized arguments: --max-per-range 4")],
+        ids=["exhaustive", "max-per-range"],
+    )
+    def test_exhaustive_mode_is_gone(self, capsys, old, message):
+        # the proof covers every box the exhaustive walk cut a corner of
+        code = run(["lemma", "--q", "2", "--l", "3", *old])
         out, err = capsys.readouterr()
-        assert code == 2 and out == ""
-        assert err == "error: max-per-range must be >= 1\n"
+        assert code == 2 and out == "" and message in err
 
     @pytest.mark.parametrize(
         "mode, extra, message",
         [
-            ("exhaustive", ["--max-per-range", "1", "--count", "5"],
-             "--count and --seed apply to random mode only"),
-            ("exhaustive", ["--max-per-range", "1", "--seed", "5"],
-             "--count and --seed apply to random mode only"),
-            ("random", ["--count", "1", "--seed", "1", "--max-per-range", "1"],
-             "--max-per-range applies to exhaustive mode only"),
+            ("proof", ["--u", "15"], "--u, --count and --seed apply to random mode only"),
+            ("proof", ["--count", "5"],
+             "--u, --count and --seed apply to random mode only"),
+            ("proof", ["--seed", "5"], "--u, --count and --seed apply to random mode only"),
+            ("random", ["--count", "5", "--seed", "5"],
+             "random mode requires --u, --seed and --count"),
         ],
+        ids=["proof-u", "proof-count", "proof-seed", "random-no-u"],
     )
     def test_options_of_the_other_mode_are_refused(self, capsys, mode, extra, message):
-        code = run(["lemma", "--q", "2", "--l", "3", "--u", "15", "--mode", mode]
-                   + extra)
+        code = run(["lemma", "--q", "2", "--l", "3", "--mode", mode] + extra)
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
-    def test_unbounded_exhaustive_run_is_refused(self, capsys):
-        code = run(["lemma", "--q", "2", "--l", "3", "--u", "15", "--mode",
-                    "exhaustive"])
-        err = capsys.readouterr().err
-        assert code == 2 and "--max-per-range" in err
+    def test_proof_past_the_cap_is_refused(self, capsys, monkeypatch):
+        def reached(*args):
+            raise AssertionError("work reached")
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_unbounded_exhaustive_run_is_refused_before_any_output(
-        self, capsys, tmp_path, fmt
-    ):
-        # the box is 16384^3 * 3 quadruples; nothing is written, not even a
-        # CSV header, and a file --out names keeps its bytes
-        argv = ["lemma", "--q", "2", "--l", "3", "--u", "15", "--mode",
-                "exhaustive", "--format", fmt]
-        code = run(argv)
+        monkeypatch.setattr(construction, "m1_divisor", reached)
+        monkeypatch.setattr(construction, "poly_compose", reached)
+        start = time.perf_counter()
+        code = run(["lemma", "--q", "2", "--l", "100", "--mode", "proof"])
+        assert time.perf_counter() - start < 1
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert err == ("error: exhaustive run would cover 13194139533312 "
-                       "quadruples; truncate with --max-per-range\n")
+        assert err == "error: the proof at q=2, l=100 could pass the 2^39 work cap\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_proof_past_the_cap_is_refused_before_any_output(
+        self, capsys, tmp_path, fmt
+    ):
+        # nothing is written, not even a CSV header, and a file --out names
+        # keeps its bytes
         kept = tmp_path / "kept.jsonl"
         kept.write_bytes(b"earlier output\n")
-        code = run(argv + ["--out", str(kept)])
+        code = run(["lemma", "--q", "2", "--l", "100", "--mode", "proof", "--format",
+                    fmt, "--out", str(kept)])
         out, err = capsys.readouterr()
-        assert code == 2 and out == "" and err.startswith("error: exhaustive run")
+        assert code == 2 and out == "" and err.startswith("error: the proof at q=2")
         assert kept.read_bytes() == b"earlier output\n"
 
     @pytest.mark.parametrize(
@@ -1139,6 +1153,7 @@ def test_json_records_carry_only_csv_columns(tmp_path, capsys):
          cli.DENSITY_FIELDS),
         (["lemma", "--q", "2", "--l", "3", "--u", "15", "--mode", "random",
           "--count", "3", "--seed", "1"], cli.LEMMA_FIELDS),
+        (["lemma", "--q", "2", "--l", "3", "--mode", "proof"], cli.LEMMA_PROOF_FIELDS),
     ]
     for argv, fields in commands:
         _, lines = run_lines(capsys, argv)
@@ -1157,3 +1172,31 @@ def test_json_records_carry_only_csv_columns(tmp_path, capsys):
 def test_unknown_command_is_usage_error(capsys):
     assert run(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_closed_stdout_ends_the_run_quietly(workers):
+    # `construct ... | head -1`: the reader closes the pipe after one line,
+    # construct exits 1 with nothing on stderr, and at two workers its pool
+    # shuts down instead of leaving the run hanging
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(
+        None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]
+    ))
+    main = "import sys; from digitwitness.cli import main; sys.exit(main())"
+    argv = ["construct", "--q", "2", "--m", "3", "--g", "0", "--poly", "x^3",
+            "--limit", "100000", "--workers", workers]
+    proc = subprocess.Popen(
+        [sys.executable, "-X", "dev", "-c", main, *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        first = json.loads(proc.stdout.readline())
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first["schema"] == "witness/1"
+    assert (code, err) == (1, b"")

@@ -22,6 +22,7 @@ from digitwitness.construction import (
     make_plan,
     min_u,
     select_k,
+    sign_lemma_proof,
     sign_violation,
     splitting_margin,
     translate_shift,
@@ -262,6 +263,63 @@ class TestSignPattern:
             assert residual.degree <= 3 * l - 2
             assert residual.coeffs[0] == 0
             assert all(abs(c) < bound * params.m1 for c in residual.coeffs)
+
+
+class TestSignLemmaProof:
+    @pytest.mark.parametrize("q", [2, 3, 5, 10])
+    @pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
+    def test_proves_the_grid_and_low_powers(self, q, l):
+        # the (q, h) of bounds' GRID, and l = 1 and 2
+        assert sign_lemma_proof(q, l) is None
+
+    @pytest.mark.parametrize("q", [2, 3, 10])
+    def test_proves_certify_largest_degrees(self, q):
+        assert sign_lemma_proof(q, 86) is None
+
+    def test_a_passing_proof_is_sound_on_a_whole_box(self, monkeypatch):
+        # D = 17 passes; the u = 5 box then has m1 = 1 only: 16^3 quadruples
+        monkeypatch.setattr(construction, "m1_divisor", lambda q, h: 17)
+        assert sign_lemma_proof(2, 3) is None
+        box = admissible_ranges(2, 3, 5)
+        assert box.size == 4096
+        for index in range(box.size):
+            assert verify_sign_pattern(box, 3, box.params_at(index)) is None
+
+    def test_a_failing_proof_names_a_real_violation(self, monkeypatch):
+        # at D = 4 an exhaustive walk of the u = 6 box finds 23457 violations
+        # in 491520 quadruples (15 s, so it is not run here); this one has -111
+        # at x^3, the exponent where the proof fails
+        monkeypatch.setattr(construction, "m1_divisor", lambda q, h: 4)
+        assert sign_lemma_proof(2, 3) == 3
+        params = CubicParams(m0=32, m1=15, m2=33, m3=32, u=6)
+        assert power(build_cubic(params), 3).coeffs[3] == -111
+        assert verify_sign_pattern(admissible_ranges(2, 3, 6), 3, params) == 3
+
+    @pytest.mark.parametrize("q, l", [(2, 97), (10, 87), (2, 10**9), (10**4000, 5)],
+                             ids=["q2-l97", "q10-l87", "l10^9", "q10^4000-l5"])
+    def test_work_past_the_cap_is_refused_before_any_product(self, monkeypatch, q, l):
+        def reached(*args):
+            raise AssertionError("work reached")
+
+        monkeypatch.setattr(construction, "m1_divisor", reached)
+        monkeypatch.setattr(construction, "poly_compose", reached)
+        with pytest.raises(ValueError, match=r"could pass the 2\^39 work cap"):
+            sign_lemma_proof(q, l)
+
+    @pytest.mark.parametrize("q, l", [(2, 96), (10, 86), (10**4000, 3)],
+                             ids=["q2-l96", "q10-l86", "q10^4000-l3"])
+    def test_the_cap_admits(self, monkeypatch, q, l):
+        def reached(*args):
+            raise RuntimeError("work reached")
+
+        monkeypatch.setattr(construction, "poly_compose", reached)
+        with pytest.raises(RuntimeError, match="work reached"):
+            sign_lemma_proof(q, l)
+
+    def test_bad_base_or_power_is_refused(self):
+        for q, l in [(1, 3), (2, 0), (2, -5)]:
+            with pytest.raises(ValueError, match="need q >= 2 and h >= 1"):
+                sign_lemma_proof(q, l)
 
 
 class TestTranslateShift:
