@@ -40,7 +40,7 @@ def fake_pool(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlineExecutor)
     return log
 
 
