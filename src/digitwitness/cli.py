@@ -100,6 +100,8 @@ class _Writer:
         self.stream = stream
         self.fields = fields
         self._csv = None
+        # one encoder: json.dumps with separators builds a new one per call
+        self._json = json.JSONEncoder(separators=(",", ":"))
         if fmt == "csv":
             self._csv = csv.writer(stream, lineterminator="\n")
             self._csv.writerow(fields)
@@ -109,7 +111,7 @@ class _Writer:
             self._csv.writerow(values + ("",) * (len(self.fields) - len(values)))
         else:
             record = {"schema": schema, **dict(zip(self.fields, values))}
-            self.stream.write(json.dumps(record, separators=(",", ":")) + "\n")
+            self.stream.write(self._json.encode(record) + "\n")
 
 
 @contextmanager

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, Optional
 
-from .digits import VALUE_BITS_CAP, digit_sum, ilog, log2_bracket
+from .digits import VALUE_BITS_CAP, _summer, digit_sum, ilog, log2_bracket
 from .intpoly import (
     IntPolynomial,
     difference_walk,
@@ -439,12 +439,12 @@ def digit_sum_offset(
             f"composed polynomial lost the (+,-,+,...,+) sign pattern for "
             f"{params}: at x^{violation}"
         )
-    coeffs = composed.coeffs
-    offset = digit_sum(coeffs[0], q) + digit_sum(coeffs[2] - 1, q)
-    offset -= digit_sum(-coeffs[1] - 1, q)
-    for c in coeffs[3:]:
-        offset += digit_sum(c, q)
-    return offset
+    total = _summer(q)
+    c = composed.coeffs
+    # the sign pattern just held: c_1 <= -1 and every other c_i >= 1, so no
+    # argument below is negative
+    offset = total(c[0]) + total(c[2] - 1) - total(-c[1] - 1)
+    return offset + sum(map(total, c[3:]))
 
 
 def select_k(plan: ConstructionPlan, offset: int) -> int:

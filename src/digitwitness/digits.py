@@ -6,16 +6,21 @@ list.  All arithmetic is arbitrary precision.
 This module is the one digit-sum engine, the one decimal converter and the
 one place powers of q are measured: `ilog(q, x)` is the largest e with
 q^e <= x (construct's minimum scale and splitting margin, certify's
-bracketed scale, the table block below), and `log2_bracket(q)` brackets
+bracketed scale, the half-block below), and `log2_bracket(q)` brackets
 log2 q by the bits of q^16 for size caps checked before any large power.
 `digit_sum` (one value) and `digit_sum_counts` (residue tallies over many
 values) call one summing function per base, `_summer(q)`, which chooses how
 to sum in base q once per process:
 
 - q = 2: `int.bit_count`.
-- Any other base: a function over a per-base lookup table of a block of
-  digits.  Above `_TABLE_CAP` the block is a single digit, which is its own
-  digit sum.  Values of at most `_SPLIT_BITS` bits are divided by the block
+- Any other base: a function over a per-base lookup table of q^j entries,
+  for the largest j with the block q^(2j) below `_DIGIT_CAP`, one CPython
+  digit.  Each block is one `divmod` by a single-digit divisor, and its
+  digit sum is two lookups, table[r // q^j] + table[r % q^j].  Where j is
+  1, or no j >= 1 fits (q^2 >= `_DIGIT_CAP`, and the block q^2 is wider
+  than one digit), the half-block is q itself and the table is range(q): a
+  single digit is its own digit sum, and no list of q entries is built.
+  Values of at most `_SPLIT_BITS` bits are divided by the block
   repeatedly; a larger value is first split by `_split` at the largest
   block^(2^i) up to it, and both parts are summed the same way.  The low
   part stands for 2^i blocks of digits, some of them leading zeros that the
@@ -25,7 +30,7 @@ to sum in base q once per process:
 `_split` is the divide-and-conquer radix conversion of Brent and Zimmermann,
 *Modern Computer Arithmetic*, section 1.7: n = high*root^(2^i) + low over a
 ladder root, root^2, root^4, ... that is cached per root.  One ladder serves
-three conversions: digit sums (rooted at the table block), `decimal_str`
+three conversions: digit sums (rooted at the block), `decimal_str`
 (rooted at 10, past the 4300 digits `str()` writes by default) and
 `decimal_int` (the same ladder of 10, past the 4300 digits `int()` reads).
 A split of digit sums and `decimal_str` is one CPython `divmod`, which is
@@ -55,9 +60,11 @@ from functools import cache
 from itertools import islice
 from typing import Callable, Iterable
 
-# Largest low-block value: blocks of digits are summed via a lookup table of
-# at most this many entries, built once per base.
-_TABLE_CAP = 1 << 16
+# One CPython digit: 2^30 on 64-bit builds.  _summer's blocks q^(2j) stay
+# below it, so each divmod by a block takes CPython's single-digit division
+# path.  At q = 3 that is blocks of 3^18 and a table of 3^9 = 19683 entries;
+# at q = 5, 5^12 and 5^6; at q = 10, 10^8 and 10^4.
+_DIGIT_CAP = 1 << sys.int_info.bits_per_digit
 
 # Values of at most this many bits are summed block by block; larger ones are
 # split by block^(2^i) first.  At 8.6 and 100 kbit in bases 3 and 10, cutoffs
@@ -233,26 +240,29 @@ def _summer(q: int) -> Callable[[int], int]:
     """The function n -> s_q(n) for n >= 0, in base q >= 2."""
     if q == 2:
         return int.bit_count
-    if q > _TABLE_CAP:
-        table, block = range(q), q
+    # half = q^j for the largest j >= 1 with the block half^2 below one digit
+    half = q ** max(1, ilog(q * q, _DIGIT_CAP - 1))
+    block = half * half
+    if half == q:
+        table = range(q)  # a digit is its own sum; q may be too large for a list
     else:
-        # table[r] = s_q(r) for every r below block, a power of q
-        block = q ** ilog(q, _TABLE_CAP)
-        table = [0] * block
-        for i in range(1, block):
+        # table[r] = s_q(r) for every r below half
+        table = [0] * half
+        for i in range(1, half):
             table[i] = table[i // q] + i % q
 
-    # table and block are defaults, so they are locals: faster than closure cells
-    def total(n: int, table=table, block=block) -> int:
+    # table, block and half are defaults, so they are locals: faster than
+    # closure cells
+    def total(n: int, table=table, block=block, half=half) -> int:
         # a value past _SPLIT_BITS bits is below block only in a base above
-        # 2^_SPLIT_BITS, where it is a single digit
+        # 2^(_SPLIT_BITS/2), where it is at most two digits
         if n.bit_length() > _SPLIT_BITS and n >= block:
             high, low, _ = _split(n, block)
             return total(high) + total(low)
         s = 0
         while n:
             n, r = divmod(n, block)
-            s += table[r]
+            s += table[r // half] + table[r % half]
         return s
 
     return total

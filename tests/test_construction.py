@@ -540,6 +540,24 @@ class TestOffset:
             for k in (31, 33, 40):
                 assert digit_sum(poly_eval(t, 10**k) ** 3, 10) == 9 * k + offset
 
+    @pytest.mark.parametrize("q, m", [(2, 3), (3, 5), (5, 3), (10, 7)])
+    def test_matches_the_formula_summed_per_coefficient(self, q, m):
+        # x^3 - 2x is shifted by e = 2 before composing, x^8 has wide coefficients
+        shifted = IntPolynomial.from_coeffs([0, -2, 0, 1])
+        for p in (X3, shifted, IntPolynomial.monomial(8)):
+            plan = make_plan(CongruenceTarget(q=q, m=m, g=0), p)
+            assert plan.e == (2 if p is shifted else 0)
+            for params in plan.box.sample(200, seed=q):
+                composed = composed_for(plan, params)
+                c = composed.coeffs
+                expected = (
+                    sum(digit_sum(ci, q) for ci in c[3:])
+                    + digit_sum(c[2] - 1, q)
+                    - digit_sum(-c[1] - 1, q)
+                    + digit_sum(c[0], q)
+                )
+                assert digit_sum_offset(plan, params, composed) == expected
+
     def test_inadmissible_params_rejected(self):
         target = CongruenceTarget(q=2, m=3, g=0)
         plan = make_plan(target, X3, 15)

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import time
@@ -21,13 +22,25 @@ from digitwitness.digits import (
     log2_bracket,
 )
 
-# q = 2 takes int.bit_count; 2^16 + 1 is above the lookup-table cap, so its
-# block of digits is a single digit.
-ENGINE_BASES = [2, 3, 10, 16, 2**16 + 1]
+# q = 2 takes int.bit_count.  With 30-bit CPython digits, 8^10 = 2^30 is not
+# below one digit, so base 8 takes blocks of 8^8; from 2^15 up q^2 is not
+# below one digit either, and the half-block is q itself.
+DIGIT = 1 << sys.int_info.bits_per_digit
+ENGINE_BASES = [2, 3, 5, 7, 8, 10, 16, 2**15 - 1, 2**15, 2**15 + 1, 2**16 + 1,
+                2**30 - 1, 2**30 + 1]
 
 
 def block_digits(q):
-    """Digits per lookup-table block: the largest j with q^j <= 2^16, at least 1."""
+    """Digits per block: 2j for the largest j >= 1 with q^(2j) below one digit."""
+    j = 1
+    while q ** (2 * j + 2) < DIGIT:
+        j += 1
+    return 2 * j
+
+
+def table_block_digits(q):
+    """Digits per block of the engine before one-digit blocks: the largest j
+    with q^j <= 2^16, at least 1.  Its split points stay under test."""
     j = 1
     while q ** (j + 1) <= 1 << 16:
         j += 1
@@ -210,7 +223,7 @@ class TestDecimalLadder:
         n = 10**5000 + 7
         assert digit_sum(n, 10) == 8 and decimal_int(decimal_str(n)) == n
         assert digits._powers[10][:2] == [10, 100]
-        assert digits._powers[10**4][:2] == [10**4, 10**8]
+        assert digits._powers[10**8][:2] == [10**8, 10**16]
 
 
 class TestDigitSum:
@@ -255,11 +268,20 @@ class TestDigitSumEngine:
     @pytest.mark.parametrize("q", ENGINE_BASES)
     def test_powers_where_the_splits_fall(self, q):
         # q^k with k = j * 2^i is block^(2^i), a split point of the engine
-        k = block_digits(q)
-        while q**k < 1 << 40_000:
-            for n in (q**k - 1, q**k, q**k + 1):
-                assert digit_sum(n, q) == sum(expand(n, q)), (k, n - q**k)
-            k *= 2
+        for width in (block_digits(q), table_block_digits(q)):
+            k = width
+            while q**k < 1 << 40_000:
+                for n in (q**k - 1, q**k, q**k + 1):
+                    assert digit_sum(n, q) == sum(expand(n, q)), (k, n - q**k)
+                k *= 2
+
+    def test_blocks_are_one_cpython_digit(self):
+        # the largest q^(2j) below one digit, for every base with q^2 below it
+        for q in range(3, math.isqrt(DIGIT - 1) + 1):
+            table, block, half = digits._summer.__wrapped__(q).__defaults__
+            assert block == half * half == q ** block_digits(q), q
+            assert block < DIGIT <= block * q * q, q
+            assert len(table) == half, q
 
     def test_single_digits_wider_than_the_cutoff(self):
         q = 3**600  # 951 bits
