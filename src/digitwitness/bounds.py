@@ -28,7 +28,7 @@ from .construction import (
 from .digits import decimal_str, ilog
 from .intpoly import IntPolynomial
 
-# Largest N, in bits, that certify_lower_bound (and any --N-at value) takes:
+# Largest N, in bits, that certify_lower_bound (and any --N/--N-at value) takes:
 # certifying an N of 2^16 bits takes about half a second, 2^20 bits minutes.
 N_BITS_CAP = 1 << 16
 
@@ -41,8 +41,6 @@ def nth_root_floor(x: int, n: int) -> int:
         raise ValueError(f"expected n >= 1, got {n}")
     if x == 0:
         return 0
-    if n == 1:
-        return x
     r = 1 << -(-x.bit_length() // n)
     while True:
         y = ((n - 1) * r + x // r ** (n - 1)) // n

@@ -58,11 +58,9 @@ _DEGREE_CAP = 1 << 10
 def parse_poly(text: str) -> IntPolynomial:
     """x^H / x monomial shorthand, or a high-to-low comma coefficient list."""
     s = text.strip()
-    if s == "x":
-        return IntPolynomial.monomial(1)
-    match = re.fullmatch(r"x\^0*(\d+)", s)
+    match = re.fullmatch(r"x(?:\^0*(\d+))?", s)
     if match:
-        exponent = match.group(1)
+        exponent = match.group(1) or "1"
         if len(exponent) > len(str(_DEGREE_CAP)):
             raise ValueError(
                 f"polynomial degree of {len(exponent)} digits is above the cap "
@@ -223,8 +221,7 @@ def _witness_rows(plan, start: int, stop: int) -> list[tuple]:
 def cmd_construct(args: argparse.Namespace) -> int:
     target = CongruenceTarget(q=args.q, m=args.m, g=args.g)
     plan = construction.make_plan(target, args.poly, args.u)
-    size = plan.box.size
-    total = size if args.limit is None else min(args.limit, size)
+    total = construction.family_size(plan, args.limit)
     rows = partial(_witness_rows, plan)
     with _output(args, WITNESS_FIELDS) as writer:
         for chunk in chunked_map(rows, total, args.workers, _CONSTRUCT_CHUNK):
@@ -251,7 +248,7 @@ _N_OPERATORS = {
 
 
 def _n_value(node: ast.AST, names: dict[str, int]) -> int:
-    """Value of a parsed --N-at expression: ints, names, + - * ** only."""
+    """Value of a parsed --N/--N-at expression: ints, names, + - * ** only."""
     op = _N_OPERATORS.get(type(getattr(node, "op", None)))
     if isinstance(node, ast.Constant) and type(node.value) is int:
         value = node.value
@@ -275,7 +272,7 @@ def _n_value(node: ast.AST, names: dict[str, int]) -> int:
 
 
 def _eval_n_expression(expr: str, q: int, m: int, h: int, n0: int) -> int:
-    """Evaluate an --N-at expression over N0, q, m, h (e.g. N0*q^(3h+1))."""
+    """Evaluate an --N/--N-at expression over N0, q, m, h (e.g. N0*q^(3h+1))."""
     if not _N_EXPR_TOKENS.match(expr):
         raise ValueError(f"unsupported characters in N expression {expr!r}")
     normalized = expr.replace("^", "**")
@@ -302,10 +299,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             )
         h = p.degree
     constants = bounds.explicit_constants(args.q, args.m, h)
-    if args.n_expr is not None:
-        n_limit = _eval_n_expression(args.n_expr, args.q, args.m, h, constants.n0)
-    else:
-        n_limit = args.n_limit
+    n_limit = _eval_n_expression(args.n_expr, args.q, args.m, h, constants.n0)
     report = bounds.certify_lower_bound(constants, n_limit)
     with _output(args, BOUNDS_FIELDS) as writer:
         # C = c_den^(-1/(3h+1)) fills the C_num, C_den and C_root columns
@@ -461,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     deg.add_argument("--h", type=int, help="monomial degree")
     deg.add_argument("--poly", help="monomial as x^H (general p is rejected)")
     n_group = y.add_mutually_exclusive_group(required=True)
-    n_group.add_argument("--N", dest="n_limit", type=int)
+    n_group.add_argument("--N", dest="n_expr", metavar="N")
     n_group.add_argument(
         "--N-at", dest="n_expr", help="expression over N0, q, m, h, e.g. N0*q^(3h+1)"
     )
@@ -507,8 +501,6 @@ def _validate(args: argparse.Namespace) -> None:
         raise ValueError("tolerance must be nonnegative")
     if getattr(args, "workers", 1) < 1:
         raise ValueError("workers must be >= 1")
-    if getattr(args, "limit", None) is not None and args.limit < 0:
-        raise ValueError("limit must be >= 0")
     if args.command == "lemma" and args.mode == "random":
         if None in (args.u, args.seed, args.count):
             raise ValueError("random mode requires --u, --seed and --count")

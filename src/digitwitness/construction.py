@@ -161,15 +161,15 @@ class AdmissibleBox:
         state mod the field's range (side, m1_max, side, side).
         """
         mask = (1 << 64) - 1
-        state, ranges = seed & mask, (self.side, self.m1_max, self.side, self.side)
+        side = self.side
+        state, ranges = seed & mask, (side, self.m1_max, side, side)
         for _ in range(count):
             draws = []
             for n in ranges:
                 state = (6364136223846793005 * state + 1442695040888963407) & mask
                 draws.append(state % n)
             i0, i1, i2, i3 = draws
-            yield CubicParams(m0=self.lo + i0, m1=1 + i1, m2=self.lo + i2,
-                              m3=self.lo + i3, u=self.u)
+            yield self.params_at(((i3 * side + i2) * self.m1_max + i1) * side + i0)
 
 
 def admissible_ranges(q: int, h: int, u: int) -> AdmissibleBox:
@@ -283,7 +283,7 @@ def translate_shift(p: IntPolynomial) -> int:
     h*bits(_shift_bound(p)) > 2^14.  Callers are responsible for p mapping
     nonnegative integers to nonnegative integers.
     """
-    if p.is_zero() or p.coeffs[-1] <= 0:
+    if not p.coeffs or p.coeffs[-1] <= 0:
         raise ValueError("polynomial must have a positive leading coefficient")
     if (work := p.degree * _shift_bound(p).bit_length()) > 1 << 14:
         raise ValueError(f"shift search: h*bits(c + 1) = {work} passes the 2^14 cap")
@@ -312,7 +312,7 @@ def splitting_margin(q: int, p_shifted: IntPolynomial) -> int:
     j >= 2*h with q^j <= max(p_shifted) * 4^h (2*h when there is none),
     whatever u is.
     """
-    if p_shifted.is_zero() or any(c < 0 for c in p_shifted.coeffs):
+    if not p_shifted.coeffs or any(c < 0 for c in p_shifted.coeffs):
         raise ValueError("expected nonnegative coefficients with positive leading")
     h = p_shifted.degree
     return max(2 * h, ilog(q, max(p_shifted.coeffs) << 2 * h))
@@ -510,6 +510,14 @@ def witness_for(
     )
 
 
+def family_size(plan: ConstructionPlan, limit: Optional[int]) -> int:
+    """How many witnesses a family of the plan has: the first `limit`
+    quadruples of its box, or the whole box for None."""
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be >= 0")
+    return plan.box.size if limit is None else min(limit, plan.box.size)
+
+
 def construct_family(
     target: CongruenceTarget,
     p: IntPolynomial,
@@ -525,7 +533,5 @@ def construct_family(
     oracle.verify_witnesses) so the stream itself stays memoryless.
     """
     plan = make_plan(target, p, u)
-    size = plan.box.size
-    count = size if limit is None else min(limit, size)
-    for params, composed in compositions(plan, 0, count):
+    for params, composed in compositions(plan, 0, family_size(plan, limit)):
         yield witness_for(plan, params, composed)

@@ -169,16 +169,16 @@ def decimal_str(n: int) -> str:
 
 
 def decimal_int(s: str) -> int:
-    """int(s), also past Python's str-to-int digit limit.
+    """The value of s, an optional "-" followed by ASCII digits, also past
+    Python's str-to-int digit limit.
 
-    A string of at most STR_DIGITS characters goes to int() as it is.  A
-    longer one must be at most _DECIMAL_CHARS_CAP characters, checked before
-    any work, and an optional "-" followed by ASCII digits; it is cut by the
-    ladder of 10 into parts that int() accepts.  The limit itself is left as
-    it is.
+    s must be at most _DECIMAL_CHARS_CAP characters, checked before any
+    work, and match -?[0-9]+ at every length: int() alone would also read
+    "1_000", "+5", surrounding spaces and non-ASCII digits.  A string of at
+    most STR_DIGITS characters goes to int(); a longer one is cut by the
+    ladder of 10 into parts that int() accepts.  The limit itself is left
+    as it is.
     """
-    if len(s) <= STR_DIGITS:
-        return int(s)
     if len(s) > _DECIMAL_CHARS_CAP:
         raise ValueError(
             f"a decimal string of {len(s)} characters is longer than the "
@@ -186,10 +186,13 @@ def decimal_int(s: str) -> int:
         )
     digits = s.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
+        shown = repr(s) if len(s) <= 24 else f"{s[:20]!r}..."
         raise ValueError(
-            f"a decimal string of more than {STR_DIGITS} characters must be "
-            f"ASCII digits after an optional '-'"
+            f"a decimal string must be ASCII digits after an optional '-', "
+            f"got {shown}"
         )
+    if len(s) <= STR_DIGITS:
+        return int(s)
     if s[0] == "-":
         return -decimal_int(digits)
     # cut 2^i digits from the right, 2^i below the length, as decimal_str cuts

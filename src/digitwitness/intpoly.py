@@ -45,9 +45,6 @@ class IntPolynomial:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"

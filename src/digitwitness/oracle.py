@@ -2,11 +2,13 @@
 
 Everything here is deliberately independent of the construction: counts come
 from enumerating [0, N) and tallying digit sums through `digits`, and witness
-verification re-evaluates p(n) from scratch, in one pass over any iterable,
-returning only the problems of the witnesses that fail.  Enumeration
-advances p(n) by intpoly.difference_walk, the stepper construct also runs
-along m0 (h additions per step, run in C by itertools.accumulate), and
-`digits.digit_sum_counts` tallies the values a chunk at a time.
+verification re-evaluates p(n) from scratch and rebuilds n = t(q^k) + e from
+its own statement of the cubic t (construction.build_cubic is never called),
+in one pass over any iterable, returning only the problems of the witnesses
+that fail.  Enumeration advances p(n) by intpoly.difference_walk, the stepper
+construct also runs along m0 (h additions per step, run in C by
+itertools.accumulate), and `digits.digit_sum_counts` tallies the values a
+chunk at a time.
 
 [0, N) is cut into fixed-size chunks that `parallel.chunked_map` tallies,
 across processes when there are several workers (never more processes than
@@ -22,9 +24,9 @@ from fractions import Fraction
 from functools import partial
 from itertools import islice
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from .construction import Witness, build_cubic
+from .construction import Witness
 from .digits import (
     VALUE_BITS_CAP,
     decimal_str,
@@ -55,11 +57,8 @@ def polynomial_values(p: IntPolynomial, start: int, stop: int) -> Iterator[int]:
     return islice(difference_walk(seeds), stop - start)
 
 
-def tally_range(
-    q: int, m: int, coeffs: Sequence[int], start: int, stop: int
-) -> list[int]:
+def tally_range(q: int, m: int, p: IntPolynomial, start: int, stop: int) -> list[int]:
     """Per-residue counts of s_q(p(n)) mod m for n in [start, stop)."""
-    p = IntPolynomial.from_coeffs(coeffs)
     return digit_sum_counts(polynomial_values(p, start, stop), q, m)
 
 
@@ -107,7 +106,7 @@ def density_table(
     if n_limit < 1:
         raise ValueError(f"N must be >= 1, got {n_limit}")
     counts = [0] * m
-    tally = partial(tally_range, q, m, p.coeffs)
+    tally = partial(tally_range, q, m, p)
     for part in chunked_map(tally, n_limit, workers, _TALLY_CHUNK):
         for r, c in enumerate(part):
             counts[r] += c
@@ -162,7 +161,11 @@ def verify_witnesses(
                 f"n rebuilt at k {w.k} could exceed the {VALUE_BITS_CAP}-bit cap"
             )
         else:
-            rebuilt = poly_eval(build_cubic(params), q**w.k) + w.e
+            # t(x) stated here again, not read from construction: a checker
+            # shares no arithmetic with the code it checks
+            x = q**w.k
+            t = ((params.m3 * x + params.m2) * x - params.m1) * x + params.m0
+            rebuilt = t + w.e
             if rebuilt != w.n:
                 problems.append(
                     f"n does not match its quadruple: the rebuilt n has "

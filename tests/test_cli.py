@@ -707,6 +707,60 @@ class TestVerify:
         assert json.loads(lines[0])["line"] == 1
         assert message in json.loads(lines[0])["detail"]
 
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("n", lambda v: v[:3] + "_" + v[3:]),
+            ("m0", lambda v: "+" + v),
+            # U+0660 to U+0669, the Arabic-Indic digits
+            ("n", lambda v: v.translate({0x30 + d: 0x0660 + d for d in range(10)})),
+            ("m1", lambda v: f" {v} "),
+        ],
+        ids=["underscore-n", "plus-m0", "arabic-indic-n", "spaces-m1"],
+    )
+    def test_decimal_fields_are_ascii_digits_only(
+        self, tmp_path, capsys, field, edit
+    ):
+        # int() reads each edited value as the construct wrote; verify does not
+        path = self.construct_file(tmp_path, limit=1)
+        record = json.loads(path.read_text())
+        value = record[field]
+        record[field] = edit(value)
+        assert int(record[field]) == int(value) and record[field] != value
+        path.write_text(json.dumps(record) + "\n")
+        code, lines = run_lines(
+            capsys,
+            ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+             "--in", str(path)],
+        )
+        assert code == 1
+        assert json.loads(lines[0])["detail"].startswith(
+            "malformed row: a decimal string must be ASCII digits after an optional '-'"
+        )
+        assert json.loads(lines[-1])["detail"] == "total=0 failed=0 malformed=1"
+
+    def test_n_is_rebuilt_without_the_construction_cubic(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a defect in build_cubic would pass construct's self-check; verify
+        # must not share it (oracle's own name is patched too, if it has one)
+        path = self.construct_file(tmp_path)
+
+        def wrong(params):
+            return IntPolynomial.from_coeffs(
+                [params.m0 + 1, -params.m1, params.m2, params.m3]
+            )
+
+        monkeypatch.setattr(construction, "build_cubic", wrong)
+        monkeypatch.setattr(oracle, "build_cubic", wrong, raising=False)
+        code, lines = run_lines(
+            capsys,
+            ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+             "--in", str(path)],
+        )
+        assert code == 0
+        assert json.loads(lines[-1])["detail"] == "total=8 failed=0 malformed=0"
+
     def test_long_values_outside_n_and_the_quadruple_are_malformed(
         self, tmp_path, capsys
     ):
@@ -773,6 +827,33 @@ class TestCertify:
             capsys, ["certify", "--q", "2", "--m", "3", "--h", "3", "--N", str(n0)]
         )
         assert code == 0 and json.loads(lines[0])["verdict"] is True
+
+    @pytest.mark.parametrize(
+        "n", [str(2**27 * 41472**10), str(10**1000), "N0*q^(3h+1)"],
+        ids=["N0", "10^1000", "expression"],
+    )
+    def test_n_reads_the_n_at_grammar(self, capsys, n):
+        argv = ["certify", "--q", "2", "--m", "3", "--h", "3"]
+        assert run(argv + ["--N-at", n]) == 0
+        by_n_at = capsys.readouterr().out
+        assert run(argv + ["--N", n]) == 0
+        assert capsys.readouterr().out == by_n_at
+
+    @pytest.mark.parametrize("n", ["abc", "1.5", "2^-1", ""])
+    def test_malformed_n_gets_the_evaluator_message(self, capsys, n):
+        code = run(["certify", "--q", "2", "--m", "3", "--h", "3", "--N", n])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        with pytest.raises(ValueError) as expected:
+            cli._eval_n_expression(n, 2, 3, 3, 2**27 * 41472**10)
+        assert err == f"error: {expected.value}\n"
+
+    def test_n_and_n_at_are_mutually_exclusive(self, capsys):
+        code = run(["certify", "--q", "2", "--m", "3", "--h", "3", "--N", "5",
+                    "--N-at", "N0"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "not allowed with argument" in err
 
     def test_monomial_poly_accepted(self, capsys):
         code, lines = run_lines(
@@ -1167,6 +1248,31 @@ def test_json_records_carry_only_csv_columns(tmp_path, capsys):
             assert schema == "schema" and keys == fields[: len(keys)]
             cells = ["" if record[f] is None else str(record[f]) for f in keys]
             assert row == cells + [""] * (len(fields) - len(keys))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["construct", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+          "--workers", "0"], "workers must be >= 1"),
+        (["density", "--q", "2", "--m", "3", "--poly", "x^2", "--N", "10",
+          "--workers", "0"], "workers must be >= 1"),
+        (["construct", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+          "--limit", "-1"], "limit must be >= 0"),
+        (["density", "--q", "2", "--m", "3", "--poly", "x^2", "--N", "10",
+          "--tolerance", "-1"], "tolerance must be nonnegative"),
+    ],
+    ids=["construct-workers", "density-workers", "construct-limit",
+         "density-tolerance"],
+)
+def test_refused_values_leave_the_out_file_alone(tmp_path, capsys, argv, message):
+    kept = tmp_path / "kept.jsonl"
+    kept.write_bytes(b"earlier output\n")
+    code = run(argv + ["--out", str(kept)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert kept.read_bytes() == b"earlier output\n"
 
 
 def test_unknown_command_is_usage_error(capsys):

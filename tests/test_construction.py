@@ -629,6 +629,13 @@ class TestConstructFamily:
         target = CongruenceTarget(q=2, m=3, g=1)
         assert list(construct_family(target, X3, u=15, limit=0)) == []
 
+    def test_negative_limit_is_refused(self):
+        # `construct --limit -5` refuses it too, through the same family_size
+        family = construct_family(CongruenceTarget(q=2, m=3, g=1), X3, limit=-5)
+        with pytest.raises(ValueError) as info:
+            next(family)
+        assert str(info.value) == "limit must be >= 0"
+
     def test_enumeration_order_is_lexicographic(self):
         target = CongruenceTarget(q=2, m=3, g=1)
         family = list(construct_family(target, X3, u=15, limit=5))

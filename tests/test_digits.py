@@ -200,17 +200,23 @@ class TestDecimalLadder:
             with pytest.raises(ValueError, match="must be ASCII digits"):
                 decimal_int(text)
 
-    def test_short_strings_are_read_by_int(self):
+    def test_short_strings_follow_the_same_grammar(self):
         # "-" and 4300 digits is 4301 characters, and int() reads it too
-        for text in ("1_000", " 12 ", "+7", "-0", "\u0661\u0662", "9" * 4300,
-                     "-" + "9" * 4300):
+        for text in ("0", "-0", "007", "9" * 4300, "-" + "9" * 4300):
             assert decimal_int(text) == int(text)
-        for text in ("", "abc", "1__0", " - 5", "9" * 4299 + "x"):
-            with pytest.raises(ValueError) as expected:
-                int(text)
-            with pytest.raises(ValueError) as raised:
+        # int() reads the first five; decimal_int reads only -?[0-9]+
+        for text in ("1_000", " 12 ", "+7", "\u0661\u0662", "12\n", "", "-",
+                     "abc", "1__0", " - 5", "9" * 4299 + "x"):
+            with pytest.raises(ValueError, match="must be ASCII digits"):
                 decimal_int(text)
-            assert str(raised.value) == str(expected.value)
+
+    def test_refusal_quotes_at_most_20_characters(self):
+        with pytest.raises(ValueError) as info:
+            decimal_int("+" + "1" * 4000)
+        assert str(info.value).endswith(f"got {'+' + '1' * 19!r}...")
+        with pytest.raises(ValueError) as info:
+            decimal_int("1_000")
+        assert str(info.value).endswith("got '1_000'")
 
     def test_string_past_the_cap_is_refused_before_any_work(self):
         text = "1" * (_DECIMAL_CHARS_CAP + 1)

@@ -71,11 +71,11 @@ class TestBruteForceCount:
 
     def test_additive_over_partition(self):
         n_limit = 5000
-        whole = tally_range(2, 3, X3.coeffs, 0, n_limit)
+        whole = tally_range(2, 3, X3, 0, n_limit)
         parts = [0, 137, 1000, 2500, n_limit]
         summed = [0, 0, 0]
         for lo, hi in zip(parts, parts[1:]):
-            for r, c in enumerate(tally_range(2, 3, X3.coeffs, lo, hi)):
+            for r, c in enumerate(tally_range(2, 3, X3, lo, hi)):
                 summed[r] += c
         assert summed == whole
 
