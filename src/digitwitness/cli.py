@@ -3,8 +3,11 @@
 All commands emit machine-readable JSON lines (default) or CSV, and
 identical configuration reproduces identical bytes.  Exit codes: 0 success /
 all checks passed, 1 verification failure or output cut short by a reader
-that closed stdout, 2 usage or configuration error.  `lemma --mode proof`
-writes the verdict of construction.sign_lemma_proof, the sign lemma's proof.
+that closed stdout, 2 usage or configuration error.  `lemma` without --u,
+--count and --seed writes the verdict of construction.sign_lemma_proof, the
+sign lemma's proof.  Every integer the commands read, in an option, in
+--poly or in --N, is ASCII -?[0-9]+ read by digits.decimal_int, as in
+witness rows; an integer option has at most STR_DIGITS characters.
 
 Each record's fields and their order are stated once, in a *_FIELDS list:
 it is the CSV header, and a JSON record is "schema" followed by those fields
@@ -18,12 +21,11 @@ the same list.
 from __future__ import annotations
 
 import argparse
-import ast
 import csv
 import json
-import operator
 import os
 import re
+import reprlib
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -58,7 +60,7 @@ _DEGREE_CAP = 1 << 10
 def parse_poly(text: str) -> IntPolynomial:
     """x^H / x monomial shorthand, or a high-to-low comma coefficient list."""
     s = text.strip()
-    match = re.fullmatch(r"x(?:\^0*(\d+))?", s)
+    match = re.fullmatch(r"x(?:\^0*([0-9]+))?", s)
     if match:
         exponent = match.group(1) or "1"
         if len(exponent) > len(str(_DEGREE_CAP)):
@@ -66,8 +68,8 @@ def parse_poly(text: str) -> IntPolynomial:
                 f"polynomial degree of {len(exponent)} digits is above the cap "
                 f"{_DEGREE_CAP}"
             )
-        degree = int(exponent)
-    elif re.fullmatch(r"-?\d+(\s*,\s*-?\d+)*", s):
+        degree = decimal_int(exponent)
+    elif re.fullmatch(r"-?[0-9]+(\s*,\s*-?[0-9]+)*", s):
         degree = s.count(",")
     else:
         raise ValueError(
@@ -80,10 +82,17 @@ def parse_poly(text: str) -> IntPolynomial:
         return IntPolynomial.monomial(degree)
     tokens = s.split(",")
     if max(len(tok.strip().lstrip("-")) for tok in tokens) > STR_DIGITS:
-        raise ValueError(
-            f"a coefficient is longer than the {STR_DIGITS}-digit limit"
+        raise ValueError(f"a coefficient is longer than the {STR_DIGITS}-digit limit")
+    return IntPolynomial.from_coeffs(reversed([decimal_int(t.strip()) for t in tokens]))
+
+
+def integer(text: str) -> int:
+    """An integer option: decimal_int's -?[0-9]+, at most STR_DIGITS long."""
+    if len(text) > STR_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"{reprlib.repr(text)} is longer than {STR_DIGITS} characters"
         )
-    return IntPolynomial.from_coeffs(reversed([int(tok) for tok in tokens]))
+    return decimal_int(text)
 
 
 class _Writer:
@@ -138,7 +147,7 @@ def _witness_from_values(values: list) -> Witness:
         if isinstance(value, str):
             if len(value) > STR_DIGITS and field not in DECIMAL_FIELDS:
                 raise ValueError(f"{field} is longer than {STR_DIGITS} characters")
-            value = decimal_int(value)
+            value = decimal_int(value, field)
         # int() would read a JSON true as 1 and 15.9 as 15
         elif isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{field} must be an integer, got {type(value).__name__}")
@@ -230,74 +239,88 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_N_EXPR_TOKENS = re.compile(r"[Nqmh0-9+\-*^() ]+\Z")
-
 BOUNDS_FIELDS = [
     "q", "m", "h", "u0", "N0", "C_num", "C_den", "C_root", "N", "u",
     "guaranteed", "estimate_num", "estimate_den", "required", "verdict",
 ]
 
-_N_OPERATORS = {
-    ast.Add: operator.add,
-    ast.Sub: operator.sub,
-    ast.Mult: operator.mul,
-    ast.Pow: operator.pow,
-    ast.UAdd: operator.pos,
-    ast.USub: operator.neg,
-}
-
-
-def _n_value(node: ast.AST, names: dict[str, int]) -> int:
-    """Value of a parsed --N/--N-at expression: ints, names, + - * ** only."""
-    op = _N_OPERATORS.get(type(getattr(node, "op", None)))
-    if isinstance(node, ast.Constant) and type(node.value) is int:
-        value = node.value
-    elif isinstance(node, ast.Name) and node.id in names:
-        value = names[node.id]
-    elif isinstance(node, ast.UnaryOp) and op is not None:
-        value = op(_n_value(node.operand, names))
-    elif isinstance(node, ast.BinOp) and op is not None:
-        left, right = _n_value(node.left, names), _n_value(node.right, names)
-        if op is operator.pow and right < 0:
-            raise ValueError(f"negative exponent {right}")
-        # a power of a b-bit base has more than (b - 1) * exponent bits
-        if op is operator.pow and (left.bit_length() - 1) * right >= bounds.N_BITS_CAP:
-            raise ValueError(f"a power exceeds {bounds.N_BITS_CAP} bits")
-        value = op(left, right)
-    else:
-        raise ValueError(f"unsupported term {ast.unparse(node)!r}")
-    if value.bit_length() > bounds.N_BITS_CAP:
-        raise ValueError(f"a value exceeds {bounds.N_BITS_CAP} bits")
-    return value
+# An --N expression's tokens: ASCII literals, the name N0 and single
+# characters; whitespace only separates them.
+_N_TOKEN = re.compile(r"[0-9]+|N0|\S")
+# How tightly each operator binds, a sign binding at 2, and what it does
+_N_OPERATORS = {"+": (1, int.__add__), "-": (1, int.__sub__), "*": (2, int.__mul__),
+                "^": (3, pow)}
 
 
 def _eval_n_expression(expr: str, q: int, m: int, h: int, n0: int) -> int:
-    """Evaluate an --N/--N-at expression over N0, q, m, h (e.g. N0*q^(3h+1))."""
-    if not _N_EXPR_TOKENS.match(expr):
-        raise ValueError(f"unsupported characters in N expression {expr!r}")
-    normalized = expr.replace("^", "**")
-    normalized = re.sub(r"(\d)\s*([Nqmh(])", r"\1*\2", normalized)
-    normalized = re.sub(r"\)\s*(?=[Nqmh0-9(])", ")*", normalized)
+    """Evaluate an --N expression over N0, q, m, h (e.g. N0*q^(3h+1)).
+
+    Literals are [0-9]+, read by decimal_int, and ^ groups to the right.  A
+    "*" may be left out after a literal or ")" before a name or "(", and
+    after ")" before a literal.  A power that could pass bounds.N_BITS_CAP
+    is refused before it is built, and so is every value that does pass it.
+    """
     names = {"N0": n0, "q": q, "m": m, "h": h}
+    tokens, at = _N_TOKEN.findall(expr) + [""], 0  # "" ends the expression
+
+    def literal(token: str) -> bool:
+        return token.isascii() and token.isdigit()
+
+    def unexpected(token: str) -> ValueError:
+        return ValueError(f"unexpected {reprlib.repr(token) if token else 'end'}")
+
+    def read(floor: int) -> int:
+        """The value ahead, up to the first operator binding at most floor."""
+        nonlocal at
+        token, at = tokens[at], at + 1
+        if token == "(":
+            value = read(0)
+            if tokens[at] != ")":
+                raise unexpected(tokens[at])
+            at += 1
+        elif token in ("+", "-"):
+            value = read(2) if token == "+" else -read(2)
+        elif token in names or literal(token):
+            value = names[token] if token in names else decimal_int(token)
+        else:
+            raise unexpected(token)
+        while value.bit_length() <= bounds.N_BITS_CAP:
+            last, op = tokens[at - 1], tokens[at]
+            implied = (literal(last) or last == ")") and (
+                op in names or op == "(" or last == ")" and literal(op)
+            )
+            binding, apply = _N_OPERATORS.get("*" if implied else op, (0, None))
+            if binding <= floor:
+                return value
+            at += not implied
+            right = read(binding - (op == "^"))
+            if op == "^" and right < 0:
+                raise ValueError("negative exponent")
+            # a power of a b-bit base has more than (b - 1) * exponent bits
+            if op == "^" and (value.bit_length() - 1) * right >= bounds.N_BITS_CAP:
+                raise ValueError(f"a power exceeds {bounds.N_BITS_CAP} bits")
+            value = apply(value, right)
+        raise ValueError(f"a value exceeds {bounds.N_BITS_CAP} bits")
+
+    shown = reprlib.repr(expr)
     try:
-        value = _n_value(ast.parse(normalized, mode="eval").body, names)
-    except (SyntaxError, RecursionError, ValueError) as exc:
-        raise ValueError(f"cannot evaluate N expression {expr!r}: {exc}") from None
+        value = read(0)
+        if tokens[at]:
+            raise unexpected(tokens[at])
+    except (RecursionError, ValueError) as exc:
+        raise ValueError(f"cannot evaluate N expression {shown}: {exc}") from None
     if value < 1:
-        raise ValueError(f"N expression {expr!r} must yield a positive integer")
+        raise ValueError(f"N expression {shown} must yield a positive integer")
     return value
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    h = args.h
-    if h is None:
-        p = args.poly
-        if p.degree < 1 or p.coeffs != (0,) * p.degree + (1,):
-            raise ValueError(
-                f"certification covers monomials x^h only, got {p}; "
-                f"use `construct` for general polynomials"
-            )
-        h = p.degree
+    h = args.poly.degree
+    if h < 1 or args.poly.coeffs != (0,) * h + (1,):
+        raise ValueError(
+            f"certification covers monomials x^h only, got {args.poly}; "
+            f"use `construct` for general polynomials"
+        )
     constants = bounds.explicit_constants(args.q, args.m, h)
     n_limit = _eval_n_expression(args.n_expr, args.q, args.m, h, constants.n0)
     report = bounds.certify_lower_bound(constants, n_limit)
@@ -394,7 +417,7 @@ LEMMA_PROOF_FIELDS = ["q", "l", "D", "ok", "first_violation"]
 
 
 def cmd_lemma(args: argparse.Namespace) -> int:
-    if args.mode == "proof":
+    if args.u is None:
         first = construction.sign_lemma_proof(args.q, args.l)
         d = decimal_str(construction.m1_divisor(args.q, args.l))
         with _output(args, LEMMA_PROOF_FIELDS) as writer:
@@ -421,6 +444,7 @@ def cmd_lemma(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="digitwitness",
+        allow_abbrev=False,
         description=(
             "Construct integers n with s_q(p(n)) = g (mod m), certify the "
             "explicit count lower bound, and cross-check by brute force."
@@ -428,68 +452,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(
-        p: argparse.ArgumentParser,
-        run: Callable[[argparse.Namespace], int],
-        workers: bool = False,
-    ):
+    def command(name: str, run: Callable, help: str, ints: str, workers=False):
+        """A subcommand whose options named in `ints` are required integers."""
+        # no abbreviations: each option has one spelling (--h is not --help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(run=run)
+        for option in ints.split():
+            p.add_argument(f"--{option}", type=integer, required=True)
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out", metavar="PATH", help="output path (default stdout)")
         if workers:
-            p.add_argument("--workers", type=int, default=1)
+            p.add_argument("--workers", type=integer, default=1)
+        return p
 
-    c = sub.add_parser("construct", help="emit a stream of witnesses")
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("--m", type=int, required=True)
-    c.add_argument("--g", type=int, required=True)
+    c = command("construct", cmd_construct, "emit a stream of witnesses", "q m g",
+                workers=True)
     c.add_argument("--poly", required=True, help="x^H or high-to-low coefficients")
-    c.add_argument("--u", type=int, help="scale override (default: minimum scale)")
-    c.add_argument("--limit", type=int, help="stop after this many witnesses")
-    add_common(c, cmd_construct, workers=True)
+    c.add_argument("--u", type=integer, help="scale override (default: minimum)")
+    c.add_argument("--limit", type=integer, help="stop after this many witnesses")
 
-    y = sub.add_parser("certify", help="certify the explicit lower bound")
-    y.add_argument("--q", type=int, required=True)
-    y.add_argument("--m", type=int, required=True)
-    deg = y.add_mutually_exclusive_group(required=True)
-    deg.add_argument("--h", type=int, help="monomial degree")
-    deg.add_argument("--poly", help="monomial as x^H (general p is rejected)")
-    n_group = y.add_mutually_exclusive_group(required=True)
-    n_group.add_argument("--N", dest="n_expr", metavar="N")
-    n_group.add_argument(
-        "--N-at", dest="n_expr", help="expression over N0, q, m, h, e.g. N0*q^(3h+1)"
-    )
-    add_common(y, cmd_certify)
+    y = command("certify", cmd_certify, "certify the explicit lower bound", "q m")
+    y.add_argument("--poly", required=True, help="x^H (general p is rejected)")
+    y.add_argument("--N", dest="n_expr", metavar="N", required=True,
+                   help="expression over N0, q, m, h, e.g. N0*q^(3h+1)")
 
-    v = sub.add_parser("verify", help="recheck a witness file from scratch")
-    v.add_argument("--q", type=int, required=True)
-    v.add_argument("--m", type=int, required=True)
-    v.add_argument("--g", type=int, required=True)
+    v = command("verify", cmd_verify, "recheck a witness file from scratch", "q m g")
     v.add_argument("--poly", required=True)
     v.add_argument("--in", dest="input_path", required=True, metavar="PATH")
-    add_common(v, cmd_verify)
 
-    d = sub.add_parser("density", help="brute-force residue densities")
-    d.add_argument("--q", type=int, required=True)
-    d.add_argument("--m", type=int, required=True)
+    d = command("density", cmd_density, "brute-force residue densities", "q m",
+                workers=True)
     d.add_argument("--poly", required=True)
-    d.add_argument("--N", dest="n_limit", type=int, required=True)
-    d.add_argument(
-        "--tolerance",
-        type=parse_tolerance,
-        default=Fraction(1, 50),
-        help="max |density - prediction| (exact, default 0.02)",
-    )
-    add_common(d, cmd_density, workers=True)
+    d.add_argument("--N", dest="n_limit", type=integer, required=True)
+    d.add_argument("--tolerance", type=parse_tolerance, default=Fraction(1, 50),
+                   help="max |density - prediction| (exact, default 0.02)")
 
-    le = sub.add_parser("lemma", help="prove the sign lemma, or sample its box")
-    le.add_argument("--q", type=int, required=True)
-    le.add_argument("--l", type=int, required=True, help="power of the cubic")
-    le.add_argument("--mode", choices=["proof", "random"], required=True)
-    le.add_argument("--u", type=int, help="scale (random mode)")
-    le.add_argument("--count", type=int, help="sample size (random mode)")
-    le.add_argument("--seed", type=int, help="generator seed (random mode)")
-    add_common(le, cmd_lemma)
+    le = command("lemma", cmd_lemma, "prove the sign lemma, or sample its box", "q")
+    le.add_argument("--l", type=integer, required=True, help="power of the cubic")
+    le.add_argument("--u", type=integer, help="scale (sampling)")
+    le.add_argument("--count", type=integer, help="sample size (sampling)")
+    le.add_argument("--seed", type=integer, help="generator seed (sampling)")
     return parser
 
 
@@ -501,13 +503,11 @@ def _validate(args: argparse.Namespace) -> None:
         raise ValueError("tolerance must be nonnegative")
     if getattr(args, "workers", 1) < 1:
         raise ValueError("workers must be >= 1")
-    if args.command == "lemma" and args.mode == "random":
-        if None in (args.u, args.seed, args.count):
-            raise ValueError("random mode requires --u, --seed and --count")
-        if args.count < 1:
-            raise ValueError("count must be >= 1")
-    elif args.command == "lemma" and (args.u, args.seed, args.count) != (None,) * 3:
-        raise ValueError("--u, --count and --seed apply to random mode only")
+    if args.command == "lemma" and (args.u, args.count, args.seed).count(None) % 3:
+        raise ValueError("sampling takes --u, --count and --seed together; "
+                         "without them lemma proves")
+    if getattr(args, "count", None) is not None and args.count < 1:
+        raise ValueError("count must be >= 1")
 
 
 def main(argv: Optional[list[str]] = None) -> int:

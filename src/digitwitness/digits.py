@@ -168,9 +168,9 @@ def decimal_str(n: int) -> str:
     return decimal_str(high) + decimal_str(low).zfill(1 << i)
 
 
-def decimal_int(s: str) -> int:
+def decimal_int(s: str, name: str = "a decimal string") -> int:
     """The value of s, an optional "-" followed by ASCII digits, also past
-    Python's str-to-int digit limit.
+    Python's str-to-int digit limit; a refusal calls s `name`.
 
     s must be at most _DECIMAL_CHARS_CAP characters, checked before any
     work, and match -?[0-9]+ at every length: int() alone would also read
@@ -181,15 +181,14 @@ def decimal_int(s: str) -> int:
     """
     if len(s) > _DECIMAL_CHARS_CAP:
         raise ValueError(
-            f"a decimal string of {len(s)} characters is longer than the "
+            f"{name} of {len(s)} characters is longer than the "
             f"{_DECIMAL_CHARS_CAP}-character cap"
         )
     digits = s.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
         shown = repr(s) if len(s) <= 24 else f"{s[:20]!r}..."
         raise ValueError(
-            f"a decimal string must be ASCII digits after an optional '-', "
-            f"got {shown}"
+            f"{name} must be ASCII digits after an optional '-', got {shown}"
         )
     if len(s) <= STR_DIGITS:
         return int(s)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import reprlib
 import subprocess
 import sys
 import time
@@ -735,9 +736,28 @@ class TestVerify:
         )
         assert code == 1
         assert json.loads(lines[0])["detail"].startswith(
-            "malformed row: a decimal string must be ASCII digits after an optional '-'"
+            f"malformed row: {field} must be ASCII digits after an optional '-'"
         )
         assert json.loads(lines[-1])["detail"] == "total=0 failed=0 malformed=1"
+
+    @pytest.mark.parametrize("field", ["m2", "residue"])
+    def test_an_empty_csv_cell_names_its_field(self, tmp_path, capsys, field):
+        # the JSON rows of test_decimal_fields_are_ascii_digits_only name theirs
+        path = self.construct_file(tmp_path, fmt="csv", limit=1)
+        header, row = path.read_text().splitlines()
+        cells = row.split(",")
+        cells[cli.WITNESS_FIELDS.index(field)] = ""
+        path.write_text(f"{header}\n{','.join(cells)}\n")
+        code, records = run_lines(
+            capsys,
+            ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+             "--in", str(path)],
+        )
+        assert code == 1
+        assert json.loads(records[0])["detail"] == (
+            f"malformed row: {field} must be ASCII digits after an optional '-', "
+            f"got ''"
+        )
 
     def test_n_is_rebuilt_without_the_construction_cubic(
         self, tmp_path, capsys, monkeypatch
@@ -803,7 +823,7 @@ class TestVerify:
 class TestCertify:
     def test_at_n0(self, capsys):
         code, lines = run_lines(
-            capsys, ["certify", "--q", "2", "--m", "3", "--h", "3", "--N-at", "N0"]
+            capsys, ["certify", "--q", "2", "--m", "3", "--poly", "x^3", "--N", "N0"]
         )
         assert code == 0
         record = json.loads(lines[0])
@@ -815,7 +835,7 @@ class TestCertify:
     def test_expression_with_scale_step(self, capsys):
         code, lines = run_lines(
             capsys,
-            ["certify", "--q", "2", "--m", "3", "--h", "3", "--N-at",
+            ["certify", "--q", "2", "--m", "3", "--poly", "x^3", "--N",
              "N0*q^(3h+1)"],
         )
         assert code == 0
@@ -824,60 +844,71 @@ class TestCertify:
     def test_explicit_decimal_n(self, capsys):
         n0 = 2**27 * 41472**10
         code, lines = run_lines(
-            capsys, ["certify", "--q", "2", "--m", "3", "--h", "3", "--N", str(n0)]
+            capsys, ["certify", "--q", "2", "--m", "3", "--poly", "x^3", "--N", str(n0)]
         )
         assert code == 0 and json.loads(lines[0])["verdict"] is True
 
     @pytest.mark.parametrize(
-        "n", [str(2**27 * 41472**10), str(10**1000), "N0*q^(3h+1)"],
-        ids=["N0", "10^1000", "expression"],
+        "literal, expression",
+        [(str(2**27 * 41472**10), "N0"), ("1" + "0" * 1000, "10^1000"),
+         ("1" + "0" * 5000, "10^5000")],
+        ids=["N0", "10^1000", "10^5000"],
     )
-    def test_n_reads_the_n_at_grammar(self, capsys, n):
-        argv = ["certify", "--q", "2", "--m", "3", "--h", "3"]
-        assert run(argv + ["--N-at", n]) == 0
-        by_n_at = capsys.readouterr().out
-        assert run(argv + ["--N", n]) == 0
-        assert capsys.readouterr().out == by_n_at
+    def test_literal_n_writes_the_bytes_of_its_expression(
+        self, capsys, literal, expression
+    ):
+        # decimal_int reads a literal past the 4300 digits int() takes
+        argv = ["certify", "--q", "2", "--m", "3", "--poly", "x^3", "--N"]
+        assert run(argv + [expression]) == 0
+        by_expression = capsys.readouterr().out
+        assert run(argv + [literal]) == 0
+        assert capsys.readouterr().out == by_expression
+
+    @pytest.mark.parametrize(
+        "n, same",
+        [("007", "7"), (" 5", "5"), ("N0*0010", "N0*10"), (" N0 * q ", "N0*q")],
+        ids=["leading-zeros", "leading-space", "zeros-in-expression", "spaces"],
+    )
+    def test_leading_zeros_and_spaces_are_read(self, capsys, n, same):
+        argv = ["certify", "--q", "2", "--m", "3", "--poly", "x^3", "--N"]
+        outcomes = []
+        for text in (n, same):
+            code = run(argv + [text])
+            outcomes.append((code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize("n", ["abc", "1.5", "2^-1", ""])
     def test_malformed_n_gets_the_evaluator_message(self, capsys, n):
-        code = run(["certify", "--q", "2", "--m", "3", "--h", "3", "--N", n])
+        code = run(["certify", "--q", "2", "--m", "3", "--poly", "x^3", "--N", n])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         with pytest.raises(ValueError) as expected:
             cli._eval_n_expression(n, 2, 3, 3, 2**27 * 41472**10)
         assert err == f"error: {expected.value}\n"
 
-    def test_n_and_n_at_are_mutually_exclusive(self, capsys):
-        code = run(["certify", "--q", "2", "--m", "3", "--h", "3", "--N", "5",
-                    "--N-at", "N0"])
-        out, err = capsys.readouterr()
-        assert code == 2 and out == ""
-        assert "not allowed with argument" in err
-
     def test_monomial_poly_accepted(self, capsys):
         code, lines = run_lines(
             capsys,
-            ["certify", "--q", "2", "--m", "3", "--poly", "x^3", "--N-at", "N0"],
+            ["certify", "--q", "2", "--m", "3", "--poly", "x^3", "--N", "N0"],
         )
         assert code == 0 and json.loads(lines[0])["h"] == 3
 
     def test_general_poly_rejected(self, capsys):
         code = run(
-            ["certify", "--q", "2", "--m", "3", "--poly", "1,0,-2,0", "--N-at", "N0"]
+            ["certify", "--q", "2", "--m", "3", "--poly", "1,0,-2,0", "--N", "N0"]
         )
         err = capsys.readouterr().err
         assert code == 2 and "monomial" in err
 
     def test_n_below_n0_rejected(self, capsys):
-        code = run(["certify", "--q", "2", "--m", "3", "--h", "3", "--N-at", "N0-1"])
+        code = run(["certify", "--q", "2", "--m", "3", "--poly", "x^3", "--N", "N0-1"])
         err = capsys.readouterr().err
         assert code == 2 and "below N0" in err
 
     def test_csv_format(self, capsys):
         code, lines = run_lines(
             capsys,
-            ["certify", "--q", "2", "--m", "3", "--h", "3", "--N-at", "N0",
+            ["certify", "--q", "2", "--m", "3", "--poly", "x^3", "--N", "N0",
              "--format", "csv"],
         )
         assert code == 0
@@ -893,7 +924,7 @@ class TestCertify:
 
         explicit_constants = bounds.explicit_constants
         monkeypatch.setattr(bounds, "explicit_constants", counted)
-        code = run(["certify", "--q", "2", "--m", "3", "--h", "3", "--N-at", "N0"])
+        code = run(["certify", "--q", "2", "--m", "3", "--poly", "x^3", "--N", "N0"])
         assert code == 0 and calls == [(2, 3, 3)]
 
     @pytest.mark.parametrize(
@@ -905,21 +936,25 @@ class TestCertify:
         self, capsys, monkeypatch, q, m, h
     ):
         # N0 has more than 3(bits(q)-1)(2h+m) + 3h(3h+1) bits, so none of
-        # these N0 is reachable under the 2^16-bit cap on --N-at; min_u is
-        # explicit_constants' first call after its guard
+        # these N0 is reachable under the 2^16-bit cap on --N; min_u is
+        # explicit_constants' first call after its guard.  x^100000 is
+        # refused earlier still, by parse_poly's degree cap.
         def refused(*args):
             raise AssertionError("constants built past the cap")
 
         monkeypatch.setattr(bounds, "min_u", refused)
-        code = run(["certify", "--q", str(q), "--m", str(m), "--h", str(h),
+        code = run(["certify", "--q", str(q), "--m", str(m), "--poly", f"x^{h}",
                     "--N", "5"])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert "65536-bit cap" in err and "below N0" in err
+        if h > 1024:
+            assert err == "error: polynomial degree of 6 digits is above the cap 1024\n"
+        else:
+            assert "65536-bit cap" in err and "below N0" in err
 
     def test_below_n0_message_quotes_n0_past_the_str_limit(self, capsys):
         # at q=2, m=3 the largest degree under the cap is 84; its N0 has 24k digits
-        code = run(["certify", "--q", "2", "--m", "3", "--h", "84", "--N", "5"])
+        code = run(["certify", "--q", "2", "--m", "3", "--poly", "x^84", "--N", "5"])
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error: N=5 is below N0=")
         text = err.removeprefix("error: N=5 is below N0=").strip()
@@ -929,7 +964,7 @@ class TestCertify:
     def test_values_past_the_str_limit_are_written(self, capsys):
         code, lines = run_lines(
             capsys,
-            ["certify", "--q", "2", "--m", "3", "--h", "3", "--N-at", "2^20000"],
+            ["certify", "--q", "2", "--m", "3", "--poly", "x^3", "--N", "2^20000"],
         )
         assert code == 0
         record = json.loads(lines[0])
@@ -952,13 +987,20 @@ class TestCertify:
         assert cli._eval_n_expression(expr, 2, 3, 3, 2**27 * 41472**10) == value
 
     @pytest.mark.parametrize(
-        "expr", ["9^9^9^9", "2^-1", "N0^N0", "N0*(q+1", "2^65536", "q(3)"]
+        "expr",
+        ["9^9^9^9", "2^-1", "N0^N0", "N0*(q+1", "2^65536", "q(3)",
+         # a name after N0, ** as a second ^, a literal after a literal
+         "N0q", "h**2", "2 3",
+         pytest.param("(" * 10**5 + "1" + ")" * 10**5, id="nested-parentheses")],
     )
     def test_unsafe_expression_rejected(self, capsys, expr):
-        code = run(["certify", "--q", "2", "--m", "3", "--h", "3", "--N-at", expr])
+        code = run(["certify", "--q", "2", "--m", "3", "--poly", "x^3", "--N", expr])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert err.startswith(f"error: cannot evaluate N expression {expr!r}")
+        # the message quotes a long expression cut short, as reprlib does
+        shown = reprlib.repr(expr)
+        assert err.startswith(f"error: cannot evaluate N expression {shown}")
+        assert len(err.splitlines()) == 1
 
 
 class TestDensity:
@@ -1046,8 +1088,7 @@ class TestDensity:
 class TestLemma:
     def test_random_mode_requires_seed(self, capsys):
         code = run(
-            ["lemma", "--q", "2", "--l", "3", "--u", "15", "--mode", "random",
-             "--count", "5"]
+            ["lemma", "--q", "2", "--l", "3", "--u", "15", "--count", "5"]
         )
         err = capsys.readouterr().err
         assert code == 2 and "--seed" in err
@@ -1056,32 +1097,31 @@ class TestLemma:
     def test_random_mode_rejects_nonpositive_count(self, capsys, count):
         code, lines = run_lines(
             capsys,
-            ["lemma", "--q", "2", "--l", "3", "--u", "15", "--mode", "random",
-             "--count", count, "--seed", "42"],
+            ["lemma", "--q", "2", "--l", "3", "--u", "15", "--count", count,
+             "--seed", "42"],
         )
         assert code == 2 and lines == []
 
     def test_random_mode_all_pass(self, capsys):
         code, lines = run_lines(
             capsys,
-            ["lemma", "--q", "2", "--l", "3", "--u", "15", "--mode", "random",
-             "--count", "20", "--seed", "42"],
+            ["lemma", "--q", "2", "--l", "3", "--u", "15", "--count", "20",
+             "--seed", "42"],
         )
         assert code == 0
         summary = json.loads(lines[-1])
         assert summary["total"] == 20 and summary["failed"] == 0
 
     def test_random_mode_is_reproducible(self, tmp_path):
-        args = ["lemma", "--q", "2", "--l", "3", "--u", "15", "--mode", "random",
-                "--count", "10", "--seed", "7"]
+        args = ["lemma", "--q", "2", "--l", "3", "--u", "15", "--count", "10",
+                "--seed", "7"]
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_proof_mode_writes_one_record(self, capsys):
-        code, lines = run_lines(capsys, ["lemma", "--q", "2", "--l", "3", "--mode",
-                                         "proof"])
+        code, lines = run_lines(capsys, ["lemma", "--q", "2", "--l", "3"])
         assert code == 0
         assert [json.loads(line) for line in lines] == [
             {"schema": "lemma-proof/1", "q": 2, "l": 3, "D": "10368", "ok": True,
@@ -1092,16 +1132,16 @@ class TestLemma:
         # at D = 4 the test fails at x^3, and the q=2, u=6 box does hold
         # quadruples whose t^3 has a negative x^3 coefficient
         monkeypatch.setattr(construction, "m1_divisor", lambda q, h: 4)
-        code, lines = run_lines(capsys, ["lemma", "--q", "2", "--l", "3", "--mode",
-                                         "proof", "--format", "csv"])
+        code, lines = run_lines(
+            capsys, ["lemma", "--q", "2", "--l", "3", "--format", "csv"]
+        )
         assert code == 1
         assert lines == ["q,l,D,ok,first_violation", "2,3,4,False,3"]
 
     @pytest.mark.parametrize(
         "old, message",
-        [(["--mode", "exhaustive"], "argument --mode: invalid choice: 'exhaustive'"),
-         (["--mode", "proof", "--max-per-range", "4"],
-          "unrecognized arguments: --max-per-range 4")],
+        [(["--mode", "exhaustive"], "unrecognized arguments: --mode exhaustive"),
+         (["--max-per-range", "4"], "unrecognized arguments: --max-per-range 4")],
         ids=["exhaustive", "max-per-range"],
     )
     def test_exhaustive_mode_is_gone(self, capsys, old, message):
@@ -1111,22 +1151,19 @@ class TestLemma:
         assert code == 2 and out == "" and message in err
 
     @pytest.mark.parametrize(
-        "mode, extra, message",
-        [
-            ("proof", ["--u", "15"], "--u, --count and --seed apply to random mode only"),
-            ("proof", ["--count", "5"],
-             "--u, --count and --seed apply to random mode only"),
-            ("proof", ["--seed", "5"], "--u, --count and --seed apply to random mode only"),
-            ("random", ["--count", "5", "--seed", "5"],
-             "random mode requires --u, --seed and --count"),
-        ],
+        "extra",
+        [["--u", "15"], ["--count", "5"], ["--seed", "5"],
+         ["--count", "5", "--seed", "5"]],
         ids=["proof-u", "proof-count", "proof-seed", "random-no-u"],
     )
-    def test_options_of_the_other_mode_are_refused(self, capsys, mode, extra, message):
-        code = run(["lemma", "--q", "2", "--l", "3", "--mode", mode] + extra)
+    def test_options_of_the_other_mode_are_refused(self, capsys, extra):
+        # none of --u, --count and --seed proves and all three sample, so
+        # one or two of them is neither
+        code = run(["lemma", "--q", "2", "--l", "3"] + extra)
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert err == f"error: {message}\n"
+        assert err == ("error: sampling takes --u, --count and --seed together; "
+                       "without them lemma proves\n")
 
     def test_proof_past_the_cap_is_refused(self, capsys, monkeypatch):
         def reached(*args):
@@ -1135,7 +1172,7 @@ class TestLemma:
         monkeypatch.setattr(construction, "m1_divisor", reached)
         monkeypatch.setattr(construction, "poly_compose", reached)
         start = time.perf_counter()
-        code = run(["lemma", "--q", "2", "--l", "100", "--mode", "proof"])
+        code = run(["lemma", "--q", "2", "--l", "100"])
         assert time.perf_counter() - start < 1
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
@@ -1149,7 +1186,7 @@ class TestLemma:
         # keeps its bytes
         kept = tmp_path / "kept.jsonl"
         kept.write_bytes(b"earlier output\n")
-        code = run(["lemma", "--q", "2", "--l", "100", "--mode", "proof", "--format",
+        code = run(["lemma", "--q", "2", "--l", "100", "--format",
                     fmt, "--out", str(kept)])
         out, err = capsys.readouterr()
         assert code == 2 and out == "" and err.startswith("error: the proof at q=2")
@@ -1179,8 +1216,8 @@ class TestLemma:
 
         monkeypatch.setattr(construction, "m1_divisor", reached)
         start = time.perf_counter()
-        code = run(["lemma", "--q", q, "--l", l, "--u", u, "--mode", "random",
-                    "--count", "1", "--seed", "1"])
+        code = run(["lemma", "--q", q, "--l", l, "--u", u, "--count", "1",
+                    "--seed", "1"])
         assert time.perf_counter() - start < 1
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
@@ -1199,8 +1236,8 @@ class TestLemma:
 
         monkeypatch.setattr(construction, "m1_divisor", reached)
         monkeypatch.setattr(construction, "poly_compose", reached)
-        code = run(["lemma", "--q", "2", "--l", "200", "--u", "727", "--mode",
-                    "random", "--count", "1", "--seed", "1"])
+        code = run(["lemma", "--q", "2", "--l", "200", "--u", "727", "--count", "1",
+                    "--seed", "1"])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err == "error: t^l at q=2, l=200, u=727 could pass the 2^32 work cap\n"
@@ -1208,8 +1245,8 @@ class TestLemma:
     def test_values_past_the_str_limit_are_written(self, capsys):
         code, lines = run_lines(
             capsys,
-            ["lemma", "--q", "2", "--l", "3", "--u", "100000", "--mode", "random",
-             "--count", "1", "--seed", "1"],
+            ["lemma", "--q", "2", "--l", "3", "--u", "100000", "--count", "1",
+             "--seed", "1"],
         )
         assert code == 0
         record = json.loads(lines[0])
@@ -1226,15 +1263,15 @@ def test_json_records_carry_only_csv_columns(tmp_path, capsys):
     assert run(construct + ["--out", str(witnesses)]) == 0
     commands = [
         (construct, cli.WITNESS_FIELDS),
-        (["certify", "--q", "2", "--m", "3", "--h", "3", "--N-at", "N0"],
+        (["certify", "--q", "2", "--m", "3", "--poly", "x^3", "--N", "N0"],
          cli.BOUNDS_FIELDS),
         (["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
           "--in", str(witnesses)], cli.VERIFY_FIELDS),
         (["density", "--q", "2", "--m", "3", "--poly", "x^2", "--N", "100"],
          cli.DENSITY_FIELDS),
-        (["lemma", "--q", "2", "--l", "3", "--u", "15", "--mode", "random",
-          "--count", "3", "--seed", "1"], cli.LEMMA_FIELDS),
-        (["lemma", "--q", "2", "--l", "3", "--mode", "proof"], cli.LEMMA_PROOF_FIELDS),
+        (["lemma", "--q", "2", "--l", "3", "--u", "15", "--count", "3", "--seed", "1"],
+         cli.LEMMA_FIELDS),
+        (["lemma", "--q", "2", "--l", "3"], cli.LEMMA_PROOF_FIELDS),
     ]
     for argv, fields in commands:
         _, lines = run_lines(capsys, argv)
@@ -1273,6 +1310,74 @@ def test_refused_values_leave_the_out_file_alone(tmp_path, capsys, argv, message
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
     assert kept.read_bytes() == b"earlier output\n"
+
+
+# Each command with every option it reads given a valid value
+FULL_ARGV = {
+    "construct": ["--q", "2", "--m", "3", "--g", "1", "--poly", "x^3", "--u", "15",
+                  "--limit", "1", "--workers", "1"],
+    "certify": ["--q", "2", "--m", "3", "--poly", "x^3", "--N", "N0"],
+    "verify": ["--q", "2", "--m", "3", "--g", "1", "--poly", "x^3", "--in", "w.jsonl"],
+    "density": ["--q", "2", "--m", "3", "--poly", "x^2", "--N", "10", "--workers", "1"],
+    "lemma": ["--q", "2", "--l", "3", "--u", "15", "--count", "1", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "literal", ["+5", "1_000", "\u0663"], ids=["plus", "underscore", "arabic-indic"]
+)
+@pytest.mark.parametrize(
+    "command, option",
+    [(command, option) for command, argv in FULL_ARGV.items()
+     for option in argv[::2] if option != "--in"],
+    ids=lambda value: value.lstrip("-"),
+)
+def test_every_integer_reads_ascii_digits_only(capsys, command, option, literal):
+    # int() reads all three literals; decimal_int, behind every integer the
+    # CLI reads, refuses them.  --N's grammar has a unary +, so its "+5" is
+    # 5, refused as below N0.
+    argv = list(FULL_ARGV[command])
+    argv[argv.index(option) + 1] = literal
+    code = run([command, *argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    if option == "--poly":
+        assert err.startswith(f"error: cannot parse polynomial {literal!r}: ")
+    elif option == "--N" and command == "certify":
+        assert err.startswith("error: N=5 is below N0=" if literal == "+5" else
+                              f"error: cannot evaluate N expression {literal!r}")
+    else:
+        assert err.endswith(f"error: argument {option}: invalid integer value: "
+                            f"{literal!r}\n")
+
+
+def test_integer_options_stop_at_the_str_limit(capsys):
+    # 4300 characters are read, as int() reads them; one more is refused
+    argv = ["lemma", "--q", "2", "--l", "3", "--u", "15", "--count", "1", "--seed"]
+    assert run(argv + ["1" * 4300]) == 0
+    capsys.readouterr()
+    assert run(argv + ["1" * 4301]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(
+        f"error: argument --seed: {reprlib.repr('1' * 4301)} is longer than 4300 "
+        f"characters\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, removed",
+    [(["certify", *FULL_ARGV["certify"], "--h", "3"], "--h 3"),
+     (["certify", *FULL_ARGV["certify"], "--N-at", "N0"], "--N-at N0"),
+     (["lemma", "--q", "2", "--l", "3", "--mode", "proof"], "--mode proof")],
+    ids=["certify-h", "certify-N-at", "lemma-mode"],
+)
+def test_second_spellings_are_gone(capsys, argv, removed):
+    # certify reads h only from --poly and N only from --N, and lemma's mode
+    # follows from --u, --count and --seed; --h is no abbreviation of --help
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.endswith(f"error: unrecognized arguments: {removed}\n")
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -52,25 +52,25 @@ GOLDEN = {
         0, "50721cdab58daa112e09c4997c158892c9a569568328e5da1834cf2321cc2e72",
     ),
     "certify": (
-        ["certify", "--q", "2", "--m", "3", "--h", "3", "--N-at", "N0*q^(3h+1)"],
+        ["certify", "--q", "2", "--m", "3", "--poly", "x^3", "--N", "N0*q^(3h+1)"],
         0, "22ec2c8b0e11d0338c257ea500e0561e7f8a4dff34c575aa125eddd9ea3b156d",
     ),
     "certify-csv": (
-        ["certify", "--q", "2", "--m", "3", "--h", "3", "--N-at", "N0*q^(3h+1)",
+        ["certify", "--q", "2", "--m", "3", "--poly", "x^3", "--N", "N0*q^(3h+1)",
          "--format", "csv"],
         0, "816e4c9b81476e7c28c2c90cc2d725c4b5654efb7d37941624a686db64f15307",
     ),
     "lemma-csv": (
-        ["lemma", "--q", "2", "--l", "3", "--u", "15", "--mode", "random",
-         "--count", "50", "--seed", "7", "--format", "csv"],
+        ["lemma", "--q", "2", "--l", "3", "--u", "15", "--count", "50", "--seed", "7",
+         "--format", "csv"],
         0, "e61c5e55fb0054870432d6776426f233e997d9146b52c8b9084e10289ed08af4",
     ),
     "lemma-proof": (
-        ["lemma", "--q", "2", "--l", "3", "--mode", "proof"],
+        ["lemma", "--q", "2", "--l", "3"],
         0, "acbf441fa2b84a5a9289a7440e76b9ee697c91032ddbcb49921cde8e6a779ef6",
     ),
     "lemma-proof-csv": (
-        ["lemma", "--q", "3", "--l", "2", "--mode", "proof", "--format", "csv"],
+        ["lemma", "--q", "3", "--l", "2", "--format", "csv"],
         0, "d5a88d048fd4102580f5e7387868d1e1416f41a0f87c2638b2075a9bdbea0ed2",
     ),
 }

@@ -56,10 +56,9 @@ def test_one_process_runs_never_import_the_pool_stack(tmp_path):
          "--workers", "1", "--out", str(tmp_path / "d1.jsonl")],
         ["density", "--q", "2", "--m", "3", "--poly", "x^2", "--N", "1",
          "--tolerance", "1", "--workers", "2", "--out", str(tmp_path / "d2.jsonl")],
-        ["certify", "--q", "2", "--m", "3", "--h", "3", "--N-at", "N0",
+        ["certify", "--q", "2", "--m", "3", "--poly", "x^3", "--N", "N0",
          "--out", str(tmp_path / "c.jsonl")],
-        ["lemma", "--q", "2", "--l", "3", "--mode", "proof",
-         "--out", str(tmp_path / "l.jsonl")],
+        ["lemma", "--q", "2", "--l", "3", "--out", str(tmp_path / "l.jsonl")],
     ]
     assert pool_modules(runs)[1] == set()
 
