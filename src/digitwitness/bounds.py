@@ -28,7 +28,7 @@ from .construction import (
 from .digits import decimal_str, ilog
 from .intpoly import IntPolynomial
 
-# Largest N, in bits, that certify_lower_bound (and any --N/--N-at value) takes:
+# Largest N, in bits, that certify_lower_bound (and any --N value) takes:
 # certifying an N of 2^16 bits takes about half a second, 2^20 bits minutes.
 N_BITS_CAP = 1 << 16
 

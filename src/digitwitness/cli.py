@@ -3,16 +3,15 @@
 All commands emit machine-readable JSON lines (default) or CSV, and
 identical configuration reproduces identical bytes.  Exit codes: 0 success /
 all checks passed, 1 verification failure or output cut short by a reader
-that closed stdout, 2 usage or configuration error.  `lemma` without --u,
---count and --seed writes the verdict of construction.sign_lemma_proof, the
-sign lemma's proof.  Every integer the commands read, in an option, in
---poly or in --N, is ASCII -?[0-9]+ read by digits.decimal_int, as in
-witness rows; an integer option has at most STR_DIGITS characters.
+that closed stdout, 2 usage or configuration error.  `lemma` writes the
+verdict of construction.sign_lemma_proof, the sign lemma's proof.  Every
+integer the commands read, in an option, in --poly or in --N, is ASCII
+-?[0-9]+ read by digits.decimal_int, as in witness rows; an integer option
+has at most STR_DIGITS characters.
 
 Each record's fields and their order are stated once, in a *_FIELDS list:
 it is the CSV header, and a JSON record is "schema" followed by those fields
-in order.  A record that fills only the leading fields (lemma/1) omits the
-rest from its JSON object and leaves their CSV cells empty.  Witness records
+in order.  Every record fills every field of its list.  Witness records
 use the "witness/1" schema over WITNESS_FIELDS, with n and the quadruple as
 decimal strings (they outgrow machine words); verify reads them back through
 the same list.
@@ -98,9 +97,8 @@ def integer(text: str) -> int:
 class _Writer:
     """Streams records as JSON lines or CSV rows; `fields` is the CSV header.
 
-    A record's values fill the leading fields in order.  Its JSON object is
-    {"schema": ..., field: value, ...} over the fields it fills; its CSV row
-    pads the rest with empty cells (None is also an empty cell).
+    A record's values fill the fields in order.  Its JSON object is
+    {"schema": ..., field: value, ...}; in its CSV row None is an empty cell.
     """
 
     def __init__(self, stream: IO[str], fmt: str, fields: list[str]):
@@ -115,7 +113,7 @@ class _Writer:
 
     def write(self, schema: str, *values) -> None:
         if self._csv is not None:
-            self._csv.writerow(values + ("",) * (len(self.fields) - len(values)))
+            self._csv.writerow(values)
         else:
             record = {"schema": schema, **dict(zip(self.fields, values))}
             self.stream.write(self._json.encode(record) + "\n")
@@ -410,35 +408,15 @@ def cmd_density(args: argparse.Namespace) -> int:
     return EXIT_OK if table.max_deviation <= args.tolerance else EXIT_FAIL
 
 
-LEMMA_FIELDS = [
-    "m0", "m1", "m2", "m3", "u", "ok", "first_violation", "total", "passed", "failed",
-]
 LEMMA_PROOF_FIELDS = ["q", "l", "D", "ok", "first_violation"]
 
 
 def cmd_lemma(args: argparse.Namespace) -> int:
-    if args.u is None:
-        first = construction.sign_lemma_proof(args.q, args.l)
-        d = decimal_str(construction.m1_divisor(args.q, args.l))
-        with _output(args, LEMMA_PROOF_FIELDS) as writer:
-            writer.write("lemma-proof/1", args.q, args.l, d, first is None, first)
-        return EXIT_OK if first is None else EXIT_FAIL
-    box = construction.admissible_ranges(args.q, args.l, args.u)
-    total, passed = args.count, 0
-    with _output(args, LEMMA_FIELDS) as writer:
-        for params in box.sample(total, args.seed):
-            first = construction.verify_sign_pattern(box, args.l, params)
-            passed += first is None
-            writer.write(
-                "lemma/1",
-                *map(decimal_str, (params.m0, params.m1, params.m2, params.m3)),
-                params.u, first is None, first,
-            )
-        writer.write(
-            "lemma-summary/1", "", "", "", "", args.u, passed == total, None,
-            total, passed, total - passed,
-        )
-    return EXIT_OK if passed == total else EXIT_FAIL
+    first = construction.sign_lemma_proof(args.q, args.l)
+    d = decimal_str(construction.m1_divisor(args.q, args.l))
+    with _output(args, LEMMA_PROOF_FIELDS) as writer:
+        writer.write("lemma-proof/1", args.q, args.l, d, first is None, first)
+    return EXIT_OK if first is None else EXIT_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -487,11 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--tolerance", type=parse_tolerance, default=Fraction(1, 50),
                    help="max |density - prediction| (exact, default 0.02)")
 
-    le = command("lemma", cmd_lemma, "prove the sign lemma, or sample its box", "q")
-    le.add_argument("--l", type=integer, required=True, help="power of the cubic")
-    le.add_argument("--u", type=integer, help="scale (sampling)")
-    le.add_argument("--count", type=integer, help="sample size (sampling)")
-    le.add_argument("--seed", type=integer, help="generator seed (sampling)")
+    command("lemma", cmd_lemma, "prove the sign lemma for t^l at every scale", "q l")
     return parser
 
 
@@ -503,11 +477,6 @@ def _validate(args: argparse.Namespace) -> None:
         raise ValueError("tolerance must be nonnegative")
     if getattr(args, "workers", 1) < 1:
         raise ValueError("workers must be >= 1")
-    if args.command == "lemma" and (args.u, args.count, args.seed).count(None) % 3:
-        raise ValueError("sampling takes --u, --count and --seed together; "
-                         "without them lemma proves")
-    if getattr(args, "count", None) is not None and args.count < 1:
-        raise ValueError("count must be >= 1")
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -21,9 +21,9 @@ where the offset does not depend on k.  Because gcd(m, q-1) = 1, sliding k
 through m consecutive values sweeps every residue class mod m, and one k in
 the window hits the requested class g.  Each admissible quadruple therefore
 yields one explicit witness n = t(q^k) + e with s_q(p(n)) = g (mod m), where
-e is the translation making p's coefficients nonnegative.  Lemma's t^l and
-construct's p_shifted(t) come from the one product, intpoly.poly_compose,
-and pass the one sign test, sign_violation.
+e is the translation making p's coefficients nonnegative.  Construct's
+p_shifted(t) and the proof's powers come from the one product,
+intpoly.poly_compose, and every p_shifted(t) passes sign_violation's test.
 
 Consecutive quadruples in params_at order differ only in m0, and every
 coefficient of p_shifted(t(x)) is a polynomial of degree <= h in m0, so
@@ -152,25 +152,6 @@ class AdmissibleBox:
             m0=self.lo + i0, m1=1 + i1, m2=self.lo + i2, m3=self.lo + i3, u=self.u
         )
 
-    def sample(self, count: int, seed: int) -> Iterator[CubicParams]:
-        """`count` seeded-random quadruples, reproducible anywhere.
-
-        A pinned 64-bit LCG, state <- (6364136223846793005 * state +
-        1442695040888963407) mod 2^64 from state = seed mod 2^64, makes four
-        draws per quadruple in field order (m0, m1, m2, m3), each the new
-        state mod the field's range (side, m1_max, side, side).
-        """
-        mask = (1 << 64) - 1
-        side = self.side
-        state, ranges = seed & mask, (side, self.m1_max, side, side)
-        for _ in range(count):
-            draws = []
-            for n in ranges:
-                state = (6364136223846793005 * state + 1442695040888963407) & mask
-                draws.append(state % n)
-            i0, i1, i2, i3 = draws
-            yield self.params_at(((i3 * side + i2) * self.m1_max + i1) * side + i0)
-
 
 def admissible_ranges(q: int, h: int, u: int) -> AdmissibleBox:
     if u < 1:
@@ -181,11 +162,6 @@ def admissible_ranges(q: int, h: int, u: int) -> AdmissibleBox:
     if v >= VALUE_BITS_CAP:
         cap = f"{VALUE_BITS_CAP}-bit cap"
         raise ValueError(f"(4q^u)^l at q={q}, l={h}, u={u} could exceed the {cap}")
-    # work = h*(3h+1)*v, as lemma builds t^h's 3h+1 coefficients in h Horner
-    # steps: 1.1e9 took 1 s (q=2, h=100), 1.75e10 27 s (h=200).  Below about
-    # h*2^22 under make_plan's witness cap, and 5e8 at certify's largest h, 84.
-    if h * (3 * h + 1) * v >= 1 << 32:
-        raise ValueError(f"t^l at q={q}, l={h}, u={u} could pass the 2^32 work cap")
     # the largest m1 with m1 * m1_divisor(q, h) < q^u (the inequality is strict)
     m1_max = (q**u - 1) // m1_divisor(q, h)
     if m1_max < 1:
@@ -213,34 +189,10 @@ def sign_violation(p: IntPolynomial) -> Optional[int]:
     return next(wrong, None)
 
 
-def verify_sign_pattern(
-    box: AdmissibleBox, l: int, params: CubicParams
-) -> Optional[int]:
-    """First exponent at which t^l, composed as x^l(t) by construct's product,
-    breaks the lemma, or None: first the single-negative-coefficient pattern
-    (sign_violation), then |c_i| <= (4*q^u)^l with q^u = box.hi.
-
-    `box` is the admissible box for degree l at scale params.u; a quadruple
-    outside it is rejected (ValueError), not reported as a failure.
-    """
-    box.require(params)
-    powered = poly_compose(IntPolynomial.monomial(l), build_cubic(params))
-    # closed forms for the two lowest coefficients of t^l; a mismatch means
-    # the polynomial arithmetic itself is broken
-    if powered.coeffs[0] != params.m0**l:
-        raise ConsistencyError(f"constant coefficient of t^{l} is not m0^{l}")
-    if powered.coeffs[1] != -l * params.m1 * params.m0 ** (l - 1):
-        raise ConsistencyError(f"linear coefficient of t^{l} is not -{l}*m1*m0^{l - 1}")
-    first = sign_violation(powered)
-    if first is None:
-        bound = (4 * box.hi) ** l
-        first = next((i for i, c in enumerate(powered.coeffs) if abs(c) > bound), None)
-    return first
-
-
 def sign_lemma_proof(q: int, l: int) -> Optional[int]:
     """First i at which one exact test fails to prove the sign lemma for t^l,
-    or None: then verify_sign_pattern passes every quadruple at every scale.
+    or None: then, for every quadruple of the box at every scale u, t^l has
+    its one negative coefficient at x^1 and no |c_i| above (4q^u)^l.
 
     The box is q^(u-1) <= m0, m2, m3 < q^u and 1 <= m1 < q^u/D, with
     D = m1_divisor(q, l).  Let P = (1 + x^2 + x^3)^l and A, B =
@@ -255,7 +207,7 @@ def sign_lemma_proof(q: int, l: int) -> Optional[int]:
     # A and B each take l Horner steps over 3l + 1 coefficients of up to
     # l*bits bits, bits = bits(3lq) + l*bits(6q) >= bits(3D + 1), each times
     # D, whose size counts past 2^9 bits; no D is built before the cap.
-    # `lemma --mode proof --l 86` runs 1.2, 1.6 and 2.6 s at q = 2, 3 and 10,
+    # `lemma --l 86` runs 1.2, 1.6 and 2.6 s at q = 2, 3 and 10,
     # no admitted l takes over 2.5 s at q < 2^1024, and q = 2 is refused from
     # l = 97, at l = 100 in 0.2 s (2-vCPU VM, Python 3.11.7).
     bits = (3 * l * q).bit_length() + l * (6 * q).bit_length()

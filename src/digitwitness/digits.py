@@ -81,11 +81,11 @@ _COUNT_CHUNK = 1 << 10
 # larger values arrive.  Roots are the blocks of _summer and 10.
 _powers: dict[int, list[int]] = {}
 
-# Largest value, in bits, that construct lets one witness's p(n) reach, lemma
-# lets (4q^u)^l reach and verify lets one row's p(n) reach, by an upper bound
-# computed before anything is built.  The base-3 digit sum of a 4-Mbit value
-# takes about 20 s, so the cap bounds the work of one witness or row; x^60 at
-# q=2 (a 2.5-Mbit p(n)) runs in 1.5 s.
+# Largest value, in bits, that construct lets one witness's p(n) reach,
+# admissible_ranges lets (4q^u)^l reach and verify lets one row's p(n) reach,
+# by an upper bound computed before anything is built.  The base-3 digit sum
+# of a 4-Mbit value takes about 20 s, so the cap bounds the work of one
+# witness or row; x^60 at q=2 (a 2.5-Mbit p(n)) runs in 1.5 s.
 VALUE_BITS_CAP = 1 << 22
 
 # Python's int() and str() refuse decimal strings of more than 4300 digits

@@ -4,7 +4,8 @@ Coefficients are stored densely, lowest degree first, with no trailing
 zeros; the zero polynomial has an empty coefficient tuple.  Everything is
 plain ``int`` arithmetic, so evaluation points and coefficients may be
 thousands of digits long.  `poly_compose` is the one polynomial product:
-translation, construct's p_shifted(t) and lemma's t^l all run its loop.
+translation, construct's p_shifted(t) and the lemma proof's powers all run
+its loop.
 `difference_walk` is the one stepper: density's values p(n) and construct's
 composed coefficients along m0 both advance by its finite differences, whose
 additions run in C through nested `itertools.accumulate`.

@@ -24,11 +24,12 @@ from digitwitness.construction import (
     construct_family,
     digit_sum_offset,
     make_plan,
-    verify_sign_pattern,
 )
 from digitwitness.digits import digit_sum
 from digitwitness.intpoly import IntPolynomial, poly_compose, poly_eval
 from digitwitness.oracle import density_table, polynomial_values, verify_witnesses
+
+from boxes import sample, verify_sign_pattern
 
 X2 = IntPolynomial.monomial(2)
 X3 = IntPolynomial.monomial(3)
@@ -68,7 +69,7 @@ def test_criterion_2_sign_pattern_certification(acceptance_log):
     bound = (4 * 2**15) ** 3
     failures = 0
     checked = 0
-    for params in box.sample(10_000, seed=424242):
+    for params in sample(box, 10_000, seed=424242):
         first = verify_sign_pattern(box, 3, params)
         checked += 1
         powered = poly_compose(X3, build_cubic(params))
@@ -96,7 +97,7 @@ def test_criterion_3_offset_identity_and_invariance(acceptance_log):
     plan = make_plan(target, X3, 15)
     box = admissible_ranges(2, 3, 15)
     ok = True
-    for params in box.sample(100, seed=31337):
+    for params in sample(box, 100, seed=31337):
         composed = poly_compose(plan.p_shifted, build_cubic(params))
         offset = digit_sum_offset(plan, params, composed)
         t = build_cubic(params)
@@ -117,7 +118,7 @@ def test_criterion_4_residue_coverage_binary(acceptance_log):
     target = CongruenceTarget(q=2, m=3, g=0)
     plan = make_plan(target, X3, 15)
     ok = True
-    for params in admissible_ranges(2, 3, 15).sample(100, seed=31337):
+    for params in sample(admissible_ranges(2, 3, 15), 100, seed=31337):
         composed = poly_compose(plan.p_shifted, build_cubic(params))
         offset = digit_sum_offset(plan, params, composed)
         t = build_cubic(params)
@@ -160,7 +161,7 @@ def test_criterion_4_residue_coverage_second_base(q, m, window, acceptance_log):
     plan = make_plan(target, X3, 8)
     assert plan.k_threshold + 1 == window[0]
     ok = True
-    for params in admissible_ranges(q, 3, 8).sample(100, seed=31337):
+    for params in sample(admissible_ranges(q, 3, 8), 100, seed=31337):
         composed = poly_compose(plan.p_shifted, build_cubic(params))
         offset = digit_sum_offset(plan, params, composed)
         t = build_cubic(params)

@@ -284,6 +284,23 @@ class TestConstruct:
             assert err.startswith("error: p(n) for p = ")
             assert err.endswith("could exceed the 4194304-bit cap on one witness\n")
 
+    def test_a_plan_whose_t_l_is_costly_to_build_is_refused(self, capsys, monkeypatch):
+        # building t^200 at q=2, u=727 took 26.6 s; the witness cap refuses
+        # x^200's plan at that scale before any product
+        def reached(*args):
+            raise AssertionError("product reached")
+
+        monkeypatch.setattr(construction, "poly_compose", reached)
+        monkeypatch.setattr(construction, "poly_translate", reached)
+        start = time.perf_counter()
+        code = run(["construct", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^200",
+                    "--u", "727"])
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == ("error: p(n) for p = x^200 at q=2, m=3 could exceed the "
+                       "4194304-bit cap on one witness\n")
+
     def test_shift_search_past_the_cap_is_a_usage_error(self, capsys, monkeypatch):
         # x^3 - 10^4299*x^2: the witness bound accepts it, and the search for
         # e = 10^4299 took 16.4 s before the cap refused it
@@ -1086,40 +1103,6 @@ class TestDensity:
 
 
 class TestLemma:
-    def test_random_mode_requires_seed(self, capsys):
-        code = run(
-            ["lemma", "--q", "2", "--l", "3", "--u", "15", "--count", "5"]
-        )
-        err = capsys.readouterr().err
-        assert code == 2 and "--seed" in err
-
-    @pytest.mark.parametrize("count", ["0", "-5"])
-    def test_random_mode_rejects_nonpositive_count(self, capsys, count):
-        code, lines = run_lines(
-            capsys,
-            ["lemma", "--q", "2", "--l", "3", "--u", "15", "--count", count,
-             "--seed", "42"],
-        )
-        assert code == 2 and lines == []
-
-    def test_random_mode_all_pass(self, capsys):
-        code, lines = run_lines(
-            capsys,
-            ["lemma", "--q", "2", "--l", "3", "--u", "15", "--count", "20",
-             "--seed", "42"],
-        )
-        assert code == 0
-        summary = json.loads(lines[-1])
-        assert summary["total"] == 20 and summary["failed"] == 0
-
-    def test_random_mode_is_reproducible(self, tmp_path):
-        args = ["lemma", "--q", "2", "--l", "3", "--u", "15", "--count", "10",
-                "--seed", "7"]
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        assert run(args + ["--out", str(a)]) == 0
-        assert run(args + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_proof_mode_writes_one_record(self, capsys):
         code, lines = run_lines(capsys, ["lemma", "--q", "2", "--l", "3"])
         assert code == 0
@@ -1157,13 +1140,12 @@ class TestLemma:
         ids=["proof-u", "proof-count", "proof-seed", "random-no-u"],
     )
     def test_options_of_the_other_mode_are_refused(self, capsys, extra):
-        # none of --u, --count and --seed proves and all three sample, so
-        # one or two of them is neither
+        # the proof covers every quadruple sampling could draw, so sampling,
+        # lemma's other mode, is gone and so are its options
         code = run(["lemma", "--q", "2", "--l", "3"] + extra)
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert err == ("error: sampling takes --u, --count and --seed together; "
-                       "without them lemma proves\n")
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(extra)}\n")
 
     def test_proof_past_the_cap_is_refused(self, capsys, monkeypatch):
         def reached(*args):
@@ -1192,67 +1174,15 @@ class TestLemma:
         assert code == 2 and out == "" and err.startswith("error: the proof at q=2")
         assert kept.read_bytes() == b"earlier output\n"
 
-    @pytest.mark.parametrize(
-        "q, l, u, refused",
-        [
-            ("2", "3", "10000000", True),
-            ("2", "1000000", "15", True),
-            ("3", "3", "1000000", True),
-            ("10", "3", "400000", False),
-            ("3", "3", "700000", False),
-            ("2", "3", "1000000", False),
-            ("2", "3", "100000", False),
-            ("10", "3", "300000", False),
-        ],
-    )
-    def test_value_cap_is_checked_before_the_box(
-        self, capsys, monkeypatch, q, l, u, refused
-    ):
-        # 4q^u <= 2^(2 + ceil(b*u/16)) with q^16 <= 2^b, and l times that
-        # exponent is held below 2^22: (4*3^700000)^3 has 3328428 bits and
-        # (4*10^400000)^3 has 3986319, both under the cap
-        def reached(*args):
-            raise ValueError("box reached")
-
-        monkeypatch.setattr(construction, "m1_divisor", reached)
-        start = time.perf_counter()
-        code = run(["lemma", "--q", q, "--l", l, "--u", u, "--count", "1",
-                    "--seed", "1"])
-        assert time.perf_counter() - start < 1
-        out, err = capsys.readouterr()
-        assert code == 2 and out == ""
-        if refused:
-            assert err == (f"error: (4q^u)^l at q={q}, l={l}, u={u} could exceed "
-                           f"the 4194304-bit cap\n")
-        else:
-            assert err == "error: box reached\n"
-
-    def test_t_l_too_costly_to_build_is_refused_before_the_box(
-        self, capsys, monkeypatch
-    ):
-        # l*(3l+1)*v = 1.75e10 is past 2^32; building t^200 took 26.6 s
-        def reached(*args):
-            raise ValueError("box reached")
-
-        monkeypatch.setattr(construction, "m1_divisor", reached)
-        monkeypatch.setattr(construction, "poly_compose", reached)
-        code = run(["lemma", "--q", "2", "--l", "200", "--u", "727", "--count", "1",
-                    "--seed", "1"])
-        out, err = capsys.readouterr()
-        assert code == 2 and out == ""
-        assert err == "error: t^l at q=2, l=200, u=727 could pass the 2^32 work cap\n"
-
     def test_values_past_the_str_limit_are_written(self, capsys):
-        code, lines = run_lines(
-            capsys,
-            ["lemma", "--q", "2", "--l", "3", "--u", "100000", "--count", "1",
-             "--seed", "1"],
-        )
-        assert code == 0
+        # D = 3q(6q)^3 at q = 10^1100 has 4403 digits
+        q = 10**1100
+        code, lines = run_lines(capsys, ["lemma", "--q", str(q), "--l", "3"])
+        assert code == 0 and len(lines) == 1
         record = json.loads(lines[0])
-        for field in ("m0", "m2", "m3"):
-            assert 2**99999 <= decimal_value(record[field]) < 2**100000
-        assert json.loads(lines[1])["ok"] is True
+        assert len(record["D"]) > 4300
+        assert decimal_value(record["D"]) == 3 * q * (6 * q) ** 3
+        assert record["ok"] is True
 
 
 def test_json_records_carry_only_csv_columns(tmp_path, capsys):
@@ -1269,8 +1199,6 @@ def test_json_records_carry_only_csv_columns(tmp_path, capsys):
           "--in", str(witnesses)], cli.VERIFY_FIELDS),
         (["density", "--q", "2", "--m", "3", "--poly", "x^2", "--N", "100"],
          cli.DENSITY_FIELDS),
-        (["lemma", "--q", "2", "--l", "3", "--u", "15", "--count", "3", "--seed", "1"],
-         cli.LEMMA_FIELDS),
         (["lemma", "--q", "2", "--l", "3"], cli.LEMMA_PROOF_FIELDS),
     ]
     for argv, fields in commands:
@@ -1280,11 +1208,9 @@ def test_json_records_carry_only_csv_columns(tmp_path, capsys):
         records = list(map(json.loads, lines))
         assert header == fields and len(rows) == len(records)
         for record, row in zip(records, rows):
-            # "schema", then the leading CSV columns in order; null is ""
-            schema, *keys = record
-            assert schema == "schema" and keys == fields[: len(keys)]
-            cells = ["" if record[f] is None else str(record[f]) for f in keys]
-            assert row == cells + [""] * (len(fields) - len(keys))
+            # "schema", then every CSV column in order; null is ""
+            assert list(record) == ["schema", *fields]
+            assert row == ["" if record[f] is None else str(record[f]) for f in fields]
 
 
 @pytest.mark.parametrize(
@@ -1319,7 +1245,7 @@ FULL_ARGV = {
     "certify": ["--q", "2", "--m", "3", "--poly", "x^3", "--N", "N0"],
     "verify": ["--q", "2", "--m", "3", "--g", "1", "--poly", "x^3", "--in", "w.jsonl"],
     "density": ["--q", "2", "--m", "3", "--poly", "x^2", "--N", "10", "--workers", "1"],
-    "lemma": ["--q", "2", "--l", "3", "--u", "15", "--count", "1", "--seed", "1"],
+    "lemma": ["--q", "2", "--l", "3"],
 }
 
 
@@ -1353,13 +1279,14 @@ def test_every_integer_reads_ascii_digits_only(capsys, command, option, literal)
 
 def test_integer_options_stop_at_the_str_limit(capsys):
     # 4300 characters are read, as int() reads them; one more is refused
-    argv = ["lemma", "--q", "2", "--l", "3", "--u", "15", "--count", "1", "--seed"]
+    argv = ["construct", "--q", "2", "--m", "3", "--poly", "x^3", "--limit", "1",
+            "--g"]
     assert run(argv + ["1" * 4300]) == 0
     capsys.readouterr()
     assert run(argv + ["1" * 4301]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.endswith(
-        f"error: argument --seed: {reprlib.repr('1' * 4301)} is longer than 4300 "
+        f"error: argument --g: {reprlib.repr('1' * 4301)} is longer than 4300 "
         f"characters\n"
     )
 
@@ -1368,12 +1295,14 @@ def test_integer_options_stop_at_the_str_limit(capsys):
     "argv, removed",
     [(["certify", *FULL_ARGV["certify"], "--h", "3"], "--h 3"),
      (["certify", *FULL_ARGV["certify"], "--N-at", "N0"], "--N-at N0"),
-     (["lemma", "--q", "2", "--l", "3", "--mode", "proof"], "--mode proof")],
-    ids=["certify-h", "certify-N-at", "lemma-mode"],
+     (["lemma", "--q", "2", "--l", "3", "--mode", "proof"], "--mode proof"),
+     (["lemma", "--q", "2", "--l", "3", "--u", "15", "--count", "1", "--seed", "1"],
+      "--u 15 --count 1 --seed 1")],
+    ids=["certify-h", "certify-N-at", "lemma-mode", "lemma-sampling"],
 )
 def test_second_spellings_are_gone(capsys, argv, removed):
-    # certify reads h only from --poly and N only from --N, and lemma's mode
-    # follows from --u, --count and --seed; --h is no abbreviation of --help
+    # certify reads h only from --poly and N only from --N, and lemma only
+    # proves; --h is no abbreviation of --help
     code = run(argv)
     out, err = capsys.readouterr()
     assert code == 2 and out == ""

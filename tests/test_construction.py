@@ -26,17 +26,18 @@ from digitwitness.construction import (
     sign_violation,
     splitting_margin,
     translate_shift,
-    verify_sign_pattern,
     witness_bits_bound,
     witness_for,
 )
-from digitwitness.digits import digit_sum
+from digitwitness.digits import VALUE_BITS_CAP, digit_sum, log2_bracket
 from digitwitness.intpoly import (
     IntPolynomial,
     poly_compose,
     poly_eval,
     poly_translate,
 )
+
+from boxes import sample, verify_sign_pattern
 
 X3 = IntPolynomial.monomial(3)
 
@@ -164,8 +165,8 @@ class TestAdmissibleBox:
 
     def test_sample_is_deterministic_and_admissible(self):
         box = admissible_ranges(2, 3, 15)
-        a = list(box.sample(50, seed=7))
-        b = list(box.sample(50, seed=7))
+        a = list(sample(box, 50, seed=7))
+        b = list(sample(box, 50, seed=7))
         assert a == b
         for p in a:
             box.require(p)
@@ -178,7 +179,7 @@ class TestAdmissibleBox:
         for _ in range(4):
             state = (6364136223846793005 * state + 1442695040888963407) % 2**64
             states.append(state)
-        assert next(box.sample(1, seed=1)) == CubicParams(
+        assert next(sample(box, 1, seed=1)) == CubicParams(
             m0=box.lo + states[0] % box.side, m1=1 + states[1] % box.m1_max,
             m2=box.lo + states[2] % box.side, m3=box.lo + states[3] % box.side, u=15,
         )
@@ -210,7 +211,7 @@ class TestSignViolation:
 class TestSignPattern:
     def test_admissible_quadruples_pass(self):
         box = admissible_ranges(2, 3, 15)
-        for params in box.sample(50, seed=11):
+        for params in sample(box, 50, seed=11):
             assert verify_sign_pattern(box, 3, params) is None
             powered = power(build_cubic(params), 3)
             assert max(map(abs, powered.coeffs)) <= (4 * 2**15) ** 3
@@ -241,7 +242,7 @@ class TestSignPattern:
 
     @pytest.mark.parametrize("q, l, u", [(2, 3, 15), (3, 2, 8), (10, 3, 8)])
     def test_extreme_low_coefficients_have_closed_forms(self, q, l, u):
-        for params in admissible_ranges(q, l, u).sample(15, seed=21):
+        for params in sample(admissible_ranges(q, l, u), 15, seed=21):
             powered = power(build_cubic(params), l)
             assert powered.coeffs[0] == params.m0**l
             assert powered.coeffs[1] == -l * params.m1 * params.m0 ** (l - 1)
@@ -252,7 +253,7 @@ class TestSignPattern:
         # negative part; its coefficients are what the admissible m1 range
         # keeps too small to flip any sign
         bound = l * (6 * q) ** l * q ** ((u - 1) * (l - 1))
-        for params in admissible_ranges(q, l, u).sample(15, seed=22):
+        for params in sample(admissible_ranges(q, l, u), 15, seed=22):
             positive_part = IntPolynomial.from_coeffs(
                 [params.m0, 0, params.m2, params.m3]
             )
@@ -523,7 +524,7 @@ class TestOffset:
         target = CongruenceTarget(q=2, m=3, g=0)
         plan = make_plan(target, X3, 15)
         box = admissible_ranges(2, 3, 15)
-        for params in box.sample(25, seed=3):
+        for params in sample(box, 25, seed=3):
             offset = digit_sum_offset(plan, params, composed_for(plan, params))
             t = build_cubic(params)
             for k in (52, 53, 60):
@@ -534,7 +535,7 @@ class TestOffset:
         target = CongruenceTarget(q=10, m=7, g=0)
         plan = make_plan(target, X3, 8)
         box = admissible_ranges(10, 3, 8)
-        for params in box.sample(10, seed=4):
+        for params in sample(box, 10, seed=4):
             offset = digit_sum_offset(plan, params, composed_for(plan, params))
             t = build_cubic(params)
             for k in (31, 33, 40):
@@ -547,7 +548,7 @@ class TestOffset:
         for p in (X3, shifted, IntPolynomial.monomial(8)):
             plan = make_plan(CongruenceTarget(q=q, m=m, g=0), p)
             assert plan.e == (2 if p is shifted else 0)
-            for params in plan.box.sample(200, seed=q):
+            for params in sample(plan.box, 200, seed=q):
                 composed = composed_for(plan, params)
                 c = composed.coeffs
                 expected = (
@@ -608,7 +609,7 @@ class TestConstructWitness:
     def test_residue_window_coverage_binary(self):
         target = CongruenceTarget(q=2, m=3, g=0)
         plan = make_plan(target, X3, 15)
-        for params in admissible_ranges(2, 3, 15).sample(20, seed=6):
+        for params in sample(admissible_ranges(2, 3, 15), 20, seed=6):
             offset = digit_sum_offset(plan, params, composed_for(plan, params))
             t = build_cubic(params)
             residues = {
@@ -875,24 +876,68 @@ class TestLibraryRefusals:
             "(4q^u)^l at q=3, l=3, u=100000000 could exceed the 4194304-bit cap"
         )
 
-    def test_admissible_ranges_refuses_a_t_l_too_costly_to_build(self, monkeypatch):
-        # l*(3l+1)*v = 1.75e10: verify_sign_pattern took 26.6 s on this box
+    @pytest.mark.parametrize(
+        "q, l, u, refused",
+        [
+            (2, 3, 10**7, True),
+            (2, 10**6, 15, True),
+            (3, 3, 10**6, True),
+            (10, 3, 400000, False),
+            (3, 3, 700000, False),
+            (2, 3, 10**6, False),
+            (2, 3, 100000, False),
+            (10, 3, 300000, False),
+        ],
+    )
+    def test_value_cap_comes_before_the_box(self, monkeypatch, q, l, u, refused):
+        # 4q^u <= 2^(2 + ceil(b*u/16)) with q^16 <= 2^b, and l times that
+        # exponent is held below 2^22: (4*3^700000)^3 has 3328428 bits and
+        # (4*10^400000)^3 has 3986319, both under the cap
         def reached(*args):
-            raise AssertionError("m1_divisor reached")
+            raise RuntimeError("box reached")
 
         monkeypatch.setattr(construction, "m1_divisor", reached)
-        with pytest.raises(ValueError) as info:
-            admissible_ranges(2, 200, 727)
-        assert str(info.value) == (
-            "t^l at q=2, l=200, u=727 could pass the 2^32 work cap"
-        )
+        start = time.perf_counter()
+        with pytest.raises(ValueError if refused else RuntimeError) as info:
+            admissible_ranges(q, l, u)
+        assert time.perf_counter() - start < 1
+        if refused:
+            assert str(info.value) == (
+                f"(4q^u)^l at q={q}, l={l}, u={u} could exceed the 4194304-bit cap"
+            )
 
     def test_admissible_ranges_keeps_the_largest_l_at_the_minimum_scale(self):
-        # l*(3l+1)*v = 4.24e9, just below 2^32; l = 141 is refused
-        assert min_u(2, 140) == 512
-        assert admissible_ranges(2, 140, 512).u == 512
-        with pytest.raises(ValueError, match="2\\^32 work cap"):
-            admissible_ranges(2, 141, min_u(2, 141))
+        # only the value cap bounds l: t^l is built by no library call that
+        # takes a box, so the box holds no cap on that work
+        for q, largest in [(2, 1079), (3, 988), (10, 834)]:
+            assert admissible_ranges(q, largest, min_u(q, largest)).m1_max >= 1
+            with pytest.raises(ValueError, match="4194304-bit cap"):
+                admissible_ranges(q, largest + 1, min_u(q, largest + 1))
+
+    @pytest.mark.parametrize(
+        "q", [2, 3, 4, 5, 7, 10, 16, 2**31 - 1, 10**23 - 1, 2**1023],
+        ids=["2", "3", "4", "5", "7", "10", "16", "2^31-1", "10^23-1", "2^1023"],
+    )
+    def test_witness_cap_covers_costly_t_l(self, q):
+        # Building t^h over the box of scale u takes about h*(3h+1)*v steps,
+        # v = h*(2 + ceil(b*u/16)) with q^16 <= 2^b.  No box caps that work:
+        # make_plan refuses every plan where it reaches 2^32.  The witness
+        # bound grows with u and m, and x^h has the least bound of any
+        # degree-h p, so the least u >= min_u(q, h) reaching 2^32, at m = 2,
+        # decides.  Past h = 141 that u is min_u(q, h) at every q, so those
+        # h are strided.
+        _, b = log2_bracket(q)
+        for h in [*range(1, 300), *range(300, 1500, 10)]:
+
+            def refused(u):
+                return h * (3 * h + 1) * h * (2 + -(-b * u // 16)) >= 1 << 32
+
+            v = -(-(1 << 32) // (h * (3 * h + 1)))  # the least v reaching it
+            least = min_u(q, h)
+            u = max(least, 16 * (-(-v // h) - 3) // b + 1)
+            assert refused(u) and (u == least or not refused(u - 1))
+            bound = witness_bits_bound(q, 2, IntPolynomial.monomial(h), u)
+            assert bound > VALUE_BITS_CAP, (h, u)
 
 
 class TestGeneralPolynomials:
@@ -919,7 +964,7 @@ class TestGeneralPolynomials:
         p = IntPolynomial.from_coeffs(coeffs)
         h = p.degree
         u = min_u(2, h)
-        for params in admissible_ranges(2, h, u).sample(10, seed=13):
+        for params in sample(admissible_ranges(2, h, u), 10, seed=13):
             composed = poly_compose(p, build_cubic(params))
             assert composed.degree == 3 * h
             assert sign_violation(composed) is None

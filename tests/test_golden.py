@@ -60,11 +60,6 @@ GOLDEN = {
          "--format", "csv"],
         0, "816e4c9b81476e7c28c2c90cc2d725c4b5654efb7d37941624a686db64f15307",
     ),
-    "lemma-csv": (
-        ["lemma", "--q", "2", "--l", "3", "--u", "15", "--count", "50", "--seed", "7",
-         "--format", "csv"],
-        0, "e61c5e55fb0054870432d6776426f233e997d9146b52c8b9084e10289ed08af4",
-    ),
     "lemma-proof": (
         ["lemma", "--q", "2", "--l", "3"],
         0, "acbf441fa2b84a5a9289a7440e76b9ee697c91032ddbcb49921cde8e6a779ef6",
@@ -87,11 +82,15 @@ def test_construct_cube_any_workers(tmp_path, workers):
         0, CUBE_300_SHA)
 
 
+def verify_cube_argv(witnesses):
+    return ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+            "--in", str(witnesses)]
+
+
 def test_verify_cube_file(tmp_path):
     witnesses = tmp_path / "witnesses.jsonl"
     assert run_sha(CUBE_300, witnesses) == (0, CUBE_300_SHA)
-    argv = ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
-            "--in", str(witnesses)]
+    argv = verify_cube_argv(witnesses)
     assert run_sha(argv, tmp_path / "out") == (
         0, "d2daa2ab7669e1912d2ae8f0c9dedc023cbcedde25e139a5fcb52a48da5a726c")
 
@@ -132,8 +131,7 @@ def test_verify_corrupted_cube_file(tmp_path, fmt, corrupt, out_fmt, sha):
     witnesses = tmp_path / "witnesses"
     assert cli.main(CUBE_300 + ["--format", fmt, "--out", str(witnesses)]) == 0
     witnesses.write_text(corrupt(witnesses.read_text()))
-    argv = ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
-            "--in", str(witnesses), "--format", out_fmt]
+    argv = verify_cube_argv(witnesses) + ["--format", out_fmt]
     assert run_sha(argv, tmp_path / "out") == (1, sha)
 
 
@@ -141,3 +139,23 @@ def test_verify_corrupted_cube_file(tmp_path, fmt, corrupt, out_fmt, sha):
 def test_golden_output(tmp_path, name):
     argv, code, sha = GOLDEN[name]
     assert run_sha(argv, tmp_path / "out") == (code, sha)
+
+
+FIELDS = {"construct": cli.WITNESS_FIELDS, "certify": cli.BOUNDS_FIELDS,
+          "verify": cli.VERIFY_FIELDS, "density": cli.DENSITY_FIELDS,
+          "lemma": cli.LEMMA_PROOF_FIELDS}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN) + ["verify-cube"])
+def test_golden_json_records_fill_every_field(tmp_path, name):
+    # each golden's configuration in JSON: the writer pads no short record,
+    # so every record is "schema" and then all of its command's fields
+    if name == "verify-cube":
+        argv = verify_cube_argv(tmp_path / "witnesses.jsonl")
+        assert cli.main(CUBE_300 + ["--out", argv[-1]]) == 0
+    else:
+        argv = [a for a in GOLDEN[name][0] if a not in ("--format", "csv")]
+    out = tmp_path / "out.jsonl"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    for line in out.read_text().splitlines():
+        assert list(json.loads(line)) == ["schema", *FIELDS[argv[0]]]
