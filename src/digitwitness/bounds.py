@@ -14,7 +14,6 @@ verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .construction import (
@@ -54,16 +53,15 @@ def nth_root_floor(x: int, n: int) -> int:
     return r
 
 
-@dataclass(frozen=True)
 class ExplicitConstants:
     """u0, shift = q^(3(delta+m)), N0 and c_den for x^h at base q, modulus m."""
 
-    q: int
-    h: int
-    u0: int
-    shift: int
-    n0: int
-    c_den: int
+    __slots__ = ("q", "h", "u0", "shift", "n0", "c_den")
+
+    def __init__(self, q: int, h: int, u0: int, shift: int, n0: int, c_den: int):
+        self.q, self.h, self.u0, self.shift, self.n0, self.c_den = (
+            q, h, u0, shift, n0, c_den
+        )
 
 
 def explicit_constants(q: int, m: int, h: int) -> ExplicitConstants:
@@ -95,15 +93,16 @@ def explicit_constants(q: int, m: int, h: int) -> ExplicitConstants:
     return ExplicitConstants(q, h, u0, shift, n0, c_den)
 
 
-@dataclass(frozen=True)
 class BoundsReport:
     """One certification run: all inequality links, decided exactly."""
 
-    u: int
-    guaranteed: int
-    estimate: Fraction
-    required: int
-    verdict: bool
+    __slots__ = ("u", "guaranteed", "estimate", "required", "verdict")
+
+    def __init__(
+        self, u: int, guaranteed: int, estimate: Fraction, required: int, verdict: bool
+    ):
+        self.u, self.guaranteed, self.estimate = u, guaranteed, estimate
+        self.required, self.verdict = required, verdict
 
 
 def certify_lower_bound(constants: ExplicitConstants, n_limit: int) -> BoundsReport:

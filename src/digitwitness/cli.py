@@ -15,6 +15,13 @@ in order.  Every record fills every field of its list.  Witness records
 use the "witness/1" schema over WITNESS_FIELDS, with n and the quadruple as
 decimal strings (they outgrow machine words); verify reads them back through
 the same list.
+
+`_Writer` writes every record but witness lines: those are rendered where
+they are built.  Each is one %-format, built once per output format from
+WITNESS_FIELDS and DECIMAL_FIELDS, over witness_values; it gives the bytes
+_Writer's JSON encoder and csv writer would.  A construct chunk comes back
+from its worker as one str of finished lines, which the parent writes after
+_Writer's CSV header.
 """
 
 from __future__ import annotations
@@ -212,28 +219,48 @@ def _csv_cells(line: str) -> list[str]:
     return line.split(",")
 
 
+def _witness_line_formats() -> dict[str, str]:
+    """One %-format per output format for a whole witness/1 line.
+
+    DECIMAL_FIELDS are "%s", as witness_values hands them over as decimal
+    strings; the rest are "%d".  No witness cell needs quoting or escaping,
+    so a line is the bytes _Writer would write: JSONEncoder with separators
+    (",", ":") and csv.writer.
+    """
+    cells = ["%s" if f in DECIMAL_FIELDS else "%d" for f in WITNESS_FIELDS]
+    pairs = (f'"{f}":"{c}"' if f in DECIMAL_FIELDS else f'"{f}":{c}'
+             for f, c in zip(WITNESS_FIELDS, cells))
+    return {
+        "json": '{"schema":"witness/1",%s}\n' % ",".join(pairs),
+        "csv": ",".join(cells) + "\n",
+    }
+
+
+_WITNESS_LINE = _witness_line_formats()
+
 # Witnesses per construct chunk.  Smaller chunks cost measurably more CPU per
-# witness at 2 workers; at h=8 one chunk of records is still under 1 MB.
+# witness at 2 workers; at h=8 (x^8 at q=3, m=5) one chunk's text is 122 kB
+# of JSON lines, 99 kB of CSV.
 _CONSTRUCT_CHUNK = 256
 
 
-def _witness_rows(plan, start: int, stop: int) -> list[tuple]:
-    """witness/1 values for the quadruples at indices [start, stop) of plan.box."""
-    return [
-        witness_values(construction.witness_for(plan, params, composed))
+def _witness_lines(line: str, plan, start: int, stop: int) -> str:
+    """The witness/1 lines, in the %-format `line`, for the quadruples at
+    indices [start, stop) of plan.box."""
+    return "".join([
+        line % witness_values(construction.witness_for(plan, params, composed))
         for params, composed in construction.compositions(plan, start, stop)
-    ]
+    ])
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
     target = CongruenceTarget(q=args.q, m=args.m, g=args.g)
     plan = construction.make_plan(target, args.poly, args.u)
     total = construction.family_size(plan, args.limit)
-    rows = partial(_witness_rows, plan)
+    lines = partial(_witness_lines, _WITNESS_LINE[args.format], plan)
     with _output(args, WITNESS_FIELDS) as writer:
-        for chunk in chunked_map(rows, total, args.workers, _CONSTRUCT_CHUNK):
-            for values in chunk:
-                writer.write("witness/1", *values)
+        for text in chunked_map(lines, total, args.workers, _CONSTRUCT_CHUNK):
+            writer.stream.write(text)
     return EXIT_OK
 
 

@@ -27,15 +27,21 @@ intpoly.poly_compose, and every p_shifted(t) passes sign_violation's test.
 
 Consecutive quadruples in params_at order differ only in m0, and every
 coefficient of p_shifted(t(x)) is a polynomial of degree <= h in m0, so
-`compositions` steps them with intpoly.difference_walk.  witness_for's
+`compositions` steps them with intpoly.difference_walk, and each run's
+quadruples by m0 from the one params_at decode at its start.  witness_for's
 self-check evaluates p at n directly, never from the stepped coefficients.
 Before any work, make_plan refuses a plan whose p(n) (witness_bits_bound),
 and admissible_ranges a box whose (4q^u)^h, could pass digits.VALUE_BITS_CAP.
+
+The records (CongruenceTarget, CubicParams, AdmissibleBox, ConstructionPlan,
+Witness) are plain `__slots__` classes, not dataclasses: construct builds a
+CubicParams and a Witness per witness, and each `__init__` is a few
+assignments plus the validation it states.  Only CubicParams compares
+equal by value and has a repr naming its fields, which error messages show.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, Optional
 
@@ -53,42 +59,46 @@ class ConsistencyError(RuntimeError):
     """An internal invariant of the construction failed: implementation bug."""
 
 
-@dataclass(frozen=True)
 class CongruenceTarget:
     """A problem instance: hit digit-sum residue g mod m in base q."""
 
-    q: int
-    m: int
-    g: int
+    __slots__ = ("q", "m", "g")
 
-    def __post_init__(self):
-        if self.q < 2:
-            raise ValueError(f"base q must be >= 2, got {self.q}")
-        if self.m < 2:
-            raise ValueError(f"modulus m must be >= 2, got {self.m}")
-        if gcd(self.m, self.q - 1) != 1:
+    def __init__(self, q: int, m: int, g: int):
+        if q < 2:
+            raise ValueError(f"base q must be >= 2, got {q}")
+        if m < 2:
+            raise ValueError(f"modulus m must be >= 2, got {m}")
+        if gcd(m, q - 1) != 1:
             raise ValueError(
-                f"m and q-1 must be coprime, got gcd({self.m}, {self.q - 1}) = "
-                f"{gcd(self.m, self.q - 1)}"
+                f"m and q-1 must be coprime, got gcd({m}, {q - 1}) = {gcd(m, q - 1)}"
             )
-        object.__setattr__(self, "g", self.g % self.m)
+        self.q, self.m, self.g = q, m, g % m
 
 
-@dataclass(frozen=True)
 class CubicParams:
-    """The quadruple defining the cubic, plus its scale exponent u."""
+    """The quadruple defining the cubic, plus its scale exponent u.
 
-    m0: int
-    m1: int
-    m2: int
-    m3: int
-    u: int
+    Equal quadruples compare equal; the repr names every field, as the
+    messages of AdmissibleBox.require and witness_for show it.
+    """
 
-    def __post_init__(self):
-        for name in ("m0", "m1", "m2", "m3", "u"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+    __slots__ = ("m0", "m1", "m2", "m3", "u")
+
+    def __init__(self, m0: int, m1: int, m2: int, m3: int, u: int):
+        self.m0, self.m1, self.m2, self.m3, self.u = m0, m1, m2, m3, u
+        if min(m0, m1, m2, m3, u) < 1:
+            name = next(name for name in self.__slots__ if getattr(self, name) < 1)
+            raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CubicParams):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)}" for name in self.__slots__)
+        return f"CubicParams({fields})"
 
 
 def m1_divisor(q: int, h: int) -> int:
@@ -109,7 +119,6 @@ def min_u(q: int, h: int) -> int:
     return h + 2 + ilog(q, 2 * h * 6**h - 1)
 
 
-@dataclass(frozen=True)
 class AdmissibleBox:
     """Integer parameter ranges for degree h at scale u.
 
@@ -117,10 +126,10 @@ class AdmissibleBox:
     indexed lexicographically by (m3, m2, m1, m0) ascending.
     """
 
-    u: int
-    lo: int
-    hi: int
-    m1_max: int
+    __slots__ = ("u", "lo", "hi", "m1_max")
+
+    def __init__(self, u: int, lo: int, hi: int, m1_max: int):
+        self.u, self.lo, self.hi, self.m1_max = u, lo, hi, m1_max
 
     @property
     def side(self) -> int:
@@ -131,9 +140,12 @@ class AdmissibleBox:
         return self.side**3 * self.m1_max
 
     def require(self, params: CubicParams) -> None:
+        lo, hi = self.lo, self.hi
         if not (
             params.u == self.u
-            and all(self.lo <= v < self.hi for v in (params.m0, params.m2, params.m3))
+            and lo <= params.m0 < hi
+            and lo <= params.m2 < hi
+            and lo <= params.m3 < hi
             and 1 <= params.m1 <= self.m1_max
         ):
             raise ValueError(
@@ -270,7 +282,6 @@ def splitting_margin(q: int, p_shifted: IntPolynomial) -> int:
     return max(2 * h, ilog(q, max(p_shifted.coeffs) << 2 * h))
 
 
-@dataclass(frozen=True)
 class ConstructionPlan:
     """Everything about a target and polynomial that is quadruple-independent.
 
@@ -281,12 +292,19 @@ class ConstructionPlan:
     its k from the residue window [k_threshold + 1, k_threshold + m].
     """
 
-    target: CongruenceTarget
-    p: IntPolynomial
-    e: int
-    p_shifted: IntPolynomial
-    box: AdmissibleBox
-    k_threshold: int
+    __slots__ = ("target", "p", "e", "p_shifted", "box", "k_threshold")
+
+    def __init__(
+        self,
+        target: CongruenceTarget,
+        p: IntPolynomial,
+        e: int,
+        p_shifted: IntPolynomial,
+        box: AdmissibleBox,
+        k_threshold: int,
+    ):
+        self.target, self.p, self.e = target, p, e
+        self.p_shifted, self.box, self.k_threshold = p_shifted, box, k_threshold
 
 
 def _degree(p: IntPolynomial) -> int:
@@ -349,24 +367,28 @@ def compositions(
     """(params, p_shifted(t)) for the quadruples at indices [start, stop) of
     plan.box, in order.
 
-    Each run of consecutive indices that share (m1, m2, m3) is seeded by
-    poly_compose at its first min(h + 1, run) quadruples, so no quadruple
-    outside the range is built, and its coefficient columns are stepped
-    along m0 by one difference_walk each.
+    Each run of consecutive indices that share (m1, m2, m3) is decoded once,
+    by params_at at its first index, and the rest of the run steps m0 by 1.
+    The run is seeded by poly_compose at its first min(h + 1, run)
+    quadruples, so no quadruple outside the range is built, and its
+    coefficient columns are stepped along m0 by one difference_walk each.
     """
     box, h = plan.box, plan.p_shifted.degree
     index = start
     while index < stop:
         end = min(stop, index - index % box.side + box.side)
+        first = box.params_at(index)
+        m1, m2, m3, u = first.m1, first.m2, first.m3, first.u
+        run = range(first.m0, first.m0 + end - index)
         seeds = [
-            poly_compose(plan.p_shifted, build_cubic(box.params_at(i))).coeffs
-            for i in range(index, min(end, index + h + 1))
+            poly_compose(plan.p_shifted, build_cubic(params)).coeffs
+            for params in (CubicParams(m0, m1, m2, m3, u) for m0 in run[: h + 1])
         ]
         # the leading coefficient, lead(p)*m3^h, is never zero, so every
         # stepped tuple is already a normalised coefficient tuple
         columns = zip(*map(difference_walk, zip(*seeds)))
-        for i, coeffs in zip(range(index, end), columns):
-            yield box.params_at(i), IntPolynomial(coeffs)
+        for m0, coeffs in zip(run, columns):
+            yield CubicParams(m0, m1, m2, m3, u), IntPolynomial(coeffs)
         index = end
 
 
@@ -411,17 +433,17 @@ def select_k(plan: ConstructionPlan, offset: int) -> int:
     return first + (g - offset - first * (q - 1)) * pow(q - 1, -1, m) % m
 
 
-@dataclass(frozen=True)
 class Witness:
     """An explicit n with s_q(p(n)) = g (mod m), plus its provenance."""
 
-    n: int
-    k: int
-    params: CubicParams
-    offset: int
-    sq_value: int
-    residue: int
-    e: int
+    __slots__ = ("n", "k", "params", "offset", "sq_value", "residue", "e")
+
+    def __init__(
+        self, n: int, k: int, params: CubicParams, offset: int, sq_value: int,
+        residue: int, e: int,
+    ):
+        self.n, self.k, self.params, self.offset = n, k, params, offset
+        self.sq_value, self.residue, self.e = sq_value, residue, e
 
 
 def witness_for(

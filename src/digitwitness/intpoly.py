@@ -11,22 +11,36 @@ composed coefficients along m0 both advance by its finite differences, whose
 additions run in C through nested `itertools.accumulate`.
 `poly_eval` runs Horner's rule over the nonzero coefficients only, so a
 sparse p such as x^8 costs one power of x instead of a product per degree.
+
+`IntPolynomial` is a plain `__slots__` class, not a dataclass: construct
+builds one per witness, and its `__init__` is one assignment.  Two
+polynomials are equal when their coefficient tuples are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .digits import decimal_str
 
 
-@dataclass(frozen=True)
 class IntPolynomial:
-    """Dense integer polynomial; ``coeffs[i]`` multiplies x**i."""
+    """Dense integer polynomial; ``coeffs[i]`` multiplies x**i.
 
-    coeffs: tuple[int, ...]
+    `coeffs` must already be normalised (a tuple with no trailing zero);
+    `from_coeffs` normalises any iterable.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        self.coeffs = coeffs
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[int]) -> "IntPolynomial":

@@ -19,7 +19,6 @@ worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import islice
@@ -62,18 +61,18 @@ def tally_range(q: int, m: int, p: IntPolynomial, start: int, stop: int) -> list
     return digit_sum_counts(polynomial_values(p, start, stop), q, m)
 
 
-@dataclass(frozen=True)
 class DensityTable:
     """Residue tallies of s_q(p(n)) mod m over [0, N), with exact densities
     and the equidistribution main term Q*(g,d)/m next to each."""
 
-    n_limit: int
-    counts: tuple[int, ...]
-    predictions: tuple[Fraction, ...]
+    __slots__ = ("n_limit", "counts", "predictions")
 
-    def __post_init__(self):
-        if sum(self.counts) != self.n_limit:
+    def __init__(
+        self, n_limit: int, counts: tuple[int, ...], predictions: tuple[Fraction, ...]
+    ):
+        if sum(counts) != n_limit:
             raise ValueError("counts must sum to N")
+        self.n_limit, self.counts, self.predictions = n_limit, counts, predictions
 
     @property
     def densities(self) -> tuple[Fraction, ...]:

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import reprlib
@@ -47,6 +48,41 @@ def test_witness_values_writes_the_decimal_fields_as_strings():
     values = cli.witness_values(Witness(1, 2, CubicParams(3, 4, 5, 6, 7), 8, 9, 10, 11))
     strings = [f for f, v in zip(cli.WITNESS_FIELDS, values) if isinstance(v, str)]
     assert strings == list(cli.DECIMAL_FIELDS)
+
+
+def generic_witness_line(fmt, w):
+    """The witness/1 line of w as json and csv would write it."""
+    values = cli.witness_values(w)
+    if fmt == "json":
+        record = {"schema": "witness/1", **dict(zip(cli.WITNESS_FIELDS, values))}
+        return json.dumps(record, separators=(",", ":")) + "\n"
+    stream = io.StringIO()
+    csv.writer(stream, lineterminator="\n").writerow(values)
+    return stream.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_witness_lines_are_the_generic_encoders_bytes(fmt):
+    # a negative M, an e above 0, and an n and m0 of more digits than any
+    # STR_DIGITS (at most 4300), which only decimal_str's strings can carry
+    big = 10**5000 + 7
+    params = CubicParams(big, 4, 5, 6, 7)
+    hand_made = [
+        Witness(big, 2, params, -9, 9, 0, 3),
+        Witness(1, 1, CubicParams(1, 1, 1, 1, 1), -(10**30), 0, 0, 10**20),
+    ]
+    for w in hand_made:
+        assert cli._WITNESS_LINE[fmt] % cli.witness_values(w) == (
+            generic_witness_line(fmt, w)
+        )
+    # a chunk of real witnesses of x^3 - 2x, whose shift e is 2
+    target = construction.CongruenceTarget(q=10, m=7, g=3)
+    p = IntPolynomial.from_coeffs([0, -2, 0, 1])
+    plan = construction.make_plan(target, p)
+    witnesses = construction.construct_family(target, p, limit=5)
+    assert cli._witness_lines(cli._WITNESS_LINE[fmt], plan, 0, 5) == "".join(
+        generic_witness_line(fmt, w) for w in witnesses
+    )
 
 
 class TestParsePoly:
@@ -186,6 +222,18 @@ class TestConstruct:
         assert run(args + ["--out", str(out1)]) == 0
         assert run(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_csv_chunks_are_the_same_bytes_at_any_worker_count(self, tmp_path):
+        # 600 rows are three 256-witness chunks, each rendered by a worker
+        args = ["construct", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+                "--limit", "600", "--format", "csv"]
+        outputs = []
+        for workers in ("1", "2", "3"):
+            path = tmp_path / f"w{workers}.csv"
+            assert run(args + ["--workers", workers, "--out", str(path)]) == 0
+            outputs.append(path.read_bytes())
+        assert outputs[0].count(b"\n") == 601
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_workers_preserve_output(self, tmp_path):
         args = ["construct", "--q", "2", "--m", "3", "--g", "2", "--poly", "x^3",

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import time
 from math import gcd
@@ -12,6 +11,7 @@ from digitwitness.construction import (
     AdmissibleBox,
     CongruenceTarget,
     ConsistencyError,
+    ConstructionPlan,
     CubicParams,
     admissible_ranges,
     build_cubic,
@@ -467,7 +467,9 @@ class TestSplittingMargin:
 
 def _plan_with_threshold(q, m, g, k_threshold):
     plan = make_plan(CongruenceTarget(q=q, m=m, g=g), X3, 15)
-    return dataclasses.replace(plan, k_threshold=k_threshold)
+    return ConstructionPlan(
+        plan.target, plan.p, plan.e, plan.p_shifted, plan.box, k_threshold
+    )
 
 
 class TestSelectK:

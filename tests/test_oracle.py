@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -6,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digitwitness import oracle
-from digitwitness.construction import CongruenceTarget, construct_family
+from digitwitness.construction import CongruenceTarget, Witness, construct_family
 from digitwitness.digits import VALUE_BITS_CAP, expand
 from digitwitness.intpoly import IntPolynomial, poly_eval
 from digitwitness.oracle import (
+    DensityTable,
     density_table,
     polynomial_values,
     tally_range,
@@ -116,7 +116,7 @@ class TestDensityTable:
     def test_validation(self):
         table = density_table(2, 3, X2, 100)
         with pytest.raises(ValueError):
-            dataclasses.replace(table, n_limit=101)
+            DensityTable(101, table.counts, table.predictions)
 
 
 class TestPolynomialResidueCount:
@@ -169,19 +169,23 @@ class TestVerifyWitnesses:
         assert verify_witnesses(self.witnesses, 2, 3, 1, X3) == {}
 
     def test_tampered_n_is_reported(self):
-        bad = dataclasses.replace(self.witnesses[3], n=self.witnesses[3].n + 1)
+        w = self.witnesses[3]
+        bad = Witness(w.n + 1, w.k, w.params, w.offset, w.sq_value, w.residue, w.e)
         witnesses = self.witnesses[:3] + [bad]
         failures = verify_witnesses(witnesses, 2, 3, 1, X3)
         assert set(failures) == {3}
 
     def test_consumes_a_generator_once(self):
-        bad = dataclasses.replace(self.witnesses[5], residue=2)
+        fifth = self.witnesses[5]
+        bad = Witness(fifth.n, fifth.k, fifth.params, fifth.offset, fifth.sq_value,
+                      2, fifth.e)
         rows = (bad if i == 5 else w for i, w in enumerate(self.witnesses))
         failures = verify_witnesses(rows, 2, 3, 1, X3)
         assert failures == {5: ["declared residue 2 != target 1"]}
 
     def test_tampered_digit_sum_is_reported(self):
-        bad = dataclasses.replace(self.witnesses[0], sq_value=0)
+        w = self.witnesses[0]
+        bad = Witness(w.n, w.k, w.params, w.offset, 0, w.residue, w.e)
         assert verify_witnesses([bad], 2, 3, 1, X3) != {}
 
     def test_duplicates_are_reported(self):
@@ -206,7 +210,8 @@ class TestVerifyWitnesses:
         # bits(A) + h*bits(n) = (VALUE_BITS_CAP - 9) + bits(n): at the cap
         # for the 9-bit 511, one past it for the 10-bit 512
         p = IntPolynomial.from_coeffs([0, 1 << (VALUE_BITS_CAP - 10)])
-        row = dataclasses.replace(self.witnesses[0], n=n)
+        w = self.witnesses[0]
+        row = Witness(n, w.k, w.params, w.offset, w.sq_value, w.residue, w.e)
         problems = verify_witnesses([row], 2, 3, 1, p)[0]
         cap_message = f"p(n) could exceed the {VALUE_BITS_CAP}-bit cap"
         assert (cap_message in problems) == flagged
