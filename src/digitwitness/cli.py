@@ -4,10 +4,12 @@ All commands emit machine-readable JSON lines (default) or CSV, and
 identical configuration reproduces identical bytes.  Exit codes: 0 success /
 all checks passed, 1 verification failure or output cut short by a reader
 that closed stdout, 2 usage or configuration error.  `lemma` writes the
-verdict of construction.sign_lemma_proof, the sign lemma's proof.  Every
-integer the commands read, in an option, in --poly or in --N, is ASCII
--?[0-9]+ read by digits.decimal_int, as in witness rows; an integer option
-has at most STR_DIGITS characters.
+verdict of construction.sign_lemma_proof, the sign lemma's proof.
+
+Options are read by argparse type= readers, so a bad value is a usage error
+naming its option (certify's --N, needing N0, is read in cmd_certify); their
+integers are ASCII [0-9]+, signed where allowed, read by decimal_int.  Other
+rules are kept by the function doing the work; main prints their "error: ...".
 
 Each record's fields and their order are stated once, in a *_FIELDS list:
 it is the CSV header, and a JSON record is "schema" followed by those fields
@@ -90,6 +92,14 @@ def parse_poly(text: str) -> IntPolynomial:
     if max(len(tok.strip().lstrip("-")) for tok in tokens) > STR_DIGITS:
         raise ValueError(f"a coefficient is longer than the {STR_DIGITS}-digit limit")
     return IntPolynomial.from_coeffs(reversed([decimal_int(t.strip()) for t in tokens]))
+
+
+def polynomial(text: str) -> IntPolynomial:
+    """A --poly option: parse_poly, its refusal reported as the option's."""
+    try:
+        return parse_poly(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def integer(text: str) -> int:
@@ -258,8 +268,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
     plan = construction.make_plan(target, args.poly, args.u)
     total = construction.family_size(plan, args.limit)
     lines = partial(_witness_lines, _WITNESS_LINE[args.format], plan)
+    # chunked_map refuses workers < 1 at the call, before --out is opened
+    chunks = chunked_map(lines, total, args.workers, _CONSTRUCT_CHUNK)
     with _output(args, WITNESS_FIELDS) as writer:
-        for text in chunked_map(lines, total, args.workers, _CONSTRUCT_CHUNK):
+        for text in chunks:
             writer.stream.write(text)
     return EXIT_OK
 
@@ -341,7 +353,7 @@ def _eval_n_expression(expr: str, q: int, m: int, h: int, n0: int) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     h = args.poly.degree
-    if h < 1 or args.poly.coeffs != (0,) * h + (1,):
+    if args.poly.coeffs != (0,) * h + (1,):
         raise ValueError(
             f"certification covers monomials x^h only, got {args.poly}; "
             f"use `construct` for general polynomials"
@@ -395,23 +407,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-# Fraction("1e999999999999") builds 10**999999999999 and never returns, so a
-# --tolerance exponent may have at most this many digits (leading zeros aside).
-_TOLERANCE_EXPONENT_DIGITS = 4
-
-
-def parse_tolerance(text: str) -> Fraction:
-    """--tolerance as an exact Fraction: 1/50, 0.02 or 2e-2."""
-    exponent = re.search(r"e[-+]?[0_]*([\d_]*)", text, re.IGNORECASE)
-    digits = exponent.group(1).replace("_", "") if exponent else ""
-    if len(digits) > _TOLERANCE_EXPONENT_DIGITS:
-        raise argparse.ArgumentTypeError(
-            f"exponent of {text!r} has more than {_TOLERANCE_EXPONENT_DIGITS} digits"
-        )
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+def tolerance(text: str) -> Fraction:
+    """--tolerance as an exact Fraction, P or P/Q: P and Q are ASCII [0-9]+
+    of at most STR_DIGITS characters, read by decimal_int, and Q >= 1."""
+    match = re.fullmatch(r"([0-9]+)(?:/([0-9]+))?", text)
+    if match and max(map(len, match.groups(""))) <= STR_DIGITS:
+        p, q = map(decimal_int, match.groups("1"))
+        if q >= 1:
+            return Fraction(p, q)
+    grammar = f"P or P/Q, P and Q ASCII [0-9]+ of at most {STR_DIGITS} digits, Q >= 1"
+    raise argparse.ArgumentTypeError(f"{reprlib.repr(text)} is not {grammar}")
 
 
 DENSITY_FIELDS = [
@@ -472,38 +477,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = command("construct", cmd_construct, "emit a stream of witnesses", "q m g",
                 workers=True)
-    c.add_argument("--poly", required=True, help="x^H or high-to-low coefficients")
+    c.add_argument("--poly", type=polynomial, required=True,
+                   help="x^H or high-to-low coefficients")
     c.add_argument("--u", type=integer, help="scale override (default: minimum)")
     c.add_argument("--limit", type=integer, help="stop after this many witnesses")
 
     y = command("certify", cmd_certify, "certify the explicit lower bound", "q m")
-    y.add_argument("--poly", required=True, help="x^H (general p is rejected)")
+    y.add_argument("--poly", type=polynomial, required=True,
+                   help="x^H (general p is rejected)")
     y.add_argument("--N", dest="n_expr", metavar="N", required=True,
                    help="expression over N0, q, m, h, e.g. N0*q^(3h+1)")
 
     v = command("verify", cmd_verify, "recheck a witness file from scratch", "q m g")
-    v.add_argument("--poly", required=True)
+    v.add_argument("--poly", type=polynomial, required=True)
     v.add_argument("--in", dest="input_path", required=True, metavar="PATH")
 
     d = command("density", cmd_density, "brute-force residue densities", "q m",
                 workers=True)
-    d.add_argument("--poly", required=True)
+    d.add_argument("--poly", type=polynomial, required=True)
     d.add_argument("--N", dest="n_limit", type=integer, required=True)
-    d.add_argument("--tolerance", type=parse_tolerance, default=Fraction(1, 50),
-                   help="max |density - prediction| (exact, default 0.02)")
+    d.add_argument("--tolerance", type=tolerance, default=Fraction(1, 50),
+                   help="max |density - prediction|, P or P/Q (default 1/50)")
 
     command("lemma", cmd_lemma, "prove the sign lemma for t^l at every scale", "q l")
     return parser
-
-
-def _validate(args: argparse.Namespace) -> None:
-    """Reject values argparse lets through and parse --poly in place."""
-    if getattr(args, "poly", None) is not None:
-        args.poly = parse_poly(args.poly)
-    if getattr(args, "tolerance", 0) < 0:
-        raise ValueError("tolerance must be nonnegative")
-    if getattr(args, "workers", 1) < 1:
-        raise ValueError("workers must be >= 1")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -513,7 +510,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        _validate(args)
         return args.run(args)
     except construction.ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)

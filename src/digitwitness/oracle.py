@@ -12,9 +12,9 @@ chunk at a time.
 
 [0, N) is cut into fixed-size chunks that `parallel.chunked_map` tallies,
 across processes when there are several workers (never more processes than
-chunks), and merges in order.  Memory is bounded by the chunks in flight,
-and since tallies are exact integers the counts are identical for any
-worker count.
+chunks), and merges in order; it also refuses fewer than one worker.  Memory
+is bounded by the chunks in flight, and since tallies are exact integers the
+counts are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -100,8 +100,6 @@ def density_table(
         raise ValueError(f"modulus must be >= 1, got {m}")
     if m > _MODULUS_CAP:
         raise ValueError(f"modulus {m} is above the cap {_MODULUS_CAP}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if n_limit < 1:
         raise ValueError(f"N must be >= 1, got {n_limit}")
     counts = [0] * m

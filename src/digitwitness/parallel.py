@@ -28,20 +28,25 @@ def chunked_map(
 ) -> Iterator[T]:
     """Yield fn(start, stop) over consecutive `chunk`-wide pieces of [0, total).
 
-    Results come in chunk order.  The work takes min(workers, chunks, CPUs)
-    processes: with one, fn runs in this process and no pool is created;
-    otherwise a pool of that many runs the picklable fn with at most two
-    chunks per process in flight, so memory is bounded by the chunks in
-    flight, not by `total`.  An exception raised by fn reaches the caller.
-    The pool's modules are imported only here, once a pool is needed, so a
-    run in one process never loads them (see the module docstring).
+    workers < 1 is refused at the call.  Results come in chunk order.  The
+    work takes min(workers, chunks, CPUs) processes: with one, fn runs in
+    this process and no pool is created; otherwise _pool_map runs the
+    picklable fn in a pool of that many, with at most two chunks per process
+    in flight, so memory is bounded by the chunks in flight, not by `total`.
+    An exception raised by fn reaches the caller.  The pool's modules are
+    imported only once a pool starts (see the module docstring).
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     chunks = ((start, min(start + chunk, total)) for start in range(0, total, chunk))
     processes = min(workers, -(-total // chunk), _cpu_count())
     if processes <= 1:
-        for start, stop in chunks:
-            yield fn(start, stop)
-        return
+        return (fn(start, stop) for start, stop in chunks)
+    return _pool_map(fn, chunks, processes)
+
+
+def _pool_map(fn: Callable, chunks: Iterator, processes: int) -> Iterator:
+    """chunked_map's pool: fn over chunks in `processes` processes, in order."""
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=processes) as pool:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -16,6 +17,9 @@ from digitwitness import bounds, cli, construction, oracle
 from digitwitness.construction import ConsistencyError, CubicParams, Witness, build_cubic
 from digitwitness.digits import _DECIMAL_CHARS_CAP, decimal_str, digit_sum
 from digitwitness.intpoly import IntPolynomial, poly_eval
+
+# The --tolerance grammar, as its refusal states it
+TOLERANCE_GRAMMAR = "P or P/Q, P and Q ASCII [0-9]+ of at most 4300 digits, Q >= 1"
 
 WITNESS_KEYS = [
     "schema", "n", "k", "m0", "m1", "m2", "m3", "u", "M", "sq", "residue", "e",
@@ -135,7 +139,7 @@ class TestParsePoly:
         assert time.perf_counter() - start < 1
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert err == f"error: {message}\n"
+        assert err.endswith(f"digitwitness density: error: argument --poly: {message}\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -154,7 +158,9 @@ class TestParsePoly:
         assert time.perf_counter() - start < 1
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert err.startswith("error: polynomial degree ")
+        assert err.splitlines()[-1].startswith(
+            f"digitwitness {argv[0]}: error: argument --poly: polynomial degree "
+        )
         assert err.endswith(" is above the cap 1024\n")
 
 
@@ -327,7 +333,8 @@ class TestConstruct:
         if not refused:
             assert err == "error: plan reached\n"
         elif poly == "x^1000000":  # parse_poly's degree cap refuses it first
-            assert err == "error: polynomial degree of 7 digits is above the cap 1024\n"
+            assert err.endswith("error: argument --poly: polynomial degree of 7 digits "
+                                "is above the cap 1024\n")
         else:
             assert err.startswith("error: p(n) for p = ")
             assert err.endswith("could exceed the 4194304-bit cap on one witness\n")
@@ -965,6 +972,13 @@ class TestCertify:
         err = capsys.readouterr().err
         assert code == 2 and "monomial" in err
 
+    def test_x0_is_refused_by_the_degree_rule(self, capsys):
+        # x^0 is a monomial; explicit_constants' h >= 1 rule refuses it
+        code = run(["certify", "--q", "2", "--m", "3", "--poly", "x^0", "--N", "5"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: need h >= 1, got h=0\n"
+
     def test_n_below_n0_rejected(self, capsys):
         code = run(["certify", "--q", "2", "--m", "3", "--poly", "x^3", "--N", "N0-1"])
         err = capsys.readouterr().err
@@ -1013,7 +1027,8 @@ class TestCertify:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         if h > 1024:
-            assert err == "error: polynomial degree of 6 digits is above the cap 1024\n"
+            assert err.endswith("error: argument --poly: polynomial degree of 6 digits "
+                                "is above the cap 1024\n")
         else:
             assert "65536-bit cap" in err and "below N0" in err
 
@@ -1110,29 +1125,43 @@ class TestDensity:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "tolerance, message",
-        [
-            ("1/0", "invalid Fraction value: '1/0'"),
-            ("1e999999999999", "exponent of '1e999999999999' has more than 4 digits"),
-            ("1E-0_999_999_999", "exponent of '1E-0_999_999_999' has more than 4 digits"),
-        ],
+        "tolerance",
+        ["1e999999999999", "1/" + "1" * 4301, "1" * 10**6],
+        ids=["exponent", "long-denominator", "million-digits"],
     )
-    def test_bad_tolerance_is_a_quick_usage_error(self, capsys, tolerance, message):
+    def test_bad_tolerance_is_a_quick_usage_error(self, capsys, tolerance):
+        # no exponent syntax, so nothing can grow to 10**999999999999
         start = time.perf_counter()
         code = run(["density", "--q", "2", "--m", "3", "--poly", "x^2", "--N", "10",
                     "--tolerance", tolerance])
         assert time.perf_counter() - start < 1
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert err.splitlines()[-1].endswith(f"error: argument --tolerance: {message}")
+        assert err.endswith(f"error: argument --tolerance: {reprlib.repr(tolerance)} "
+                            f"is not {TOLERANCE_GRAMMAR}\n")
 
     @pytest.mark.parametrize(
         "text, value",
-        [("1/50", Fraction(1, 50)), ("0.02", Fraction(1, 50)), ("1", Fraction(1)),
-         ("2e-2", Fraction(1, 50)), ("1e-9999", Fraction(1, 10**9999))],
+        [("1/50", Fraction(1, 50)), ("0", Fraction(0)), ("1", Fraction(1)),
+         ("001/050", Fraction(1, 50)),
+         # Fraction() read the first six of these
+         ("0.02", None), ("2e-2", None), ("\u0660.\u0660\u0662", None), ("1_0", None),
+         (" 1", None), ("+1", None), ("-1", None), ("1/0", None), ("1/-2", None),
+         ("1/", None), ("/2", None)],
     )
     def test_tolerance_is_an_exact_fraction(self, text, value):
-        assert cli.parse_tolerance(text) == value
+        # P or P/Q, with P and Q ASCII [0-9]+ read by decimal_int, and Q >= 1
+        if value is not None:
+            assert cli.tolerance(text) == value
+        else:
+            with pytest.raises(argparse.ArgumentTypeError) as info:
+                cli.tolerance(text)
+            assert str(info.value) == f"{text!r} is not {TOLERANCE_GRAMMAR}"
+
+    def test_tolerance_terms_stop_at_the_str_limit(self):
+        assert cli.tolerance("1" * 4300 + "/" + "3" * 4300) == Fraction(1, 3)
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli.tolerance("1" * 4301)
 
     def test_modulus_cap_is_a_quick_usage_error(self, capsys):
         m = oracle._MODULUS_CAP + 1
@@ -1261,6 +1290,10 @@ def test_json_records_carry_only_csv_columns(tmp_path, capsys):
             assert row == ["" if record[f] is None else str(record[f]) for f in fields]
 
 
+BAD_POLY = ("argument --poly: cannot parse polynomial '3x+1': use x^H or a "
+            "comma-separated coefficient list, highest degree first")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -1271,18 +1304,30 @@ def test_json_records_carry_only_csv_columns(tmp_path, capsys):
         (["construct", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
           "--limit", "-1"], "limit must be >= 0"),
         (["density", "--q", "2", "--m", "3", "--poly", "x^2", "--N", "10",
-          "--tolerance", "-1"], "tolerance must be nonnegative"),
+          "--tolerance", "-1"], f"argument --tolerance: '-1' is not {TOLERANCE_GRAMMAR}"),
+        (["construct", "--q", "2", "--m", "3", "--g", "1", "--poly", "3x+1"], BAD_POLY),
+        (["certify", "--q", "2", "--m", "3", "--poly", "3x+1", "--N", "N0"], BAD_POLY),
+        (["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "3x+1",
+          "--in", "missing.jsonl"], BAD_POLY),
+        (["density", "--q", "2", "--m", "3", "--poly", "3x+1", "--N", "10"], BAD_POLY),
     ],
     ids=["construct-workers", "density-workers", "construct-limit",
-         "density-tolerance"],
+         "density-tolerance", "construct-poly", "certify-poly", "verify-poly",
+         "density-poly"],
 )
 def test_refused_values_leave_the_out_file_alone(tmp_path, capsys, argv, message):
+    # a library refusal is main's one "error: ..." line; an option's is
+    # argparse's usage text and a "prog command: error: argument ..." line
     kept = tmp_path / "kept.jsonl"
     kept.write_bytes(b"earlier output\n")
     code = run(argv + ["--out", str(kept)])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert err == f"error: {message}\n"
+    if message.startswith("argument "):
+        assert err.startswith("usage: ")
+        assert err.endswith(f"\ndigitwitness {argv[0]}: error: {message}\n")
+    else:
+        assert err == f"error: {message}\n"
     assert kept.read_bytes() == b"earlier output\n"
 
 
@@ -1292,7 +1337,8 @@ FULL_ARGV = {
                   "--limit", "1", "--workers", "1"],
     "certify": ["--q", "2", "--m", "3", "--poly", "x^3", "--N", "N0"],
     "verify": ["--q", "2", "--m", "3", "--g", "1", "--poly", "x^3", "--in", "w.jsonl"],
-    "density": ["--q", "2", "--m", "3", "--poly", "x^2", "--N", "10", "--workers", "1"],
+    "density": ["--q", "2", "--m", "3", "--poly", "x^2", "--N", "10", "--workers", "1",
+                "--tolerance", "1"],
     "lemma": ["--q", "2", "--l", "3"],
 }
 
@@ -1307,22 +1353,27 @@ FULL_ARGV = {
     ids=lambda value: value.lstrip("-"),
 )
 def test_every_integer_reads_ascii_digits_only(capsys, command, option, literal):
-    # int() reads all three literals; decimal_int, behind every integer the
-    # CLI reads, refuses them.  --N's grammar has a unary +, so its "+5" is
-    # 5, refused as below N0.
+    # int() and Fraction() read all three literals; decimal_int, behind every
+    # integer the CLI reads, refuses them.  Each option's reader reports the
+    # refusal as argparse's, except certify's --N, read in cmd_certify: its
+    # grammar has a unary +, so its "+5" is 5, refused as below N0.
     argv = list(FULL_ARGV[command])
     argv[argv.index(option) + 1] = literal
     code = run([command, *argv])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    if option == "--poly":
-        assert err.startswith(f"error: cannot parse polynomial {literal!r}: ")
-    elif option == "--N" and command == "certify":
+    if option == "--N" and command == "certify":
         assert err.startswith("error: N=5 is below N0=" if literal == "+5" else
                               f"error: cannot evaluate N expression {literal!r}")
     else:
-        assert err.endswith(f"error: argument {option}: invalid integer value: "
-                            f"{literal!r}\n")
+        expected = {
+            "--poly": f"cannot parse polynomial {literal!r}: ",
+            "--tolerance": f"{literal!r} is not {TOLERANCE_GRAMMAR}",
+        }.get(option, f"invalid integer value: {literal!r}")
+        assert err.startswith("usage: ")
+        assert err.splitlines()[-1].startswith(
+            f"digitwitness {command}: error: argument {option}: {expected}"
+        )
 
 
 def test_integer_options_stop_at_the_str_limit(capsys):

@@ -89,7 +89,8 @@ class TestBruteForceCount:
             density_table(2, 0, X, 10)
         with pytest.raises(ValueError):
             density_table(2, 2, X, 0)
-        with pytest.raises(ValueError):
+        # refused by chunked_map, the one worker-count rule
+        with pytest.raises(ValueError, match="^workers must be >= 1$"):
             density_table(2, 2, X, 10, workers=0)
         with pytest.raises(ValueError):
             # takes a negative value at n = 0

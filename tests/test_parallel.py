@@ -78,3 +78,13 @@ def test_two_chunks_per_process_in_flight(fake_pool, monkeypatch):
     # four submitted up front, one more once the first result was taken
     assert fake_pool["submitted"] == 5
     assert list(results) == [[i] for i in range(1, 100)]
+
+
+def test_workers_below_one_are_refused_at_the_call():
+    # the call itself raises, before any chunk runs or next() is taken
+    def never(start, stop):
+        raise AssertionError("fn ran")
+
+    with pytest.raises(ValueError) as info:
+        chunked_map(never, 3, 0, 1)
+    assert str(info.value) == "workers must be >= 1"
