@@ -10,22 +10,22 @@ tolerance (0.02 at N = 10^6) sits comfortably inside what this shows.
 
 import argparse
 
-from digitwitness.cli import parse_poly
+from digitwitness.cli import integer, polynomial
 from digitwitness.oracle import density_table
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--q", type=int, default=2)
-    parser.add_argument("--m", type=int, default=3)
-    parser.add_argument("--poly", default="x^2")
-    parser.add_argument("--min-exp", type=int, default=2)
-    parser.add_argument("--max-exp", type=int, default=6)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--q", type=integer, default=2)
+    parser.add_argument("--m", type=integer, default=3)
+    parser.add_argument("--poly", type=polynomial, default="x^2")
+    parser.add_argument("--min-exp", type=integer, default=2)
+    parser.add_argument("--max-exp", type=integer, default=6)
+    parser.add_argument("--workers", type=integer, default=1)
     args = parser.parse_args()
 
-    p = parse_poly(args.poly)
-    print(f"densities of s_{args.q}({args.poly}(n)) mod {args.m}")
+    p = args.poly
+    print(f"densities of s_{args.q}({p}(n)) mod {args.m}")
     print(f"{'N':>10}  {'max deviation':>14}  per-residue densities")
     for exp in range(args.min_exp, args.max_exp + 1):
         n_limit = 10**exp

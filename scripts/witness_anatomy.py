@@ -12,7 +12,7 @@ its own block; the one negative coefficient turns its block into a run of
 
 import argparse
 
-from digitwitness.cli import parse_poly
+from digitwitness.cli import integer, polynomial
 from digitwitness.construction import (
     CongruenceTarget,
     compositions,
@@ -25,15 +25,15 @@ from digitwitness.intpoly import poly_eval
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--q", type=int, default=2)
-    parser.add_argument("--m", type=int, default=3)
-    parser.add_argument("--g", type=int, default=1)
-    parser.add_argument("--poly", default="x^3")
-    parser.add_argument("--index", type=int, default=0, help="quadruple index")
+    parser.add_argument("--q", type=integer, default=2)
+    parser.add_argument("--m", type=integer, default=3)
+    parser.add_argument("--g", type=integer, default=1)
+    parser.add_argument("--poly", type=polynomial, default="x^3")
+    parser.add_argument("--index", type=integer, default=0, help="quadruple index")
     args = parser.parse_args()
 
     target = CongruenceTarget(q=args.q, m=args.m, g=args.g)
-    p = parse_poly(args.poly)
+    p = args.poly
     plan = make_plan(target, p, None)
     params, composed = next(compositions(plan, args.index, args.index + 1))
     w = witness_for(plan, params, composed)

@@ -7,9 +7,12 @@ that closed stdout, 2 usage or configuration error.  `lemma` writes the
 verdict of construction.sign_lemma_proof, the sign lemma's proof.
 
 Options are read by argparse type= readers, so a bad value is a usage error
-naming its option (certify's --N, needing N0, is read in cmd_certify); their
-integers are ASCII [0-9]+, signed where allowed, read by decimal_int.  Other
-rules are kept by the function doing the work; main prints their "error: ...".
+naming its option (certify's --N, needing N0, is read in cmd_certify); each
+reader's ValueError becomes the option's error through `option`.  Every
+integer of an option, --poly or a witness row is -?[0-9]+ read by
+decimal_int, which states the digit limit: STR_DIGITS digits after the "-",
+but more for witness n, the quadruple and --N literals.  Other rules are
+kept by the function doing the work; main prints their "error: ...".
 
 Each record's fields and their order are stated once, in a *_FIELDS list:
 it is the CSV header, and a JSON record is "schema" followed by those fields
@@ -47,10 +50,13 @@ from .intpoly import IntPolynomial
 from .parallel import chunked_map
 
 WITNESS_FIELDS = ["n", "k", "m0", "m1", "m2", "m3", "u", "M", "sq", "residue", "e"]
-# The fields that may be longer than STR_DIGITS characters, which verify
-# reads with decimal_int; witness_values writes exactly these through
-# decimal_str.
+# The fields that may have more than STR_DIGITS digits, which verify reads
+# with decimal_int's long default; witness_values writes exactly these
+# through decimal_str.
 DECIMAL_FIELDS = ("n", "m0", "m1", "m2", "m3")
+# A set for verify's test of each cell: the tuple's scan cost 0.5 us per CSV
+# row of 11 cells, 12% of reading it (2-vCPU VM, Python 3.11.7)
+_LONG_FIELDS = frozenset(DECIMAL_FIELDS)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -66,49 +72,46 @@ _DEGREE_CAP = 1 << 10
 
 
 def parse_poly(text: str) -> IntPolynomial:
-    """x^H / x monomial shorthand, or a high-to-low comma coefficient list."""
-    s = text.strip()
-    match = re.fullmatch(r"x(?:\^0*([0-9]+))?", s)
+    """x^H / x monomial shorthand, or a high-to-low comma coefficient list,
+    in ASCII with no whitespace.  The exponent and each coefficient are
+    -?[0-9]+ of at most STR_DIGITS digits, read by decimal_int; the degree
+    is checked against _DEGREE_CAP before any coefficient is read."""
+    match = re.fullmatch(r"x(?:\^([0-9]+))?", text)
     if match:
-        exponent = match.group(1) or "1"
-        if len(exponent) > len(str(_DEGREE_CAP)):
-            raise ValueError(
-                f"polynomial degree of {len(exponent)} digits is above the cap "
-                f"{_DEGREE_CAP}"
-            )
-        degree = decimal_int(exponent)
-    elif re.fullmatch(r"-?[0-9]+(\s*,\s*-?[0-9]+)*", s):
-        degree = s.count(",")
+        degree = decimal_int(match.group(1) or "1", "the exponent", STR_DIGITS)
+    elif re.fullmatch(r"-?[0-9]+(,-?[0-9]+)*", text):
+        degree = text.count(",")
     else:
         raise ValueError(
-            f"cannot parse polynomial {text!r}: use x^H or a comma-separated "
-            f"coefficient list, highest degree first"
+            f"cannot parse polynomial {reprlib.repr(text)}: use x^H or a "
+            f"comma-separated coefficient list, highest degree first"
         )
     if degree > _DEGREE_CAP:
-        raise ValueError(f"polynomial degree {degree} is above the cap {_DEGREE_CAP}")
+        raise ValueError(
+            f"polynomial degree {reprlib.repr(degree)} is above the cap {_DEGREE_CAP}"
+        )
     if match:
         return IntPolynomial.monomial(degree)
-    tokens = s.split(",")
-    if max(len(tok.strip().lstrip("-")) for tok in tokens) > STR_DIGITS:
-        raise ValueError(f"a coefficient is longer than the {STR_DIGITS}-digit limit")
-    return IntPolynomial.from_coeffs(reversed([decimal_int(t.strip()) for t in tokens]))
+    return IntPolynomial.from_coeffs(reversed(
+        [decimal_int(c, "a coefficient", STR_DIGITS) for c in text.split(",")]
+    ))
 
 
-def polynomial(text: str) -> IntPolynomial:
-    """A --poly option: parse_poly, its refusal reported as the option's."""
-    try:
-        return parse_poly(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def option(reader: Callable[[str], object]) -> Callable[[str], object]:
+    """An argparse type= reader over `reader`, whose ValueError is reported
+    as the option's error, with the same text."""
+    def read(text: str) -> object:
+        try:
+            return reader(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return read
 
 
-def integer(text: str) -> int:
-    """An integer option: decimal_int's -?[0-9]+, at most STR_DIGITS long."""
-    if len(text) > STR_DIGITS:
-        raise argparse.ArgumentTypeError(
-            f"{reprlib.repr(text)} is longer than {STR_DIGITS} characters"
-        )
-    return decimal_int(text)
+# The readers of an integer option and of --poly, also for scripts/
+integer = option(partial(decimal_int, limit=STR_DIGITS))
+polynomial = option(parse_poly)
 
 
 class _Writer:
@@ -160,9 +163,8 @@ def _witness_from_values(values: list) -> Witness:
     ints = []
     for field, value in zip(WITNESS_FIELDS, values):
         if isinstance(value, str):
-            if len(value) > STR_DIGITS and field not in DECIMAL_FIELDS:
-                raise ValueError(f"{field} is longer than {STR_DIGITS} characters")
-            value = decimal_int(value, field)
+            value = (decimal_int(value, field) if field in _LONG_FIELDS
+                     else decimal_int(value, field, STR_DIGITS))
         # int() would read a JSON true as 1 and 15.9 as 15
         elif isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{field} must be an integer, got {type(value).__name__}")
@@ -180,6 +182,9 @@ def read_witness_file(path: str) -> Iterator[tuple[int, Witness | str]]:
     U+FFFD is not.  Lines are numbered from 1 as str.splitlines() splits the
     whole text; blank lines count but yield nothing.  The first other line
     sets the format; a CSV file whose header is wrong yields that one message.
+    A CSV line is split on its commas, so a cell may pass the 131072
+    characters the csv module reads (an n of 435 kbit), and a line with
+    quotes, which construct never writes, is malformed.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         lines = enumerate((line for raw in handle for line in raw.splitlines()), 1)
@@ -193,7 +198,7 @@ def read_witness_file(path: str) -> Iterator[tuple[int, Witness | str]]:
                 if is_json is None:
                     is_json = line.lstrip().startswith("{")
                     if not is_json:
-                        header = _csv_cells(line)
+                        header = line.split(",")
                         if header != WITNESS_FIELDS:
                             yield lineno, f"unexpected CSV header {header}"
                             return
@@ -208,25 +213,15 @@ def read_witness_file(path: str) -> Iterator[tuple[int, Witness | str]]:
                         raise ValueError(f"unexpected schema {record.get('schema')!r}")
                     values = [record[f] for f in WITNESS_FIELDS]
                 else:
-                    values = _csv_cells(line)
+                    values = line.split(",")
                     if len(values) != len(WITNESS_FIELDS):
                         raise ValueError(
                             f"expected {len(WITNESS_FIELDS)} columns, got {len(values)}"
                         )
                 item: Witness | str = _witness_from_values(values)
-            except (ValueError, KeyError, TypeError, RecursionError, csv.Error) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 item = str(exc)
             yield lineno, item
-
-
-def _csv_cells(line: str) -> list[str]:
-    """The cells of one CSV line.  The csv module refuses a cell of more than
-    131072 characters (an n of 435 kbit), so a line without quotes, which is
-    every line construct writes, is split on its commas as csv would split it.
-    """
-    if '"' in line:
-        return next(csv.reader([line]))
-    return line.split(",")
 
 
 def _witness_line_formats() -> dict[str, str]:
@@ -409,14 +404,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def tolerance(text: str) -> Fraction:
     """--tolerance as an exact Fraction, P or P/Q: P and Q are ASCII [0-9]+
-    of at most STR_DIGITS characters, read by decimal_int, and Q >= 1."""
+    of at most STR_DIGITS digits, read by decimal_int, and Q >= 1."""
     match = re.fullmatch(r"([0-9]+)(?:/([0-9]+))?", text)
-    if match and max(map(len, match.groups(""))) <= STR_DIGITS:
-        p, q = map(decimal_int, match.groups("1"))
+    if match:
+        p, q = (decimal_int(term, limit=STR_DIGITS) for term in match.groups("1"))
         if q >= 1:
             return Fraction(p, q)
     grammar = f"P or P/Q, P and Q ASCII [0-9]+ of at most {STR_DIGITS} digits, Q >= 1"
-    raise argparse.ArgumentTypeError(f"{reprlib.repr(text)} is not {grammar}")
+    raise ValueError(f"{reprlib.repr(text)} is not {grammar}")
 
 
 DENSITY_FIELDS = [
@@ -496,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
                 workers=True)
     d.add_argument("--poly", type=polynomial, required=True)
     d.add_argument("--N", dest="n_limit", type=integer, required=True)
-    d.add_argument("--tolerance", type=tolerance, default=Fraction(1, 50),
+    d.add_argument("--tolerance", type=option(tolerance), default=Fraction(1, 50),
                    help="max |density - prediction|, P or P/Q (default 1/50)")
 
     command("lemma", cmd_lemma, "prove the sign lemma for t^l at every scale", "q l")

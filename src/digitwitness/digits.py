@@ -98,11 +98,11 @@ VALUE_BITS_CAP = 1 << 22
 _limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 STR_DIGITS = min(_limit, 4300) if _limit else 4300
 
-# Longest string decimal_int reads past STR_DIGITS: the digit count of a
-# VALUE_BITS_CAP-bit value (log10 2 < 0.30103), 1262612 characters.  Reading
-# one takes 1.3-1.6 s, int() with the limit lifted 13.7 s (2-vCPU VM, Python
-# 3.11.7).
-_DECIMAL_CHARS_CAP = -(-VALUE_BITS_CAP * 30103 // 100000)
+# Most digits decimal_int reads by default, past STR_DIGITS: the digit count
+# of a VALUE_BITS_CAP-bit value (log10 2 < 0.30103), 1262612 digits.  Reading
+# that many takes 1.3-1.6 s, int() with the limit lifted 13.7 s (2-vCPU VM,
+# Python 3.11.7).
+_DECIMAL_DIGITS_CAP = -(-VALUE_BITS_CAP * 30103 // 100000)
 
 
 def _require_base(q: int) -> None:
@@ -168,23 +168,26 @@ def decimal_str(n: int) -> str:
     return decimal_str(high) + decimal_str(low).zfill(1 << i)
 
 
-def decimal_int(s: str, name: str = "a decimal string") -> int:
+def decimal_int(
+    s: str, name: str = "a decimal string", limit: int = _DECIMAL_DIGITS_CAP
+) -> int:
     """The value of s, an optional "-" followed by ASCII digits, also past
     Python's str-to-int digit limit; a refusal calls s `name`.
 
-    s must be at most _DECIMAL_CHARS_CAP characters, checked before any
-    work, and match -?[0-9]+ at every length: int() alone would also read
-    "1_000", "+5", surrounding spaces and non-ASCII digits.  A string of at
-    most STR_DIGITS characters goes to int(); a longer one is cut by the
-    ladder of 10 into parts that int() accepts.  The limit itself is left
-    as it is.
+    s may have at most `limit` digits after its "-", counted before any
+    other work, as int() and json count them: the long default for witness
+    n and the quadruple and for --N literals, STR_DIGITS for every other
+    number.  s must match -?[0-9]+ at every length: int() alone would also
+    read "1_000", "+5", surrounding spaces and non-ASCII digits.  A string
+    of at most STR_DIGITS characters goes to int(); a longer one is cut by
+    the ladder of 10 into parts that int() accepts.  The limit itself is
+    left as it is.
     """
-    if len(s) > _DECIMAL_CHARS_CAP:
-        raise ValueError(
-            f"{name} of {len(s)} characters is longer than the "
-            f"{_DECIMAL_CHARS_CAP}-character cap"
-        )
     digits = s.removeprefix("-")
+    if len(digits) > limit:
+        raise ValueError(
+            f"{name} of {len(digits)} digits is longer than the {limit}-digit cap"
+        )
     if not (digits.isascii() and digits.isdigit()):
         shown = repr(s) if len(s) <= 24 else f"{s[:20]!r}..."
         raise ValueError(

@@ -1,4 +1,3 @@
-import argparse
 import csv
 import io
 import json
@@ -15,7 +14,7 @@ import pytest
 
 from digitwitness import bounds, cli, construction, oracle
 from digitwitness.construction import ConsistencyError, CubicParams, Witness, build_cubic
-from digitwitness.digits import _DECIMAL_CHARS_CAP, decimal_str, digit_sum
+from digitwitness.digits import _DECIMAL_DIGITS_CAP, decimal_str, digit_sum
 from digitwitness.intpoly import IntPolynomial, poly_eval
 
 # The --tolerance grammar, as its refusal states it
@@ -111,26 +110,36 @@ class TestParsePoly:
                 cli.parse_poly(text)
 
     def test_long_exponent_is_refused_by_its_digit_count(self):
-        cases = [("x^" + "9" * 5000, 5000), ("x^" + "0" * 5000 + "10000", 5)]
-        for text, digits in cases:
+        # leading zeros count, as int() counts them
+        for text in ("x^" + "9" * 5000, "x^" + "0" * 5000 + "1024"):
             with pytest.raises(ValueError) as info:
                 cli.parse_poly(text)
             assert str(info.value) == (
-                f"polynomial degree of {digits} digits is above the cap 1024"
+                f"the exponent of {len(text) - 2} digits is longer than the "
+                f"4300-digit cap"
             )
-        assert cli.parse_poly("x^" + "0" * 5000 + "1024").degree == 1024
+        # 4300 digits are read; the degree cap quotes the degree cut short
+        with pytest.raises(ValueError) as info:
+            cli.parse_poly("x^" + "9" * 4300)
+        assert str(info.value) == (
+            f"polynomial degree {reprlib.repr(10**4300 - 1)} is above the cap 1024"
+        )
 
     def test_long_coefficient_is_refused_before_int_reads_it(self):
         assert cli.parse_poly("1,-" + "9" * 4300).coeffs[0] == -int("9" * 4300)
-        for text in ("1," + "9" * 4301, "-" + "1" * 5000 + ",0"):
-            with pytest.raises(ValueError, match="^a coefficient is longer than the "
-                               "4300-digit limit$"):
+        for text, digits in (("1," + "9" * 4301, 4301), ("-" + "1" * 5000 + ",0", 5000)):
+            with pytest.raises(ValueError) as info:
                 cli.parse_poly(text)
+            assert str(info.value) == (
+                f"a coefficient of {digits} digits is longer than the 4300-digit cap"
+            )
 
     @pytest.mark.parametrize(
         "poly, message",
-        [("x^" + "9" * 5000, "polynomial degree of 5000 digits is above the cap 1024"),
-         ("1," + "9" * 5000, "a coefficient is longer than the 4300-digit limit")],
+        [("x^" + "9" * 5000, "the exponent of 5000 digits is longer than the "
+          "4300-digit cap"),
+         ("1," + "9" * 5000, "a coefficient of 5000 digits is longer than the "
+          "4300-digit cap")],
         ids=["exponent", "coefficient"],
     )
     def test_long_numbers_are_a_quick_usage_error(self, capsys, poly, message):
@@ -140,6 +149,20 @@ class TestParsePoly:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.endswith(f"digitwitness density: error: argument --poly: {message}\n")
+
+    def test_long_garbage_is_quoted_cut_short(self, capsys):
+        # the whole text was echoed: a million characters on one stderr line
+        poly = "y" * 10**6
+        start = time.perf_counter()
+        code = run(["density", "--q", "2", "--m", "3", "--poly", poly, "--N", "2"])
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert len(err.splitlines()[-1]) < 200
+        assert err.endswith(
+            f"error: argument --poly: cannot parse polynomial {reprlib.repr(poly)}: "
+            f"use x^H or a comma-separated coefficient list, highest degree first\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",
@@ -333,7 +356,7 @@ class TestConstruct:
         if not refused:
             assert err == "error: plan reached\n"
         elif poly == "x^1000000":  # parse_poly's degree cap refuses it first
-            assert err.endswith("error: argument --poly: polynomial degree of 7 digits "
+            assert err.endswith("error: argument --poly: polynomial degree 1000000 "
                                 "is above the cap 1024\n")
         else:
             assert err.startswith("error: p(n) for p = ")
@@ -757,7 +780,8 @@ class TestVerify:
     @pytest.mark.parametrize(
         "n, message",
         [
-            ("1" * (_DECIMAL_CHARS_CAP + 1), "longer than the 1262612-character cap"),
+            ("1" * (_DECIMAL_DIGITS_CAP + 1),
+             "of 1262613 digits is longer than the 1262612-digit cap"),
             ("1_" * 2200, "must be ASCII digits"),
         ],
         ids=["past-the-cap", "underscores"],
@@ -831,6 +855,49 @@ class TestVerify:
             f"got ''"
         )
 
+    def test_a_signed_small_field_reads_alike_in_csv_and_json(self, tmp_path, capsys):
+        # json reads a k of "-" and 4300 digits, as int() does; so does CSV
+        k = -int("9" * 4300)
+        csv_path = self.construct_file(tmp_path, fmt="csv", limit=1)
+        header, row = csv_path.read_text().splitlines()
+        cells = row.split(",")
+        cells[cli.WITNESS_FIELDS.index("k")] = str(k)
+        csv_path.write_text(f"{header}\n{','.join(cells)}\n")
+        json_path = tmp_path / "edited.jsonl"
+        record = {"schema": "witness/1", **dict(zip(cli.WITNESS_FIELDS, cells))}
+        for field in cli.WITNESS_FIELDS:
+            if field not in cli.DECIMAL_FIELDS:
+                record[field] = int(record[field])
+        json_path.write_text(json.dumps(record) + "\n")
+        target = ["--q", "2", "--m", "3", "--g", "1", "--poly", "x^3"]
+        results = [run_lines(capsys, ["verify", *target, "--in", str(path)])
+                   for path in (csv_path, json_path)]
+        assert results[0] == results[1]
+        code, lines = results[0]
+        assert code == 1 and json.loads(lines[0])["index"] == 0
+        assert json.loads(lines[-1])["detail"] == "total=1 failed=1 malformed=0"
+
+    def test_a_quoted_csv_row_is_malformed(self, tmp_path, capsys):
+        # construct writes no quotes; the csv module would read '"5"' as 5
+        path = self.construct_file(tmp_path, fmt="csv", limit=1)
+        header, row = path.read_text().splitlines()
+        cells = row.split(",")
+        cells[1] = f'"{cells[1]}"'
+        path.write_text(f"{header}\n{','.join(cells)}\n")
+        code, lines = run_lines(
+            capsys,
+            ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+             "--in", str(path)],
+        )
+        assert code == 1
+        assert json.loads(lines[0])["detail"].startswith(
+            "malformed row: k must be ASCII digits after an optional '-'"
+        )
+        assert json.loads(lines[-1]) == {
+            "schema": "verify-summary/1", "line": None, "index": None, "ok": False,
+            "detail": "total=0 failed=0 malformed=1",
+        }
+
     def test_n_is_rebuilt_without_the_construction_cubic(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -868,7 +935,7 @@ class TestVerify:
         )
         assert code == 1
         assert json.loads(lines[0])["detail"] == (
-            "malformed row: k is longer than 4300 characters"
+            "malformed row: k of 5000 digits is longer than the 4300-digit cap"
         )
 
     def test_rebuilt_n_past_the_value_cap_is_flagged_quickly(self, tmp_path, capsys):
@@ -1027,7 +1094,7 @@ class TestCertify:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         if h > 1024:
-            assert err.endswith("error: argument --poly: polynomial degree of 6 digits "
+            assert err.endswith("error: argument --poly: polynomial degree 100000 "
                                 "is above the cap 1024\n")
         else:
             assert "65536-bit cap" in err and "below N0" in err
@@ -1125,11 +1192,15 @@ class TestDensity:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "tolerance",
-        ["1e999999999999", "1/" + "1" * 4301, "1" * 10**6],
+        "tolerance, message",
+        [("1e999999999999", f"'1e999999999999' is not {TOLERANCE_GRAMMAR}"),
+         ("1/" + "1" * 4301,
+          "a decimal string of 4301 digits is longer than the 4300-digit cap"),
+         ("1" * 10**6,
+          "a decimal string of 1000000 digits is longer than the 4300-digit cap")],
         ids=["exponent", "long-denominator", "million-digits"],
     )
-    def test_bad_tolerance_is_a_quick_usage_error(self, capsys, tolerance):
+    def test_bad_tolerance_is_a_quick_usage_error(self, capsys, tolerance, message):
         # no exponent syntax, so nothing can grow to 10**999999999999
         start = time.perf_counter()
         code = run(["density", "--q", "2", "--m", "3", "--poly", "x^2", "--N", "10",
@@ -1137,8 +1208,7 @@ class TestDensity:
         assert time.perf_counter() - start < 1
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert err.endswith(f"error: argument --tolerance: {reprlib.repr(tolerance)} "
-                            f"is not {TOLERANCE_GRAMMAR}\n")
+        assert err.endswith(f"error: argument --tolerance: {message}\n")
 
     @pytest.mark.parametrize(
         "text, value",
@@ -1154,13 +1224,13 @@ class TestDensity:
         if value is not None:
             assert cli.tolerance(text) == value
         else:
-            with pytest.raises(argparse.ArgumentTypeError) as info:
+            with pytest.raises(ValueError) as info:
                 cli.tolerance(text)
             assert str(info.value) == f"{text!r} is not {TOLERANCE_GRAMMAR}"
 
     def test_tolerance_terms_stop_at_the_str_limit(self):
         assert cli.tolerance("1" * 4300 + "/" + "3" * 4300) == Fraction(1, 3)
-        with pytest.raises(argparse.ArgumentTypeError):
+        with pytest.raises(ValueError, match="^a decimal string of 4301 digits"):
             cli.tolerance("1" * 4301)
 
     def test_modulus_cap_is_a_quick_usage_error(self, capsys):
@@ -1310,10 +1380,17 @@ BAD_POLY = ("argument --poly: cannot parse polynomial '3x+1': use x^H or a "
         (["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "3x+1",
           "--in", "missing.jsonl"], BAD_POLY),
         (["density", "--q", "2", "--m", "3", "--poly", "3x+1", "--N", "10"], BAD_POLY),
+        # str.strip() and \s read these as x^3 and x
+        *((["construct", "--q", "2", "--m", "3", "--g", "1", "--poly", poly,
+            "--limit", "1"],
+           f"argument --poly: cannot parse polynomial {poly!r}: use x^H or a "
+           f"comma-separated coefficient list, highest degree first")
+          for poly in ("\u3000x^3", "1 , 0", " x^3", "x^3\t")),
     ],
     ids=["construct-workers", "density-workers", "construct-limit",
          "density-tolerance", "construct-poly", "certify-poly", "verify-poly",
-         "density-poly"],
+         "density-poly", "ideographic-space-poly", "spaced-commas-poly",
+         "leading-space-poly", "trailing-tab-poly"],
 )
 def test_refused_values_leave_the_out_file_alone(tmp_path, capsys, argv, message):
     # a library refusal is main's one "error: ..." line; an option's is
@@ -1369,7 +1446,8 @@ def test_every_integer_reads_ascii_digits_only(capsys, command, option, literal)
         expected = {
             "--poly": f"cannot parse polynomial {literal!r}: ",
             "--tolerance": f"{literal!r} is not {TOLERANCE_GRAMMAR}",
-        }.get(option, f"invalid integer value: {literal!r}")
+        }.get(option, f"a decimal string must be ASCII digits after an optional "
+                      f"'-', got {literal!r}")
         assert err.startswith("usage: ")
         assert err.splitlines()[-1].startswith(
             f"digitwitness {command}: error: argument {option}: {expected}"
@@ -1385,8 +1463,22 @@ def test_integer_options_stop_at_the_str_limit(capsys):
     assert run(argv + ["1" * 4301]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.endswith(
-        f"error: argument --g: {reprlib.repr('1' * 4301)} is longer than 4300 "
-        f"characters\n"
+        "error: argument --g: a decimal string of 4301 digits is longer than the "
+        "4300-digit cap\n"
+    )
+
+
+def test_integer_options_count_digits_after_the_sign(capsys):
+    # "-" and 4300 digits is read, as int() and --poly's coefficients read it
+    argv = ["construct", "--q", "2", "--m", "3", "--poly", "x^3", "--limit", "1",
+            "--g"]
+    assert run(argv + ["-" + "1" * 4300]) == 0
+    capsys.readouterr()
+    assert run(argv + ["-" + "1" * 4301]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(
+        "error: argument --g: a decimal string of 4301 digits is longer than the "
+        "4300-digit cap\n"
     )
 
 

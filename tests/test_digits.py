@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from digitwitness import digits
 from digitwitness.digits import (
     _COUNT_CHUNK,
-    _DECIMAL_CHARS_CAP,
+    _DECIMAL_DIGITS_CAP,
     _SPLIT_BITS,
     STR_DIGITS,
     decimal_int,
@@ -219,9 +219,11 @@ class TestDecimalLadder:
         assert str(info.value).endswith("got '1_000'")
 
     def test_string_past_the_cap_is_refused_before_any_work(self):
-        text = "1" * (_DECIMAL_CHARS_CAP + 1)
+        text = "1" * (_DECIMAL_DIGITS_CAP + 1)
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="longer than the 1262612-character cap"):
+        with pytest.raises(
+            ValueError, match="of 1262613 digits is longer than the 1262612-digit cap"
+        ):
             decimal_int(text)
         assert time.perf_counter() - start < 0.1
 

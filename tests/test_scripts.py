@@ -47,6 +47,19 @@ def test_witness_anatomy_runs_past_the_str_limit():
     assert "\ntotal digit sum 362782 = k*(q-1) + offset" in result.stdout
 
 
+@pytest.mark.parametrize(
+    "name, args, message",
+    [("density_convergence.py", ["--poly", "x^"], "argument --poly: cannot parse"),
+     ("witness_anatomy.py", ["--q", "\u0662"], "argument --q: a decimal string must be")],
+    ids=["truncated-poly", "arabic-indic-q"],
+)
+def test_scripts_read_options_as_the_cli_does(name, args, message):
+    # --poly x^ was a traceback, and int() reads an Arabic-Indic two
+    result = run_script(name, *args)
+    assert result.returncode == 2 and result.stdout == ""
+    assert message in result.stderr
+
+
 def test_readme_library_example_runs():
     text = (ROOT / "README.md").read_text()
     blocks = re.findall(r"^```python\n(.*?)^```$", text, re.S | re.M)
