@@ -88,6 +88,17 @@ def test_witness_lines_are_the_generic_encoders_bytes(fmt):
     )
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_the_passing_verify_line_is_the_writers_bytes(fmt):
+    # cmd_verify writes a passing row's record without _Writer
+    for index in (0, 10**6):
+        stream = io.StringIO()
+        writer = cli._Writer(stream, fmt, cli.VERIFY_FIELDS)
+        header = stream.getvalue()
+        writer.write("verify/1", None, index, True, "")
+        assert header + cli._VERIFY_PASSED[fmt] % index == stream.getvalue()
+
+
 class TestParsePoly:
     def test_monomial_shorthand(self):
         assert cli.parse_poly("x^3") == IntPolynomial.monomial(3)
@@ -476,6 +487,11 @@ class TestVerify:
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert rows[0]["residue"] == 1 and rows[1]["u"] == 15
         rows[0]["residue"], rows[1]["u"] = True, 15.9
+        edits = [("sq", None), ("residue", [1]), ("e", {}), ("n", True)]
+        for field, value in edits:
+            rows.append({**rows[0], "residue": 1, field: value})
+        # two bad fields: the first in WITNESS_FIELDS order is named
+        rows.append({**rows[0], "residue": 1, "M": None, "u": [1]})
         path.write_text("".join(json.dumps(row) + "\n" for row in rows))
         code, out_lines = run_lines(
             capsys,
@@ -484,11 +500,125 @@ class TestVerify:
         )
         records = [json.loads(l) for l in out_lines]
         assert code == 1
-        assert [(r["line"], r["detail"]) for r in records[:2]] == [
+        assert [(r["line"], r["detail"]) for r in records[:7]] == [
             (1, "malformed row: residue must be an integer, got bool"),
             (2, "malformed row: u must be an integer, got float"),
+            (3, "malformed row: sq must be an integer, got NoneType"),
+            (4, "malformed row: residue must be an integer, got list"),
+            (5, "malformed row: e must be an integer, got dict"),
+            (6, "malformed row: n must be an integer, got bool"),
+            (7, "malformed row: u must be an integer, got list"),
         ]
-        assert records[-1]["detail"] == "total=0 failed=0 malformed=2"
+        assert records[-1]["detail"] == "total=0 failed=0 malformed=7"
+
+    def test_csv_cells_that_are_not_ascii_decimals(self, tmp_path, capsys):
+        # int() reads every one of these cells but the empty one
+        path = self.construct_file(tmp_path, fmt="csv", limit=1)
+        header, row = path.read_text().splitlines()
+        edits = [("k", "+5"), ("m0", " 5"), ("u", "\u0663"), ("n", ""),
+                 ("e", "1_000"), ("m3", "+5"), ("residue", " 5")]
+        rows = [header]
+        for field, cell in edits:
+            cells = row.split(",")
+            cells[cli.WITNESS_FIELDS.index(field)] = cell
+            rows.append(",".join(cells))
+        path.write_text("\n".join(rows) + "\n")
+        code, out_lines = run_lines(
+            capsys,
+            ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+             "--in", str(path)],
+        )
+        records = [json.loads(l) for l in out_lines]
+        assert code == 1
+        assert [(r["line"], r["detail"]) for r in records[:-1]] == [
+            (line, f"malformed row: {field} must be ASCII digits after an "
+                   f"optional '-', got {cell!r}")
+            for line, (field, cell) in enumerate(edits, 2)
+        ]
+        assert records[-1]["detail"] == "total=0 failed=0 malformed=7"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["n," + "y" * 300_000 + "\n",
+         json.dumps({"schema": "z" * 300_000}) + "\n"],
+        ids=["csv-header", "json-schema"],
+    )
+    def test_a_long_unexpected_header_or_schema_is_quoted_short(
+        self, tmp_path, capsys, text
+    ):
+        path = tmp_path / "rows.txt"
+        path.write_text(text)
+        code = run(
+            ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+             "--in", str(path)]
+        )
+        out = capsys.readouterr().out
+        assert code == 1
+        assert len(out) < 1000
+        assert json.loads(out.splitlines()[0])["detail"].startswith(
+            "malformed row: unexpected "
+        )
+
+    @pytest.mark.parametrize(
+        "header, detail",
+        [("n,k,m0,m1,m2,m3,u,offset,sq,residue,e",
+          "unexpected CSV header: column 8 is 'offset', expected 'M'"),
+         ("n,k,m0,m1,m2,m3,u,M,sq,residue",
+          "unexpected CSV header of 10 columns, expected 11"),
+         ("n,k,m0,m1,m2,m3,u,M,sq,residue,e,",
+          "unexpected CSV header of 12 columns, expected 11")],
+        ids=["wrong-cell", "short", "long"],
+    )
+    def test_a_wrong_csv_header_names_what_differs(
+        self, tmp_path, capsys, header, detail
+    ):
+        path = tmp_path / "rows.csv"
+        path.write_text(header + "\n1,2,3,4,5,6,7,8,9,10,11\n")
+        code = run(
+            ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+             "--in", str(path)]
+        )
+        records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert code == 1
+        assert [(r["line"], r["detail"]) for r in records[:-1]] == [
+            (1, f"malformed row: {detail}")
+        ]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_every_record_is_the_generic_encoders_bytes(self, tmp_path, capsys, fmt):
+        # passing, failing and malformed rows and the summary; a schema with
+        # a quote and a comma makes csv quote its cell
+        path = self.construct_file(tmp_path, limit=6)
+        rows = path.read_text().splitlines()
+        record = json.loads(rows[2])
+        record["sq"] += 1
+        rows[2] = json.dumps(record)
+        rows[4] = json.dumps({"schema": 'a"b,c'})
+        rows.append('{"schema":"witness/1"}')
+        path.write_text("\n".join(rows) + "\n")
+        code = run(
+            ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+             "--format", fmt, "--in", str(path)]
+        )
+        lines = capsys.readouterr().out.splitlines(True)
+        assert code == 1
+        for line in lines:
+            if fmt == "json":
+                again = json.dumps(json.loads(line), separators=(",", ":")) + "\n"
+            else:
+                stream = io.StringIO()
+                csv.writer(stream, lineterminator="\n").writerows(
+                    csv.reader([line])
+                )
+                again = stream.getvalue()
+            assert again == line
+        records = (
+            [json.loads(line) for line in lines] if fmt == "json"
+            else list(csv.DictReader(lines))
+        )
+        assert [str(r["ok"]) for r in records] == (
+            ["False"] * 2 + ["True", "True", "False", "True", "True"] + ["False"]
+        )
 
     def test_line_numbers_follow_str_splitlines(self, tmp_path, capsys):
         # \x0c and \x1e end a line for str.splitlines, not for file iteration
