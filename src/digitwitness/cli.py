@@ -261,9 +261,11 @@ def _witness_line_formats() -> dict[str, str]:
 
 _WITNESS_LINE = _witness_line_formats()
 
-# Witnesses per construct chunk.  Smaller chunks cost measurably more CPU per
-# witness at 2 workers; at h=8 (x^8 at q=3, m=5) one chunk's text is 122 kB
-# of JSON lines, 99 kB of CSV.
+# Witnesses per construct chunk.  A chunk costs its worker one pipe frame: at
+# 2 workers, construct-cubic's median wall time at 128 and at 512 stayed
+# inside 256's quartiles in two sweeps (2-vCPU VM, Python 3.11.7).  A worker
+# holds one chunk: at h=8 (x^8 at q=3, m=5) its text is 122 kB of JSON lines,
+# 99 kB of CSV.
 _CONSTRUCT_CHUNK = 256
 
 

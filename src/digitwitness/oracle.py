@@ -13,7 +13,7 @@ chunk at a time.
 [0, N) is cut into fixed-size chunks that `parallel.chunked_map` tallies,
 across processes when there are several workers (never more processes than
 chunks), and merges in order; it also refuses fewer than one worker.  Memory
-is bounded by the chunks in flight, and since tallies are exact integers the
+is bounded by one chunk per worker, and since tallies are exact integers the
 counts are identical for any worker count.
 """
 

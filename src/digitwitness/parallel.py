@@ -1,20 +1,36 @@
 """One ordered parallel map over [0, total), shared by construct and density.
 
-The process-pool stack (`concurrent.futures.process`, `multiprocessing`,
-`socket`, `pickle`, `logging`, `subprocess`) is imported when the first pool
-starts, not with this module: most runs take one process and never need it.
-Loaded with `digitwitness.cli`, it cost a one-item `construct` 26 ms of wall
-time and 2.6 MiB of peak RSS (2-vCPU VM, Python 3.11.7).
+With several processes (POSIX only), the first result requested forks the
+workers, each with its own pipe.  Worker i of P computes chunks i, i+P,
+i+2P, ... and writes each result as one frame: a kind byte, the payload's
+length in 8 bytes, then the `marshal`led result.  So fn and the plan it
+closes over reach the workers by fork, and nothing is pickled per chunk.
+The parent reads chunk j from worker j % P.  A worker whose pipe is full
+waits, so memory holds one chunk per worker plus what the pipes buffer,
+not `total`.  A chunk that raises sends its exception, pickled, in place
+of its result; `pickle` is imported only then.
+
+A worker always leaves by os._exit: it never flushes the stdio buffers it
+shares with the parent (a CSV header written but not yet flushed would be
+printed twice) and never runs the caller's `with` exits.  Forking is safe
+because the program starts no thread.  No thread, queue or executor is
+involved, so `concurrent.futures` and `multiprocessing` are never loaded;
+their import alone cost 23-28 ms of wall time and 2.6 MiB of peak RSS
+(2-vCPU VM, Python 3.11.7).  Where os.fork is missing, the map runs in the
+calling process.
 """
 
 from __future__ import annotations
 
+import marshal
 import os
-from collections import deque
-from itertools import islice
-from typing import Callable, Iterator, TypeVar
+from typing import IO, Callable, Iterator, TypeVar
 
 T = TypeVar("T")
+
+# A frame's kind byte, followed by the payload's length in _LENGTH bytes
+_RESULT, _ERROR = b"r", b"e"
+_LENGTH = 8
 
 
 def _cpu_count() -> int:
@@ -29,30 +45,107 @@ def chunked_map(
     """Yield fn(start, stop) over consecutive `chunk`-wide pieces of [0, total).
 
     workers < 1 is refused at the call.  Results come in chunk order.  The
-    work takes min(workers, chunks, CPUs) processes: with one, fn runs in
-    this process and no pool is created; otherwise _pool_map runs the
-    picklable fn in a pool of that many, with at most two chunks per process
-    in flight, so memory is bounded by the chunks in flight, not by `total`.
-    An exception raised by fn reaches the caller.  The pool's modules are
-    imported only once a pool starts (see the module docstring).
+    work takes min(workers, chunks, CPUs) processes: with one, or without
+    os.fork, fn runs in this process; otherwise _fork_map runs it in that
+    many forked workers, and each result must be a value `marshal` writes
+    (str, int, list, ...).  An exception raised by fn reaches the caller.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    chunks = ((start, min(start + chunk, total)) for start in range(0, total, chunk))
-    processes = min(workers, -(-total // chunk), _cpu_count())
-    if processes <= 1:
-        return (fn(start, stop) for start, stop in chunks)
-    return _pool_map(fn, chunks, processes)
+    starts = range(0, total, chunk)
+    processes = min(workers, len(starts), _cpu_count())
+
+    def run(start: int) -> T:
+        return fn(start, min(start + chunk, total))
+
+    if processes <= 1 or not hasattr(os, "fork"):
+        return map(run, starts)
+    return _fork_map(run, starts, processes)
 
 
-def _pool_map(fn: Callable, chunks: Iterator, processes: int) -> Iterator:
-    """chunked_map's pool: fn over chunks in `processes` processes, in order."""
-    from concurrent.futures import ProcessPoolExecutor
+def _fork_map(run: Callable[[int], T], starts: range, processes: int) -> Iterator[T]:
+    """chunked_map's workers: run(start) for each start, in order, computed
+    by `processes` forked workers (see the module docstring).
 
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        pending = deque(pool.submit(fn, *c) for c in islice(chunks, 2 * processes))
-        while pending:
-            result = pending.popleft().result()
-            for c in islice(chunks, 1):  # one submitted per result taken
-                pending.append(pool.submit(fn, *c))
-            yield result
+    A worker that ends without sending its next chunk raises RuntimeError
+    naming its exit status (-N for signal N).  However the iteration ends,
+    by its last chunk, an error or the caller closing it, every pipe is
+    closed and every worker is sent SIGTERM and reaped.
+    """
+    import signal
+
+    readers, pids = [], []
+    try:
+        for i in range(processes):
+            read, write = os.pipe()
+            readers.append(open(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(run, starts[i::processes], write, readers)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        for index in range(len(starts)):
+            worker = index % processes
+            kind, payload = _receive(readers[worker])
+            if kind == _ERROR:
+                import pickle
+
+                raise pickle.loads(payload)
+            if kind != _RESULT:
+                _, status = os.waitpid(pids[worker], 0)
+                pids[worker] = 0  # reaped
+                raise RuntimeError(
+                    f"a worker exited with status {os.waitstatus_to_exitcode(status)}"
+                    f" before sending chunk {index}"
+                )
+            yield marshal.loads(payload)
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in filter(None, pids):
+            os.kill(pid, signal.SIGTERM)  # a no-op on one that has exited
+            os.waitpid(pid, 0)
+
+
+def _work(
+    run: Callable[[int], object], starts: range, write: int, readers: list[IO[bytes]]
+) -> None:
+    """A worker's life: one frame per start, or an error frame for the first
+    that raises, then os._exit; it never returns."""
+    status = 1
+    try:
+        # the parent is each pipe's only reader, so a worker whose parent is
+        # gone meets a broken pipe, not a full one
+        for reader in readers:
+            reader.close()
+        try:
+            for start in starts:
+                _send(write, _RESULT, marshal.dumps(run(start)))
+            status = 0
+        except Exception as exc:
+            import pickle
+
+            _send(write, _ERROR, pickle.dumps(exc))
+    finally:
+        os._exit(status)
+
+
+def _send(write: int, kind: bytes, payload: bytes) -> None:
+    """Write one frame whole to the pipe `write`."""
+    frame = memoryview(kind + len(payload).to_bytes(_LENGTH, "little") + payload)
+    while frame:
+        frame = frame[os.write(write, frame):]
+
+
+def _receive(reader: IO[bytes]) -> tuple[bytes, bytes]:
+    """The next frame's kind and payload, or (b"", b"") where the worker's
+    pipe ended first."""
+    header = reader.read(1 + _LENGTH)
+    if len(header) == 1 + _LENGTH:
+        size = int.from_bytes(header[1:], "little")
+        payload = reader.read(size)
+        if len(payload) == size:
+            return header[:1], payload
+    return b"", b""

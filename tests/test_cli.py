@@ -1661,3 +1661,25 @@ def test_a_closed_stdout_ends_the_run_quietly(workers):
         proc.stderr.close()
     assert first["schema"] == "witness/1"
     assert (code, err) == (1, b"")
+
+
+def test_csv_on_stdout_is_the_same_at_two_workers():
+    # the CSV header is still in stdout's buffer when the workers are forked;
+    # a worker that flushed it on its way out would print it twice (with
+    # PYTHONUNBUFFERED set, there is no buffer to flush)
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(
+        None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]
+    ))
+    main = "import sys; from digitwitness.cli import main; sys.exit(main())"
+    argv = ["construct", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+            "--limit", "600", "--format", "csv", "--workers"]
+    outputs = [
+        subprocess.run([sys.executable, "-c", main, *argv, workers], env=env,
+                       capture_output=True, timeout=60)
+        for workers in ("1", "2")
+    ]
+    assert [(p.returncode, p.stderr) for p in outputs] == [(0, b"")] * 2
+    assert outputs[0].stdout.count(b"\n") == 601
+    assert outputs[1].stdout == outputs[0].stdout

@@ -1,5 +1,5 @@
-"""Which modules a CLI run imports: the process-pool stack only when a pool
-starts, and dataclasses and inspect never."""
+"""Which modules a CLI run imports: the process-pool stack and pickle never,
+not even when workers are forked, and dataclasses and inspect never."""
 
 import json
 import os
@@ -12,6 +12,8 @@ import pytest
 from digitwitness import parallel
 
 POOL_STACK = {"concurrent.futures", "concurrent.futures.process", "multiprocessing"}
+# pickle is loaded only for a worker's exception
+FORK_UNUSED = POOL_STACK | {"pickle"}
 # dataclasses imports inspect; together they cost a one-item construct about
 # 10 ms and 0.8 MiB (2-vCPU VM, Python 3.11.7)
 RECORD_STACK = {"dataclasses", "inspect"}
@@ -75,9 +77,12 @@ def test_one_process_runs_never_import_dataclasses_or_inspect(tmp_path):
     assert watched_modules(one_process_runs(tmp_path), RECORD_STACK)[1] == set()
 
 
-@pytest.mark.skipif(parallel._cpu_count() < 2, reason="one CPU starts no pool")
-def test_a_run_that_starts_a_pool_imports_it(tmp_path):
-    # 600 witnesses are three 256-witness chunks, so two workers take a pool
+@pytest.mark.skipif(parallel._cpu_count() < 2, reason="one CPU forks no worker")
+def test_runs_that_fork_workers_import_no_pool_stack_and_no_pickle(tmp_path):
+    # 600 witnesses are three 256-witness chunks and N = 200000 four 2^16-value
+    # chunks, so two workers are forked for each
     runs = [["construct", *CUBIC, "--limit", "600", "--workers", "2",
-             "--out", str(tmp_path / "w.jsonl")]]
-    assert watched_modules(runs, POOL_STACK)[0] == POOL_STACK
+             "--out", str(tmp_path / "w.jsonl")],
+            ["density", "--q", "2", "--m", "3", "--poly", "x^2", "--N", "200000",
+             "--workers", "2", "--out", str(tmp_path / "d.jsonl")]]
+    assert watched_modules(runs, FORK_UNUSED)[1] == set()
