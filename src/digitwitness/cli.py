@@ -2,9 +2,9 @@
 
 All commands emit machine-readable JSON lines (default) or CSV, and
 identical configuration reproduces identical bytes.  Exit codes: 0 success /
-all checks passed, 1 verification failure or output cut short by a reader
-that closed stdout, 2 usage or configuration error.  `lemma` writes the
-verdict of construction.sign_lemma_proof, the sign lemma's proof.
+all checks passed, 1 verification failure or output cut short (the reader
+closed stdout, or a worker died), 2 usage or configuration error.  `lemma`
+writes the verdict of construction.sign_lemma_proof, the sign lemma's proof.
 
 Options are read by argparse type= readers, so a bad value is a usage error
 naming its option (certify's --N, needing N0, is read in cmd_certify); each
@@ -19,28 +19,21 @@ it is the CSV header, and a JSON record is "schema" followed by those fields
 in order.  Every record fills every field of its list.  Witness records
 use the "witness/1" schema over WITNESS_FIELDS, with n and the quadruple as
 decimal strings (they outgrow machine words); verify reads them back through
-the same list.
-
-`_Writer` writes every record but witness lines and verify's passing rows.
-A witness line is rendered where it is built, in one %-format built once
-per output format from WITNESS_FIELDS and DECIMAL_FIELDS, over
-witness_values; a passing row is one %-format over its index.  Both give
-the bytes _Writer's JSON encoder and csv writer would.  A construct chunk
-comes back from its worker as one str of finished lines, which the parent
-writes after _Writer's CSV header.
+the same list.  Every line, the CSV header included, comes from _Record,
+which builds one %-format per schema and output format from the field list
+and each field's kind, so a worker renders its witness lines itself.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import operator
 import os
 import re
 import reprlib
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from functools import partial
 from typing import IO, Callable, Iterator, Optional
@@ -49,7 +42,7 @@ from . import bounds, construction, oracle
 from .construction import CongruenceTarget, CubicParams, Witness
 from .digits import STR_DIGITS, decimal_int, decimal_str
 from .intpoly import IntPolynomial
-from .parallel import chunked_map
+from .parallel import WorkerDied, chunked_map
 
 WITNESS_FIELDS = ["n", "k", "m0", "m1", "m2", "m3", "u", "M", "sq", "residue", "e"]
 # The fields that may have more than STR_DIGITS digits, which verify reads
@@ -63,6 +56,27 @@ _LONG_FIELDS = frozenset(DECIMAL_FIELDS)
 # KeyError of the first one missing.  0.18 us a row, where a comprehension
 # over the keys took 0.45 (2-vCPU VM, Python 3.11.7)
 _row_values = operator.itemgetter(*WITNESS_FIELDS)
+
+BOUNDS_FIELDS = [
+    "q", "m", "h", "u0", "N0", "C_num", "C_den", "C_root", "N", "u",
+    "guaranteed", "estimate_num", "estimate_den", "required", "verdict",
+]
+VERIFY_FIELDS = ["line", "index", "ok", "detail"]
+DENSITY_FIELDS = [
+    "residue", "count", "density", "prediction", "deviation", "within_tolerance",
+]
+LEMMA_PROOF_FIELDS = ["q", "l", "D", "ok", "first_violation"]
+# The kind of each field that is not an int, by name, one kind per name in
+# every schema: "dec" a str of ASCII digits, "-" and "/" (decimal_str's
+# numbers, density's fractions), "bool", "opt" an int or None, "text" any str
+_KINDS = {
+    **dict.fromkeys(DECIMAL_FIELDS + (
+        "N0", "C_num", "C_den", "N", "guaranteed", "estimate_num", "estimate_den",
+        "required", "D", "density", "prediction", "deviation"), "dec"),
+    **dict.fromkeys(("ok", "verdict", "within_tolerance"), "bool"),
+    **dict.fromkeys(("line", "index", "first_violation"), "opt"),
+    "detail": "text",
+}
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -120,39 +134,60 @@ integer = option(partial(decimal_int, limit=STR_DIGITS))
 polynomial = option(parse_poly)
 
 
-class _Writer:
-    """Streams records as JSON lines or CSV rows; `fields` is the CSV header.
+# How each output format writes each kind: int and dec values go into a
+# line's %-format as they are, the others are encoded first.  A JSON text is
+# json.dumps's (non-ASCII escaped, as JSONEncoder's default); a CSV text is
+# quoted, '"' doubled, where it holds ",", '"' or a line break (QUOTE_MINIMAL)
+_SPECS = {"json": {"int": "%d", "dec": '"%s"'}, "csv": {"int": "%d", "dec": "%s"}}
+_ENCODERS = {
+    "json": {"bool": lambda v: "true" if v else "false",
+             "opt": lambda v: "null" if v is None else "%d" % v, "text": json.dumps},
+    "csv": {"bool": str, "opt": lambda v: "" if v is None else "%d" % v,
+            "text": lambda v: ('"%s"' % v.replace('"', '""')
+                               if re.search('[,"\r\n]', v) else v)},
+}
 
-    A record's values fill the fields in order.  Its JSON object is
-    {"schema": ..., field: value, ...}; in its CSV row None is an empty cell.
+
+class _Record:
+    """The lines of one schema's records in one output format, built once
+    from its field list and each field's kind.
+
+    `line` is one %-format for a whole record over the values of the fields
+    not in `fixed`, in field order; render(*values) fills it, encoding each
+    value of a bool, opt or text field first.  A fixed field's value is
+    written into `line`.  `header` is the field names as a CSV line, or "".
     """
 
-    def __init__(self, stream: IO[str], fmt: str, fields: list[str]):
-        self.stream = stream
-        self.fields = fields
-        self._csv = None
-        # one encoder: json.dumps with separators builds a new one per call
-        self._json = json.JSONEncoder(separators=(",", ":"))
-        if fmt == "csv":
-            self._csv = csv.writer(stream, lineterminator="\n")
-            self._csv.writerow(fields)
-
-    def write(self, schema: str, *values) -> None:
-        if self._csv is not None:
-            self._csv.writerow(values)
+    def __init__(self, fmt: str, schema: str, fields: list[str], **fixed):
+        specs, encoders = _SPECS[fmt], _ENCODERS[fmt]
+        cells, self._encoders = [], []
+        for field in fields:
+            kind = _KINDS.get(field, "int")
+            spec, encode = specs.get(kind, "%s"), encoders.get(kind)
+            if field in fixed:
+                value = fixed[field]
+                spec = (spec % (encode(value) if encode else value)).replace("%", "%%")
+            else:
+                self._encoders.append(encode)
+            cells.append(f'"{field}":{spec}' if fmt == "json" else spec)
+        if fmt == "json":
+            self.line = '{"schema":"%s",%s}\n' % (schema, ",".join(cells))
+            self.header = ""
         else:
-            record = {"schema": schema, **dict(zip(self.fields, values))}
-            self.stream.write(self._json.encode(record) + "\n")
+            self.line = ",".join(cells) + "\n"
+            self.header = ",".join(map(encoders["text"], fields)) + "\n"
+
+    def render(self, *values) -> str:
+        encoded = (e(v) if e else v for e, v in zip(self._encoders, values))
+        return self.line % tuple(encoded)
 
 
 @contextmanager
-def _output(args: argparse.Namespace, fields: list[str]) -> Iterator[_Writer]:
-    """A writer on --out, closed on exit, or on stdout when --out is unset."""
-    if not args.out:
-        yield _Writer(sys.stdout, args.format, fields)
-        return
-    with open(args.out, "w") as stream:
-        yield _Writer(stream, args.format, fields)
+def _output(args: argparse.Namespace, header: str) -> Iterator[IO[str]]:
+    """--out, closed on exit, or stdout when it is unset; `header` first."""
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as stream:
+        stream.write(header)
+        yield stream
 
 
 def witness_values(w: Witness) -> tuple:
@@ -242,26 +277,7 @@ def read_witness_file(path: str) -> Iterator[tuple[int, Witness | str]]:
             yield lineno, item
 
 
-def _witness_line_formats() -> dict[str, str]:
-    """One %-format per output format for a whole witness/1 line.
-
-    DECIMAL_FIELDS are "%s", as witness_values hands them over as decimal
-    strings; the rest are "%d".  No witness cell needs quoting or escaping,
-    so a line is the bytes _Writer would write: JSONEncoder with separators
-    (",", ":") and csv.writer.
-    """
-    cells = ["%s" if f in DECIMAL_FIELDS else "%d" for f in WITNESS_FIELDS]
-    pairs = (f'"{f}":"{c}"' if f in DECIMAL_FIELDS else f'"{f}":{c}'
-             for f, c in zip(WITNESS_FIELDS, cells))
-    return {
-        "json": '{"schema":"witness/1",%s}\n' % ",".join(pairs),
-        "csv": ",".join(cells) + "\n",
-    }
-
-
-_WITNESS_LINE = _witness_line_formats()
-
-# Witnesses per construct chunk.  A chunk costs its worker one pipe frame: at
+# Witnesses per construct chunk.  A chunk costs its worker one pipe message: at
 # 2 workers, construct-cubic's median wall time at 128 and at 512 stayed
 # inside 256's quartiles in two sweeps (2-vCPU VM, Python 3.11.7).  A worker
 # holds one chunk: at h=8 (x^8 at q=3, m=5) its text is 122 kB of JSON lines,
@@ -282,19 +298,15 @@ def cmd_construct(args: argparse.Namespace) -> int:
     target = CongruenceTarget(q=args.q, m=args.m, g=args.g)
     plan = construction.make_plan(target, args.poly, args.u)
     total = construction.family_size(plan, args.limit)
-    lines = partial(_witness_lines, _WITNESS_LINE[args.format], plan)
+    record = _Record(args.format, "witness/1", WITNESS_FIELDS)
+    lines = partial(_witness_lines, record.line, plan)
     # chunked_map refuses workers < 1 at the call, before --out is opened
     chunks = chunked_map(lines, total, args.workers, _CONSTRUCT_CHUNK)
-    with _output(args, WITNESS_FIELDS) as writer:
+    with _output(args, record.header) as out:
         for text in chunks:
-            writer.stream.write(text)
+            out.write(text)
     return EXIT_OK
 
-
-BOUNDS_FIELDS = [
-    "q", "m", "h", "u0", "N0", "C_num", "C_den", "C_root", "N", "u",
-    "guaranteed", "estimate_num", "estimate_den", "required", "verdict",
-]
 
 # An --N expression's tokens: ASCII literals, the name N0 and single
 # characters; whitespace only separates them.
@@ -376,28 +388,18 @@ def cmd_certify(args: argparse.Namespace) -> int:
     constants = bounds.explicit_constants(args.q, args.m, h)
     n_limit = _eval_n_expression(args.n_expr, args.q, args.m, h, constants.n0)
     report = bounds.certify_lower_bound(constants, n_limit)
-    with _output(args, BOUNDS_FIELDS) as writer:
+    record = _Record(args.format, "bounds/1", BOUNDS_FIELDS)
+    with _output(args, record.header) as out:
         # C = c_den^(-1/(3h+1)) fills the C_num, C_den and C_root columns
-        writer.write(
-            "bounds/1", args.q, args.m, h, constants.u0, decimal_str(constants.n0),
+        out.write(record.render(
+            args.q, args.m, h, constants.u0, decimal_str(constants.n0),
             "1", decimal_str(constants.c_den), 3 * h + 1,
             decimal_str(n_limit), report.u,
             *map(decimal_str, (report.guaranteed, report.estimate.numerator,
                                report.estimate.denominator, report.required)),
             report.verdict,
-        )
+        ))
     return EXIT_OK if report.verdict else EXIT_FAIL
-
-
-VERIFY_FIELDS = ["line", "index", "ok", "detail"]
-# The verify/1 record of a passing row, ("verify/1", None, index, True, ""),
-# as one %-format over its index per output format: the bytes _Writer
-# writes for it.  verify-cubic's traced cli.write_us fell from 3.2 to 0.5 us
-# per row (2-vCPU VM, Python 3.11.7).
-_VERIFY_PASSED = {
-    "json": '{"schema":"verify/1","line":null,"index":%d,"ok":true,"detail":""}\n',
-    "csv": ",%d,True,\n",
-}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -416,20 +418,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failures = oracle.verify_witnesses(witnesses(), args.q, args.m, args.g, args.poly)
     if not total and not malformed:
         raise ValueError(f"no witness rows in {args.input_path}")
-    with _output(args, VERIFY_FIELDS) as writer:
+    row = _Record(args.format, "verify/1", VERIFY_FIELDS)
+    # a passing row is one %-format over its index: verify-cubic's traced cli.write_us
+    # read 0.5 us per row, 3.2 when each was encoded (2-vCPU VM, Python 3.11.7)
+    passed = _Record(args.format, "verify/1", VERIFY_FIELDS,
+                     line=None, ok=True, detail="").line
+    with _output(args, row.header) as out:
         for lineno, message in malformed:
-            writer.write("verify/1", lineno, None, False, f"malformed row: {message}")
-        passed = _VERIFY_PASSED[args.format]
+            out.write(row.render(lineno, None, False, f"malformed row: {message}"))
         for index in range(total):
             if index in failures:
-                writer.write("verify/1", None, index, False, "; ".join(failures[index]))
+                out.write(row.render(None, index, False, "; ".join(failures[index])))
             else:
-                writer.stream.write(passed % index)
+                out.write(passed % index)
         ok = not failures and not malformed
-        writer.write(
-            "verify-summary/1", None, None, ok,
+        out.write(_Record(args.format, "verify-summary/1", VERIFY_FIELDS).render(
+            None, None, ok,
             f"total={total} failed={len(failures)} malformed={len(malformed)}",
-        )
+        ))
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -445,35 +451,29 @@ def tolerance(text: str) -> Fraction:
     raise ValueError(f"{reprlib.repr(text)} is not {grammar}")
 
 
-DENSITY_FIELDS = [
-    "residue", "count", "density", "prediction", "deviation", "within_tolerance",
-]
-
-
 def cmd_density(args: argparse.Namespace) -> int:
     table = oracle.density_table(
         args.q, args.m, args.poly, args.n_limit, workers=args.workers
     )
     deviations = table.deviations
     fractions = zip(table.densities, table.predictions, deviations)
-    with _output(args, DENSITY_FIELDS) as writer:
+    record = _Record(args.format, "density/1", DENSITY_FIELDS)
+    with _output(args, record.header) as out:
         for residue, row in enumerate(fractions):
-            writer.write(
-                "density/1", residue, table.counts[residue],
+            out.write(record.render(
+                residue, table.counts[residue],
                 *(f"{x.numerator}/{x.denominator}" for x in row),
                 deviations[residue] <= args.tolerance,
-            )
+            ))
     return EXIT_OK if table.max_deviation <= args.tolerance else EXIT_FAIL
-
-
-LEMMA_PROOF_FIELDS = ["q", "l", "D", "ok", "first_violation"]
 
 
 def cmd_lemma(args: argparse.Namespace) -> int:
     first = construction.sign_lemma_proof(args.q, args.l)
     d = decimal_str(construction.m1_divisor(args.q, args.l))
-    with _output(args, LEMMA_PROOF_FIELDS) as writer:
-        writer.write("lemma-proof/1", args.q, args.l, d, first is None, first)
+    record = _Record(args.format, "lemma-proof/1", LEMMA_PROOF_FIELDS)
+    with _output(args, record.header) as out:
+        out.write(record.render(args.q, args.l, d, first is None, first))
     return EXIT_OK if first is None else EXIT_FAIL
 
 
@@ -537,7 +537,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.run(args)
-    except construction.ConsistencyError as exc:
+    except (construction.ConsistencyError, WorkerDied) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except BrokenPipeError:

@@ -2,13 +2,12 @@
 
 With several processes (POSIX only), the first result requested forks the
 workers, each with its own pipe.  Worker i of P computes chunks i, i+P,
-i+2P, ... and writes each result as one frame: a kind byte, the payload's
-length in 8 bytes, then the `marshal`led result.  So fn and the plan it
-closes over reach the workers by fork, and nothing is pickled per chunk.
-The parent reads chunk j from worker j % P.  A worker whose pipe is full
-waits, so memory holds one chunk per worker plus what the pipes buffer,
-not `total`.  A chunk that raises sends its exception, pickled, in place
-of its result; `pickle` is imported only then.
+i+2P, ... and writes each as the `marshal`led pair (True, result).  So fn
+and the plan it closes over reach the workers by fork, and nothing is
+pickled per chunk.  The parent reads chunk j from worker j % P.  A worker
+whose pipe is full waits, so memory holds one chunk per worker plus what
+the pipes buffer, not `total`.  A chunk that raises sends (False, its
+exception pickled) in place of its result; `pickle` is imported only then.
 
 A worker always leaves by os._exit: it never flushes the stdio buffers it
 shares with the parent (a CSV header written but not yet flushed would be
@@ -28,9 +27,9 @@ from typing import IO, Callable, Iterator, TypeVar
 
 T = TypeVar("T")
 
-# A frame's kind byte, followed by the payload's length in _LENGTH bytes
-_RESULT, _ERROR = b"r", b"e"
-_LENGTH = 8
+
+class WorkerDied(RuntimeError):
+    """A worker ended before sending its next chunk."""
 
 
 def _cpu_count() -> int:
@@ -67,7 +66,7 @@ def _fork_map(run: Callable[[int], T], starts: range, processes: int) -> Iterato
     """chunked_map's workers: run(start) for each start, in order, computed
     by `processes` forked workers (see the module docstring).
 
-    A worker that ends without sending its next chunk raises RuntimeError
+    A worker that ends without sending its next chunk raises WorkerDied
     naming its exit status (-N for signal N).  However the iteration ends,
     by its last chunk, an error or the caller closing it, every pipe is
     closed and every worker is sent SIGTERM and reaped.
@@ -88,19 +87,20 @@ def _fork_map(run: Callable[[int], T], starts: range, processes: int) -> Iterato
             pids.append(pid)
         for index in range(len(starts)):
             worker = index % processes
-            kind, payload = _receive(readers[worker])
-            if kind == _ERROR:
-                import pickle
-
-                raise pickle.loads(payload)
-            if kind != _RESULT:
+            try:
+                ok, value = marshal.load(readers[worker])
+            except (EOFError, ValueError):  # the pipe ended, whole or cut short
                 _, status = os.waitpid(pids[worker], 0)
                 pids[worker] = 0  # reaped
-                raise RuntimeError(
+                raise WorkerDied(
                     f"a worker exited with status {os.waitstatus_to_exitcode(status)}"
                     f" before sending chunk {index}"
-                )
-            yield marshal.loads(payload)
+                ) from None
+            if not ok:
+                import pickle
+
+                raise pickle.loads(value)
+            yield value
     finally:
         for reader in readers:
             reader.close()
@@ -112,40 +112,25 @@ def _fork_map(run: Callable[[int], T], starts: range, processes: int) -> Iterato
 def _work(
     run: Callable[[int], object], starts: range, write: int, readers: list[IO[bytes]]
 ) -> None:
-    """A worker's life: one frame per start, or an error frame for the first
-    that raises, then os._exit; it never returns."""
+    """A worker's life: (True, result) per start, or (False, exception) for
+    the first that raises, each flushed whole, then os._exit; it never
+    returns."""
     status = 1
     try:
         # the parent is each pipe's only reader, so a worker whose parent is
         # gone meets a broken pipe, not a full one
         for reader in readers:
             reader.close()
+        out = open(write, "wb")
         try:
             for start in starts:
-                _send(write, _RESULT, marshal.dumps(run(start)))
+                marshal.dump((True, run(start)), out)
+                out.flush()
             status = 0
         except Exception as exc:
             import pickle
 
-            _send(write, _ERROR, pickle.dumps(exc))
+            marshal.dump((False, pickle.dumps(exc)), out)
+            out.flush()
     finally:
         os._exit(status)
-
-
-def _send(write: int, kind: bytes, payload: bytes) -> None:
-    """Write one frame whole to the pipe `write`."""
-    frame = memoryview(kind + len(payload).to_bytes(_LENGTH, "little") + payload)
-    while frame:
-        frame = frame[os.write(write, frame):]
-
-
-def _receive(reader: IO[bytes]) -> tuple[bytes, bytes]:
-    """The next frame's kind and payload, or (b"", b"") where the worker's
-    pipe ended first."""
-    header = reader.read(1 + _LENGTH)
-    if len(header) == 1 + _LENGTH:
-        size = int.from_bytes(header[1:], "little")
-        payload = reader.read(size)
-        if len(payload) == size:
-            return header[:1], payload
-    return b"", b""

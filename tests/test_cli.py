@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from digitwitness import bounds, cli, construction, oracle
+from digitwitness import bounds, cli, construction, oracle, parallel
 from digitwitness.construction import ConsistencyError, CubicParams, Witness, build_cubic
 from digitwitness.digits import _DECIMAL_DIGITS_CAP, decimal_str, digit_sum
 from digitwitness.intpoly import IntPolynomial, poly_eval
@@ -53,15 +53,18 @@ def test_witness_values_writes_the_decimal_fields_as_strings():
     assert strings == list(cli.DECIMAL_FIELDS)
 
 
-def generic_witness_line(fmt, w):
-    """The witness/1 line of w as json and csv would write it."""
-    values = cli.witness_values(w)
+def generic_line(fmt, schema, fields, values):
+    """The record of `values` as json.dumps and csv.writer would write it."""
     if fmt == "json":
-        record = {"schema": "witness/1", **dict(zip(cli.WITNESS_FIELDS, values))}
+        record = {"schema": schema, **dict(zip(fields, values))}
         return json.dumps(record, separators=(",", ":")) + "\n"
     stream = io.StringIO()
     csv.writer(stream, lineterminator="\n").writerow(values)
     return stream.getvalue()
+
+
+def generic_witness_line(fmt, w):
+    return generic_line(fmt, "witness/1", cli.WITNESS_FIELDS, cli.witness_values(w))
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -74,29 +77,67 @@ def test_witness_lines_are_the_generic_encoders_bytes(fmt):
         Witness(big, 2, params, -9, 9, 0, 3),
         Witness(1, 1, CubicParams(1, 1, 1, 1, 1), -(10**30), 0, 0, 10**20),
     ]
+    line = cli._Record(fmt, "witness/1", cli.WITNESS_FIELDS).line
     for w in hand_made:
-        assert cli._WITNESS_LINE[fmt] % cli.witness_values(w) == (
-            generic_witness_line(fmt, w)
-        )
+        assert line % cli.witness_values(w) == generic_witness_line(fmt, w)
     # a chunk of real witnesses of x^3 - 2x, whose shift e is 2
     target = construction.CongruenceTarget(q=10, m=7, g=3)
     p = IntPolynomial.from_coeffs([0, -2, 0, 1])
     plan = construction.make_plan(target, p)
     witnesses = construction.construct_family(target, p, limit=5)
-    assert cli._witness_lines(cli._WITNESS_LINE[fmt], plan, 0, 5) == "".join(
+    assert cli._witness_lines(line, plan, 0, 5) == "".join(
         generic_witness_line(fmt, w) for w in witnesses
     )
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_the_passing_verify_line_is_the_writers_bytes(fmt):
-    # cmd_verify writes a passing row's record without _Writer
+    # cmd_verify writes a passing row as this one %-format over its index
+    passed = cli._Record(
+        fmt, "verify/1", cli.VERIFY_FIELDS, line=None, ok=True, detail=""
+    ).line
     for index in (0, 10**6):
-        stream = io.StringIO()
-        writer = cli._Writer(stream, fmt, cli.VERIFY_FIELDS)
-        header = stream.getvalue()
-        writer.write("verify/1", None, index, True, "")
-        assert header + cli._VERIFY_PASSED[fmt] % index == stream.getvalue()
+        assert passed % index == generic_line(
+            fmt, "verify/1", cli.VERIFY_FIELDS, (None, index, True, "")
+        )
+    # a fixed text that CSV quotes, whose "%" the format escapes
+    fixed = cli._Record(fmt, "verify/1", cli.VERIFY_FIELDS, line=7, detail='5% "a,b"')
+    assert fixed.render(-3, False) == generic_line(
+        fmt, "verify/1", cli.VERIFY_FIELDS, (7, -3, False, '5% "a,b"')
+    )
+
+
+SCHEMAS = [
+    ("witness/1", cli.WITNESS_FIELDS), ("bounds/1", cli.BOUNDS_FIELDS),
+    ("verify/1", cli.VERIFY_FIELDS), ("verify-summary/1", cli.VERIFY_FIELDS),
+    ("density/1", cli.DENSITY_FIELDS), ("lemma-proof/1", cli.LEMMA_PROOF_FIELDS),
+]
+# Values of each field kind.  No text holds a raw "\r": Python 3.11's
+# csv.writer leaves a "\r" cell unquoted with lineterminator="\n", and no cell
+# the program writes can hold one, as verify splits lines by str.splitlines
+# and quotes the values it reports through repr.
+KIND_SAMPLES = {
+    "int": [0, -7, 10**30],
+    "dec": ["0", "1" + "0" * 5000, "-12/7"],
+    "bool": [True, False],
+    "opt": [None, -3, 10**20],
+    "text": ["", "a,b", 'say "hi"', "back\\slash", "\u0663", "\udc80", "two\nlines"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("schema, fields", SCHEMAS)
+def test_every_schemas_records_are_the_generic_encoders_bytes(fmt, schema, fields):
+    record = cli._Record(fmt, schema, fields)
+    kinds = [cli._KINDS.get(field, "int") for field in fields]
+    for i in range(len(KIND_SAMPLES["text"])):
+        values = [KIND_SAMPLES[kind][(i + j) % len(KIND_SAMPLES[kind])]
+                  for j, kind in enumerate(kinds)]
+        assert record.render(*values) == generic_line(fmt, schema, fields, values)
+    if fmt == "csv":
+        assert record.header == generic_line(fmt, schema, fields, fields)
+    else:
+        assert record.header == ""
 
 
 class TestParsePoly:
@@ -274,6 +315,29 @@ class TestConstruct:
             outputs.append(path.read_bytes())
         assert outputs[0].count(b"\n") == 601
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no worker is forked")
+    def test_a_worker_that_dies_is_an_error_line(self, tmp_path, monkeypatch, capsys):
+        # as when the OOM killer ends a worker: the output is cut short
+        lines = cli._witness_lines
+
+        def dies_at_256(line, plan, start, stop):
+            if start == 256:
+                os._exit(3)
+            return lines(line, plan, start, stop)
+
+        monkeypatch.setattr(parallel, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "_witness_lines", dies_at_256)
+        code = run(
+            ["construct", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+             "--limit", "600", "--workers", "2", "--out", str(tmp_path / "w.jsonl")]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert err == "error: a worker exited with status 3 before sending chunk 1\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_workers_preserve_output(self, tmp_path):
         args = ["construct", "--q", "2", "--m", "3", "--g", "2", "--poly", "x^3",

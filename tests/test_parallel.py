@@ -1,3 +1,4 @@
+import marshal
 import os
 import signal
 
@@ -133,9 +134,30 @@ def test_a_worker_that_dies_is_reported_with_its_status(monkeypatch, deadline):
     monkeypatch.setattr(parallel, "_cpu_count", lambda: 2)
     results = chunked_map(dies_at_three, 10, 2, 1)
     assert [next(results) for _ in range(3)] == [0, 1, 2]
-    with pytest.raises(RuntimeError) as info:
+    with pytest.raises(parallel.WorkerDied) as info:
         next(results)
     assert str(info.value) == "a worker exited with status 3 before sending chunk 3"
+    assert_no_child_left()
+
+
+def test_a_result_cut_short_is_a_worker_death(monkeypatch, deadline):
+    # the worker dies while writing chunk 1: the parent reads part of it
+    def dies_inside_one(value, out):
+        ok, result = value
+        if result == 1:
+            out.write(marshal.dumps(value)[:-1])
+            out.flush()
+            os._exit(4)
+        marshal_dump(value, out)
+
+    marshal_dump = marshal.dump
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(marshal, "dump", dies_inside_one)
+    results = chunked_map(lambda start, stop: start, 4, 2, 1)
+    assert next(results) == 0
+    with pytest.raises(parallel.WorkerDied) as info:
+        next(results)
+    assert str(info.value) == "a worker exited with status 4 before sending chunk 1"
     assert_no_child_left()
 
 

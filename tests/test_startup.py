@@ -1,5 +1,5 @@
 """Which modules a CLI run imports: the process-pool stack and pickle never,
-not even when workers are forked, and dataclasses and inspect never."""
+not even when workers are forked, and dataclasses, inspect and csv never."""
 
 import json
 import os
@@ -75,6 +75,13 @@ def test_one_process_runs_never_import_the_pool_stack(tmp_path):
 
 def test_one_process_runs_never_import_dataclasses_or_inspect(tmp_path):
     assert watched_modules(one_process_runs(tmp_path), RECORD_STACK)[1] == set()
+
+
+def test_no_run_in_either_format_imports_csv(tmp_path):
+    # every record, the CSV header included, comes from cli's one builder
+    runs = [argv + ["--format", fmt] for fmt in ("csv", "json")
+            for argv in one_process_runs(tmp_path)]
+    assert watched_modules(runs, {"csv", "_csv"})[1] == set()
 
 
 @pytest.mark.skipif(parallel._cpu_count() < 2, reason="one CPU forks no worker")
