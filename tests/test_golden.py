@@ -135,6 +135,36 @@ def test_verify_corrupted_cube_file(tmp_path, fmt, corrupt, out_fmt, sha):
     assert run_sha(argv, tmp_path / "out") == (1, sha)
 
 
+def late_faults(text):
+    """Past row 2500: rows 2700 and 2701 swapped, a copy of the row that
+    lands out of order, a copy of row 10, and a copy of row 20 with m2 one
+    higher, whose n no longer matches its quadruple."""
+    lines = text.splitlines()
+    lines[2700], lines[2701] = lines[2701], lines[2700]
+    record = json.loads(lines[20])
+    record["m2"] = str(int(record["m2"]) + 1)
+    lines.insert(2900, json.dumps(record, separators=(",", ":")))
+    lines.insert(2800, lines[2701])
+    lines.insert(2600, lines[10])
+    return "\n".join(lines) + "\n"
+
+
+def test_verify_late_faults(tmp_path):
+    witnesses = tmp_path / "witnesses.jsonl"
+    assert cli.main(CUBE_300[:-1] + ["3000", "--out", str(witnesses)]) == 0
+    witnesses.write_text(late_faults(witnesses.read_text()))
+    out = tmp_path / "out"
+    assert run_sha(verify_cube_argv(witnesses), out) == (
+        1, "cf9e29eb6c08c428da639941de2f6fe72a146ee1262c1d13c32573de03ea3c3a")
+    failed = [json.loads(line) for line in out.read_text().splitlines()]
+    failed = {r["index"]: r["detail"] for r in failed if not r["ok"] and r["index"]}
+    assert sorted(failed) == [2600, 2801, 2902]
+    assert failed[2600] == "duplicate n, first seen at index 10"
+    assert failed[2801] == "duplicate n, first seen at index 2702"
+    assert failed[2902].startswith("n does not match its quadruple")
+    assert failed[2902].endswith("; duplicate n, first seen at index 20")
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_output(tmp_path, name):
     argv, code, sha = GOLDEN[name]

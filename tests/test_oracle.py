@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digitwitness import oracle
-from digitwitness.construction import CongruenceTarget, Witness, construct_family
+from digitwitness.construction import (
+    CongruenceTarget,
+    CubicParams,
+    Witness,
+    construct_family,
+)
 from digitwitness.digits import VALUE_BITS_CAP, expand
 from digitwitness.intpoly import IntPolynomial, poly_eval
 from digitwitness.oracle import (
@@ -217,3 +223,93 @@ class TestVerifyWitnesses:
         cap_message = f"p(n) could exceed the {VALUE_BITS_CAP}-bit cap"
         assert (cap_message in problems) == flagged
         assert any("digit sum" in x for x in problems) != flagged
+
+
+def reference_failures(witnesses, q, m, g, p):
+    """verify_witnesses' failures, with duplicates found by a map of every n
+    seen: the check verify ran before it proved in-order rows distinct by L4."""
+    failures, seen = {}, {}
+    for index, w in enumerate(witnesses):
+        problems = verify_witnesses([w], q, m, g, p).get(0, [])
+        if w.n in seen:
+            problems.append(f"duplicate n, first seen at index {seen[w.n]}")
+        else:
+            seen[w.n] = index
+        if problems:
+            failures[index] = problems
+    return failures
+
+
+def edited(w, n=None, k=None, e=None, **quadruple):
+    """w with the fields named changed; the others, offset and sq kept."""
+    fields = {name: getattr(w.params, name) for name in CubicParams.__slots__}
+    fields.update(quadruple)
+    return Witness(w.n if n is None else n, w.k if k is None else k,
+                   CubicParams(**fields), w.offset, w.sq_value, w.residue,
+                   w.e if e is None else e)
+
+
+def rebuilt_at(w, q, k):
+    """w with n rebuilt at another k: its quadruple matches, its k moved."""
+    x, c = q**k, w.params
+    return edited(w, n=((c.m3 * x + c.m2) * x - c.m1) * x + c.m0 + w.e, k=k)
+
+
+def mutate(rows, q, rng):
+    """One seeded edit of a witness list, in place."""
+    i = rng.randrange(len(rows))
+    j = rng.randrange(len(rows) + 1)
+    w, kind = rows[i], rng.randrange(12)
+    c = w.params
+    if kind == 0:
+        rng.shuffle(rows)
+    elif kind == 1:
+        rows[i], rows[j - 1] = rows[j - 1], rows[i]
+    elif kind == 2 and len(rows) > 1:
+        del rows[i]
+    elif kind == 3:  # a later copy
+        rows.insert(max(i + 1, j), w)
+    elif kind == 4:  # n off by one or another row's
+        rows[i] = edited(w, n=rng.choice([w.n + 1, w.n - 1, rows[j - 1].n, -w.n]))
+    elif kind == 5:
+        rows[i] = edited(w, k=rng.choice([w.k + 1, w.k - 1, 0]))
+    elif kind == 6:
+        rows[i] = edited(w, u=max(1, c.u + rng.choice([-1, 1])))
+    elif kind == 7:
+        rows[i] = edited(w, e=w.e + rng.choice([-1, 1]))
+    elif kind == 8:  # a later copy with one quadruple field edited: same n
+        name = rng.choice(["m0", "m1", "m2", "m3"])
+        value = max(1, getattr(c, name) + rng.choice([-1, 1]))
+        rows.insert(max(i + 1, j), edited(w, **{name: value}))
+    elif kind == 9:  # the same n from a quadruple outside the box
+        x = q**w.k
+        alias = rng.choice([dict(m0=c.m0 + x, m1=c.m1 + 1),
+                            dict(m1=c.m1 + x, m2=c.m2 + 1)])
+        rows.insert(j, edited(w, **alias))
+    elif kind == 10:  # a matching row at another k, also past a byte's range
+        k = w.k + rng.choice([-1, 1, 2, 140, 300])
+        rows.insert(j, rebuilt_at(w, q, max(1, k)))
+    else:
+        rows[i] = Witness(w.n, w.k, c, w.offset, w.sq_value + 1, w.residue, w.e)
+
+
+class TestDuplicatesMatchTheReference:
+    CASES = 1300
+
+    # (q, m, p, rows): x^1 at q=2 has a box side of 32, so its family wraps m0
+    @pytest.mark.parametrize(
+        "q, m, p, size",
+        [(2, 3, X3, 30), (3, 5, X3, 30), (2, 5, X, 70), (10, 7, X2, 30)],
+        ids=["2-x3", "3-x3", "2-x1", "10-x2"],
+    )
+    def test_failures_equal_the_reference(self, q, m, p, size):
+        rng = random.Random(f"{q}:{m}:{p}")
+        g = rng.randrange(m)
+        family = list(construct_family(CongruenceTarget(q, m, g), p, limit=size))
+        for case in range(self.CASES):
+            start = rng.randrange(size)
+            rows = family[start : rng.randrange(start + 1, size + 1)]
+            for _ in range(rng.randrange(1, 5)):
+                mutate(rows, q, rng)
+            expected = reference_failures(rows, q, m, g, p)
+            assert verify_witnesses(rows, q, m, g, p) == expected, case
