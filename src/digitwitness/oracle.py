@@ -5,10 +5,13 @@ from enumerating [0, N) and tallying digit sums through `digits`, and witness
 verification re-evaluates p(n) from scratch and rebuilds n = t(q^k) + e from
 its own statement of the cubic t (construction.build_cubic is never called),
 in one pass over any iterable, returning only the problems of the witnesses
-that fail.  Enumeration advances p(n) by intpoly.difference_walk, the stepper
-construct also runs along m0 (h additions per step, run in C by
-itertools.accumulate), and `digits.digit_sum_counts` tallies the values a
-chunk at a time.
+that fail.  Duplicate n are found without a map of every n: rows in the
+order construct writes them are pairwise distinct by L4, as the base-q^k
+digits of t(q^k) are the quadruple, so each costs one byte (its k), and only
+the other rows' n are mapped.  Enumeration advances p(n) by
+intpoly.difference_walk, the stepper construct also runs along m0 (h
+additions per step, run in C by itertools.accumulate), and
+`digits.digit_sum_counts` tallies the values a chunk at a time.
 
 [0, N) is cut into fixed-size chunks that `parallel.chunked_map` tallies,
 across processes when there are several workers (never more processes than
@@ -19,11 +22,12 @@ counts are identical for any worker count.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
 from itertools import islice
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from .construction import Witness
 from .digits import (
@@ -116,6 +120,67 @@ def density_table(
     )
 
 
+# verify_witnesses keeps a chain row's k as one byte, k - k_base, with
+# k_base = max(u, k0 - _K_BELOW) for the chain's first k0.  A construct
+# file's k lie in one window of m values, so at m <= _K_BELOW all fit.
+_K_BELOW = 128
+
+
+def _chain_index(
+    runs: list[tuple[int, ...]], offsets: bytearray, k_base: int,
+    m3: int, m2: int, m1: int, m0: int, k: int,
+) -> Optional[int]:
+    """The index of the chain row with quadruple (m0, m1, m2, m3) and k, or
+    None; offsets holds each row's k - k_base.
+
+    runs is ordered by (m3, m2, m1, m0); a run (m3, m2, m1, first m0, first
+    index, first byte) holds the rows up to the next run's first byte, whose
+    m0 and index step by 1.  The probe ending in m0 + 1 sorts after every run
+    that starts at or before m0, since a tuple sorts after its own prefix.
+    """
+    at = bisect_right(runs, (m3, m2, m1, m0 + 1)) - 1
+    if at < 0:
+        return None
+    run = runs[at]
+    end = runs[at + 1][5] if at + 1 < len(runs) else len(offsets)
+    byte = run[5] + m0 - run[3]
+    if run[:3] != (m3, m2, m1) or byte >= end or offsets[byte] != k - k_base:
+        return None
+    return run[4] + m0 - run[3]
+
+
+def _l4_decode(
+    d: int, q: int, u: int, k_from: int, k_to: int
+) -> Optional[tuple[int, int, int, int, int]]:
+    """(m3, m2, m1, m0, k) with d = t(q^k) and k in [k_from, k_to], k_from
+    >= u, if d could be t(q^k) for a quadruple with q^(u-1) <= m0, m2, m3 <
+    q^u and 1 <= m1 < q^u; else None.
+
+    For such a quadruple the base-q^k digits of d, lowest first, are
+    (m0, q^k - m1, m2 - 1, m3), and d lies in [q^(u-1+3k), q^(u+3k)), which
+    is disjoint for distinct k (L4).  So k is bisected on the top digit
+    d // q^(3k), which falls as k grows and is in [q^(u-1), q^u) at that k
+    alone, and the quadruple is read from the digits.  The other digits are
+    not range-checked: a chain row with t(q^k) = d has exactly these, and a
+    quadruple outside the box is no chain row's.
+    """
+    hi = q**u
+    lo = hi // q
+    while k_from <= k_to:
+        k = (k_from + k_to) // 2
+        x = q**k
+        rest, m0 = divmod(d, x)
+        rest, x_less_m1 = divmod(rest, x)
+        m3, m2_less_1 = divmod(rest, x)
+        if m3 >= hi:
+            k_from = k + 1
+        elif m3 < lo:
+            k_to = k - 1
+        else:
+            return m3, m2_less_1 + 1, x - x_less_m1, m0, k
+    return None
+
+
 def verify_witnesses(
     witnesses: Iterable[Witness], q: int, m: int, g: int, p: IntPolynomial
 ) -> dict[int, list[str]]:
@@ -124,59 +189,89 @@ def verify_witnesses(
     Each witness has s_q(p(n)) recomputed by direct evaluation and digit
     expansion, its provenance (n rebuilt from the quadruple and k) replayed,
     and its residue compared against g; duplicate n across the collection are
-    also flagged.  Returns the problems of each failing index, in order; the
-    dict is empty when every witness passes.  Only the map of n seen so far
-    grows with the input, and the work per witness is bounded by its size
-    and by VALUE_BITS_CAP: n is not rebuilt when k < 1 (no construction
-    picks such a k), or when 2^(k*(bits(q)-1)) <= q^k reaches
-    2^max(bits(m1), bits(n - e)): then x = q^k exceeds m1 and |n - e|, so
-    t(x) = x*(m3*x^2 + m2*x - m1) + m0 > x > |n - e| and t(x) + e != n.  Nor
-    is it rebuilt when M + 5 + 3*floor(b*k/16), with M the largest bits(m_i)
-    and q^16 <= 2^b, passes the cap, as |t(q^k)| <= 4*2^M * q^(3k) could
-    then pass it.  And p(n) is not evaluated when bits(A) + h*bits(n), A the
-    sum of p's |coefficients|, passes the cap, as |p(n)| <= A*|n|^h could
-    then pass it; construct never writes such a row (witness_bits_bound
-    bounds this sum).
+    also flagged, each with the index where its n first appeared.  Returns
+    the problems of each failing index, in order; the dict is empty when
+    every witness passes.
+
+    Distinctness is proved by L4, not kept in a map of every n.  For
+    q^(u-1) <= m0, m2, m3 < q^u, 1 <= m1 < q^u and k >= u, the base-q^k
+    digits of t(q^k), lowest first, are (m0, q^k - m1, m2 - 1, m3), and
+    t(q^k) lies in [q^(u-1+3k), q^(u+3k)), disjoint for distinct k: distinct
+    (quadruple, k) give distinct n.  The chain is the rows whose rebuilt n
+    matches, with the e and box of the chain's first row, k >= u within a
+    byte of that row's k (_K_BELOW), and (m3, m2, m1, m0) strictly after the
+    last chain row's.  Its rows are pairwise distinct and cost one byte
+    each, their k, in runs of consecutive m0 and index; all of a construct
+    file's rows, at any worker count, are chain rows.  Every other row is
+    loose: its n is looked up in the chain, by its own quadruple and k when
+    it matched in the chain's box and e, else by decoding n - e
+    (_l4_decode) only at the k that bits(n - e) and the chain's rows admit,
+    so a decoded n - e has at most (u + 3k)*b/16 + 1 bits at the chain's
+    largest k; and in a map from n to first index, which keeps each loose n
+    not seen before and is the only state that grows by more than a byte
+    per row.  The index reported is the first of the two hits, as a map of
+    every n reports it.
+
+    The work per witness is bounded by its size and by VALUE_BITS_CAP: n is
+    not rebuilt when k < 1 (no construction picks such a k), or when
+    2^(k*(bits(q)-1)) <= q^k reaches 2^max(bits(m1), bits(n - e)): then
+    x = q^k exceeds m1 and |n - e|, so t(x) = x*(m3*x^2 + m2*x - m1) + m0 >
+    x > |n - e| and t(x) + e != n.  Nor is it rebuilt when
+    M + 5 + 3*floor(b*k/16), with M the largest bits(m_i) and q^16 <= 2^b,
+    passes the cap, as |t(q^k)| <= 4*2^M * q^(3k) could then pass it.  And
+    p(n) is not evaluated when bits(A) + h*bits(n), A the sum of p's
+    |coefficients|, passes the cap, as |p(n)| <= A*|n|^h could then pass
+    it; construct never writes such a row (witness_bits_bound bounds this
+    sum).
     """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
     g %= m
     size_of_p = sum(map(abs, p.coeffs)).bit_length()
-    _, b = log2_bracket(q)
+    a, b = log2_bracket(q)
     failures: dict[int, list[str]] = {}
-    seen: dict[int, int] = {}
+    loose: dict[int, int] = {}
+    runs: list[tuple[int, ...]] = []
+    offsets = bytearray()
+    # the chain's e, u, box [lo, hi), k_base, least and largest byte of k,
+    # and the run its next row would continue
+    e0 = u0 = None
+    lo = hi = k_base = low = high = 0
+    next_index = next_m0 = run_m1 = run_m2 = run_m3 = -1
     for index, w in enumerate(witnesses):
         problems = []
-        params = w.params
-        size = max(params.m1.bit_length(), abs(w.n - w.e).bit_length())
-        if w.k < 1 or w.k * (q.bit_length() - 1) >= size:
-            problems.append(f"k {w.k} cannot rebuild n from its quadruple")
+        params, n, k = w.params, w.n, w.k
+        m0, m1, m2, m3 = params.m0, params.m1, params.m2, params.m3
+        matched = False
+        size = max(m1.bit_length(), abs(n - w.e).bit_length())
+        if k < 1 or k * (q.bit_length() - 1) >= size:
+            problems.append(f"k {k} cannot rebuild n from its quadruple")
         # the m_i are positive, so their OR has the bits of the largest
-        elif ((params.m0 | params.m1 | params.m2 | params.m3).bit_length() + 5
-              + 3 * (b * w.k // 16) > VALUE_BITS_CAP):
+        elif ((m0 | m1 | m2 | m3).bit_length() + 5
+              + 3 * (b * k // 16) > VALUE_BITS_CAP):
             problems.append(
-                f"n rebuilt at k {w.k} could exceed the {VALUE_BITS_CAP}-bit cap"
+                f"n rebuilt at k {k} could exceed the {VALUE_BITS_CAP}-bit cap"
             )
         else:
             # t(x) stated here again, not read from construction: a checker
             # shares no arithmetic with the code it checks
-            x = q**w.k
-            t = ((params.m3 * x + params.m2) * x - params.m1) * x + params.m0
-            rebuilt = t + w.e
-            if rebuilt != w.n:
+            x = q**k
+            rebuilt = ((m3 * x + m2) * x - m1) * x + m0 + w.e
+            matched = rebuilt == n
+            if not matched:
                 problems.append(
                     f"n does not match its quadruple: the rebuilt n has "
-                    f"{rebuilt.bit_length()} bits, n has {w.n.bit_length()} and "
-                    f"their difference {(rebuilt - w.n).bit_length()}"
+                    f"{rebuilt.bit_length()} bits, n has {n.bit_length()} and "
+                    f"their difference {(rebuilt - n).bit_length()}"
                 )
-        if w.sq_value != w.k * (q - 1) + w.offset:
+        if w.sq_value != k * (q - 1) + w.offset:
             problems.append(
                 f"sq {w.sq_value} inconsistent with k*(q-1)+offset "
-                f"{decimal_str(w.k * (q - 1) + w.offset)}"
+                f"{decimal_str(k * (q - 1) + w.offset)}"
             )
-        if size_of_p + p.degree * w.n.bit_length() > VALUE_BITS_CAP:
+        if size_of_p + p.degree * n.bit_length() > VALUE_BITS_CAP:
             problems.append(f"p(n) could exceed the {VALUE_BITS_CAP}-bit cap")
-        elif (value := poly_eval(p, w.n)) < 0:
+        elif (value := poly_eval(p, n)) < 0:
             problems.append(f"p(n) = {decimal_str(value)} is negative")
         else:
             recomputed = digit_sum(value, q)
@@ -186,10 +281,59 @@ def verify_witnesses(
                 problems.append(f"digit sum residue {recomputed % m} != target {g}")
         if w.residue != g:
             problems.append(f"declared residue {w.residue} != target {g}")
-        if w.n in seen:
-            problems.append(f"duplicate n, first seen at index {seen[w.n]}")
+        # the common row continues the chain's last run
+        joined = (
+            matched and index == next_index and m0 == next_m0 and m0 < hi
+            and m1 == run_m1 and m2 == run_m2 and m3 == run_m3
+            and w.e == e0 and 0 <= (byte := k - k_base) < 256
+        )
+        if not joined:
+            if matched and e0 is None and params.u <= k:
+                # a matching row in its own box starts the chain; q^u is at
+                # most the q^k just built
+                top = q**params.u
+                if top // q <= min(m0, m2, m3) and max(m0, m1, m2, m3) < top:
+                    e0, u0, lo, hi = w.e, params.u, top // q, top
+                    k_base = max(u0, k - _K_BELOW)
+                    low = high = k - k_base
+            boxed = lo <= m0 < hi and lo <= m2 < hi and lo <= m3 < hi and m1 < hi
+            joined = (
+                matched and w.e == e0 and boxed and 0 <= (byte := k - k_base) < 256
+                and (m3, m2, m1, m0) > (run_m3, run_m2, run_m1, next_m0 - 1)
+            )
+            if joined:
+                runs.append((m3, m2, m1, m0, index, len(offsets)))
+                run_m1, run_m2, run_m3 = m1, m2, m3
+        if joined:
+            offsets.append(byte)
+            next_index, next_m0 = index + 1, m0 + 1
+            if byte < low:
+                low = byte
+            elif byte > high:
+                high = byte
+            # a chain row's n differs from every other chain row's
+            first = loose.get(n) if loose else None
         else:
-            seen[w.n] = index
+            first = loose.get(n)
+            found = None
+            if matched and w.e == e0 and boxed and k >= u0:
+                found = m3, m2, m1, m0, k
+            elif e0 is not None and (d := n - e0) > 0:
+                # 2^(bits-1) <= d < 2^bits and 2^a <= q^16 <= 2^b leave the k
+                # with (u-1+3k)*a < 16*bits < (u+3k)*b + 16
+                bits = d.bit_length()
+                k_from = max(k_base + low, -((u0 + (15 - 16 * bits) // b) // 3))
+                k_to = min(k_base + high, ((16 * bits - 1) // a + 1 - u0) // 3)
+                if k_from <= k_to:
+                    found = _l4_decode(d, q, u0, k_from, k_to)
+            if found is not None:
+                hit = _chain_index(runs, offsets, k_base, *found)
+                if hit is not None and (first is None or hit < first):
+                    first = hit
+            if first is None:
+                loose[n] = index
+        if first is not None:
+            problems.append(f"duplicate n, first seen at index {first}")
         if problems:
             failures[index] = problems
     return failures

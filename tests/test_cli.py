@@ -720,6 +720,24 @@ class TestVerify:
                 tracemalloc.stop()
         assert (peaks[1] - peaks[0]) / (len(rows) - 500) < 300
 
+    def test_rows_in_order_cost_about_a_byte(self, tmp_path):
+        # a construct file is one chain of in-order rows, one byte each (its
+        # k); a map of every n took 106 bytes per row
+        rows = self.construct_file(tmp_path, limit=4000).read_text().splitlines(True)
+        argv = ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+                "--out", str(tmp_path / "out"), "--in"]
+        peaks = []
+        for count in (500, 500, 4000):  # the first run fills lazily built state
+            path = tmp_path / f"rows-{count}.jsonl"
+            path.write_text("".join(rows[:count]))
+            tracemalloc.start()
+            try:
+                assert run(argv + [str(path)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[2] - peaks[1]) / (4000 - 500) < 8
+
     @pytest.mark.parametrize(
         "text", ["", ",".join(cli.WITNESS_FIELDS) + "\n"],
         ids=["empty", "csv-header-only"],

@@ -249,17 +249,18 @@ def edited(w, n=None, k=None, e=None, **quadruple):
                    w.e if e is None else e)
 
 
-def rebuilt_at(w, q, k):
-    """w with n rebuilt at another k: its quadruple matches, its k moved."""
-    x, c = q**k, w.params
-    return edited(w, n=((c.m3 * x + c.m2) * x - c.m1) * x + c.m0 + w.e, k=k)
+def rebuilt(w, q, k=None, **quadruple):
+    """w with some fields changed and n rebuilt to match them."""
+    w = edited(w, k=k, **quadruple)
+    x, c = q**w.k, w.params
+    return edited(w, n=((c.m3 * x + c.m2) * x - c.m1) * x + c.m0 + w.e)
 
 
 def mutate(rows, q, rng):
     """One seeded edit of a witness list, in place."""
     i = rng.randrange(len(rows))
     j = rng.randrange(len(rows) + 1)
-    w, kind = rows[i], rng.randrange(12)
+    w, kind = rows[i], rng.randrange(13)
     c = w.params
     if kind == 0:
         rng.shuffle(rows)
@@ -282,13 +283,17 @@ def mutate(rows, q, rng):
         value = max(1, getattr(c, name) + rng.choice([-1, 1]))
         rows.insert(max(i + 1, j), edited(w, **{name: value}))
     elif kind == 9:  # the same n from a quadruple outside the box
-        x = q**w.k
+        x = q**max(1, w.k)
         alias = rng.choice([dict(m0=c.m0 + x, m1=c.m1 + 1),
                             dict(m1=c.m1 + x, m2=c.m2 + 1)])
         rows.insert(j, edited(w, **alias))
     elif kind == 10:  # a matching row at another k, also past a byte's range
         k = w.k + rng.choice([-1, 1, 2, 140, 300])
-        rows.insert(j, rebuilt_at(w, q, max(1, k)))
+        rows.insert(j, rebuilt(w, q, k=max(1, k)))
+    elif kind == 11:  # a matching row of another quadruple, in w's place
+        name = rng.choice(["m0", "m1", "m2", "m3"])
+        value = max(1, getattr(c, name) + rng.choice([-1, 1]))
+        rows[i] = rebuilt(w, q, k=max(1, w.k), **{name: value})
     else:
         rows[i] = Witness(w.n, w.k, c, w.offset, w.sq_value + 1, w.residue, w.e)
 
@@ -313,3 +318,38 @@ class TestDuplicatesMatchTheReference:
                 mutate(rows, q, rng)
             expected = reference_failures(rows, q, m, g, p)
             assert verify_witnesses(rows, q, m, g, p) == expected, case
+
+    @pytest.mark.parametrize(
+        "base, edit", [(31, dict(m0=64, k=6)), (32, dict(k=5))],
+        ids=["m0-past-the-box", "k-below-u"],
+    )
+    def test_a_matching_row_outside_the_box_stays_loose(self, base, edit):
+        # x^1 at q=2, u=6: the box's first run ends at m0 = 63.  A matching
+        # row at m0 = 64 = q^k or at k = u - 1 comes next in order, but its n
+        # decodes to no chain row, so it and its copies go through the map
+        family = list(construct_family(CongruenceTarget(2, 5, 1), X, limit=33))
+        assert family[31].params.m0 == 63 and family[32].k > 6
+        row = rebuilt(family[base], 2, **edit)
+        rows = family[:32] + [row, row, edited(row, m3=row.params.m3 + 1)]
+        failures = verify_witnesses(rows, 2, 5, 1, X)
+        assert failures == reference_failures(rows, 2, 5, 1, X)
+        first = "duplicate n, first seen at index 32"
+        assert [failures[i][-1] for i in (33, 34)] == [first, first]
+
+    def test_a_row_far_above_the_chain_is_not_decoded(self, monkeypatch):
+        # a 1-Mbit n after rows of 171 bits, and one of the chain's size
+        decoded = []
+
+        def spy(d, *args):
+            decoded.append(d.bit_length())
+            return oracle_l4_decode(d, *args)
+
+        oracle_l4_decode = oracle._l4_decode
+        monkeypatch.setattr(oracle, "_l4_decode", spy)
+        rows = list(construct_family(CongruenceTarget(2, 3, 1), X3, limit=4))
+        rows.append(edited(rows[0], n=rows[0].n << 10**6))
+        rows.append(edited(rows[1], m2=rows[1].params.m2 + 1))
+        failures = verify_witnesses(rows, 2, 3, 1, X3)
+        assert failures == reference_failures(rows, 2, 3, 1, X3)
+        assert failures[5][-1] == "duplicate n, first seen at index 1"
+        assert decoded == [rows[1].n.bit_length()]
