@@ -722,7 +722,7 @@ class TestVerify:
 
     def test_rows_in_order_cost_about_a_byte(self, tmp_path):
         # a construct file is one chain of in-order rows, one byte each (its
-        # k); a map of every n took 106 bytes per row
+        # k); a map of every n would take about 106 bytes per row
         rows = self.construct_file(tmp_path, limit=4000).read_text().splitlines(True)
         argv = ["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
                 "--out", str(tmp_path / "out"), "--in"]

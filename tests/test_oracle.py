@@ -227,7 +227,7 @@ class TestVerifyWitnesses:
 
 def reference_failures(witnesses, q, m, g, p):
     """verify_witnesses' failures, with duplicates found by a map of every n
-    seen: the check verify ran before it proved in-order rows distinct by L4."""
+    seen: the reference for its chain of rows proved distinct by L4."""
     failures, seen = {}, {}
     for index, w in enumerate(witnesses):
         problems = verify_witnesses([w], q, m, g, p).get(0, [])
@@ -320,13 +320,16 @@ class TestDuplicatesMatchTheReference:
             assert verify_witnesses(rows, q, m, g, p) == expected, case
 
     @pytest.mark.parametrize(
-        "base, edit", [(31, dict(m0=64, k=6)), (32, dict(k=5))],
-        ids=["m0-past-the-box", "k-below-u"],
+        "base, edit",
+        [(31, dict(m0=64, k=6)), (32, dict(k=5)), (31, dict(m3=64)),
+         (31, dict(m2=65, k=6))],
+        ids=["m0-past-the-box", "k-below-u", "m3-past-the-box", "m2-past-the-box"],
     )
     def test_a_matching_row_outside_the_box_stays_loose(self, base, edit):
         # x^1 at q=2, u=6: the box's first run ends at m0 = 63.  A matching
-        # row at m0 = 64 = q^k or at k = u - 1 comes next in order, but its n
-        # decodes to no chain row, so it and its copies go through the map
+        # row with m0 = 64 = q^k, k = u - 1, m3 = 64 or m2 = 65 = q^k + 1
+        # comes next in order, but its n decodes to no chain row, so it and
+        # its copies go through the map
         family = list(construct_family(CongruenceTarget(2, 5, 1), X, limit=33))
         assert family[31].params.m0 == 63 and family[32].k > 6
         row = rebuilt(family[base], 2, **edit)
@@ -338,13 +341,12 @@ class TestDuplicatesMatchTheReference:
 
     def test_a_row_far_above_the_chain_is_not_decoded(self, monkeypatch):
         # a 1-Mbit n after rows of 171 bits, and one of the chain's size
-        decoded = []
+        decode, decoded = oracle._l4_decode, []
 
         def spy(d, *args):
             decoded.append(d.bit_length())
-            return oracle_l4_decode(d, *args)
+            return decode(d, *args)
 
-        oracle_l4_decode = oracle._l4_decode
         monkeypatch.setattr(oracle, "_l4_decode", spy)
         rows = list(construct_family(CongruenceTarget(2, 3, 1), X3, limit=4))
         rows.append(edited(rows[0], n=rows[0].n << 10**6))
