@@ -201,8 +201,8 @@ def verify_witnesses(
     matches, with the e and box of the chain's first row, k >= u within a
     byte of that row's k (_K_BELOW), and (m3, m2, m1, m0) strictly after the
     last chain row's.  Its rows are pairwise distinct and cost one byte
-    each, their k, in runs of consecutive m0 and index; all of a construct
-    file's rows, at any worker count, are chain rows.  Every other row is
+    each, their k, in runs of consecutive m0 and index; at m <= _K_BELOW a
+    construct file's rows, at any worker count, all are.  Every other row is
     loose: its n is looked up in the chain, by its own quadruple and k when
     it matched in the chain's box and e, else by decoding n - e
     (_l4_decode) only at the k that bits(n - e) and the chain's rows admit,
