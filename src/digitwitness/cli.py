@@ -21,7 +21,8 @@ use the "witness/1" schema over WITNESS_FIELDS, with n and the quadruple as
 decimal strings (they outgrow machine words); verify reads them back through
 the same list.  Every line, the CSV header included, comes from _Record,
 which builds one %-format per schema and output format from the field list
-and each field's kind, so a worker renders its witness lines itself.
+and each field's kind, so a worker renders its witness lines itself, and
+verify reads a row in those exact bytes by a pattern made from that format.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import reprlib
 import sys
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import IO, Callable, Iterator, Optional
 
 from . import bounds, construction, oracle
@@ -214,6 +215,48 @@ def _witness_from_values(values: list | tuple) -> Witness:
     return Witness(n, k, CubicParams(m0, m1, m2, m3, u), offset, sq, residue, e)
 
 
+@cache
+def _row_pattern(fmt: str) -> Callable[[str], Optional[re.Match]]:
+    """The fullmatch of a witness/1 row in construct's exact bytes in `fmt`:
+    the writer's %-format with its text escaped and each cell a digit group.
+
+    A JSON %d cell is json's integer grammar, every other cell -?[0-9]+, each
+    of at most STR_DIGITS digits, so int() reads each group as json.loads or
+    decimal_int reads its cell; a row the pattern does not match goes to
+    _read_row.  Built on first use, as it compiles in 0.3-0.6 ms (2-vCPU
+    VM, Python 3.11.7), which only verify pays.
+    """
+    digits = f"(-?[0-9]{{1,{STR_DIGITS}}})"
+    cells = {"%s": digits, "%d": digits if fmt == "csv"
+             else f"(-?(?:0|[1-9][0-9]{{0,{STR_DIGITS - 1}}}))"}
+    line = _Record(fmt, "witness/1", WITNESS_FIELDS).line.removesuffix("\n")
+    parts = re.split("(%[ds])", line)
+    return re.compile("".join(
+        cells[part] if i % 2 else re.escape(part) for i, part in enumerate(parts)
+    )).fullmatch
+
+
+def _read_row(line: str, is_json: bool) -> Witness:
+    """The witness of one row after a CSV header, by json.loads or the comma
+    split: the reader of every row that _row_pattern does not match, and the
+    only one that words a malformed row's message."""
+    if is_json:
+        # a deeply nested line raises RecursionError: malformed too
+        record = json.loads(line)
+        if not isinstance(record, dict):
+            raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+        if record.get("schema") != "witness/1":
+            raise ValueError(f"unexpected schema {reprlib.repr(record.get('schema'))}")
+        values = _row_values(record)
+    else:
+        values = line.split(",")
+        if len(values) != len(WITNESS_FIELDS):
+            raise ValueError(
+                f"expected {len(WITNESS_FIELDS)} columns, got {len(values)}"
+            )
+    return _witness_from_values(values)
+
+
 def _header_mismatch(header: list[str]) -> str:
     """Why a CSV header is not WITNESS_FIELDS: its first cell that differs,
     cut short, or else its column count."""
@@ -236,7 +279,10 @@ def read_witness_file(path: str) -> Iterator[tuple[int, Witness | str]]:
     sets the format; a CSV file whose header is wrong yields that one message.
     A CSV line is split on its commas, so a cell may pass the 131072
     characters the csv module reads (an n of 435 kbit), and a line with
-    quotes, which construct never writes, is malformed.
+    quotes, which construct never writes, is malformed.  A row in
+    construct's exact bytes is read by one pattern per format
+    (_row_pattern), and any other row by json or the comma split
+    (_read_row), with the same result.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         lines = enumerate((line for raw in handle for line in raw.splitlines()), 1)
@@ -249,29 +295,24 @@ def read_witness_file(path: str) -> Iterator[tuple[int, Witness | str]]:
                     raise ValueError("line is not valid UTF-8")
                 if is_json is None:
                     is_json = line.lstrip().startswith("{")
+                    row_match = _row_pattern("json" if is_json else "csv")
                     if not is_json:
                         header = line.split(",")
                         if header != WITNESS_FIELDS:
                             yield lineno, _header_mismatch(header)
                             return
                         continue
-                if is_json:
-                    # a deeply nested line raises RecursionError: malformed too
-                    record = json.loads(line)
-                    if not isinstance(record, dict):
-                        kind = type(record).__name__
-                        raise ValueError(f"expected a JSON object, got {kind}")
-                    if record.get("schema") != "witness/1":
-                        shown = reprlib.repr(record.get("schema"))
-                        raise ValueError(f"unexpected schema {shown}")
-                    values = _row_values(record)
+                match = row_match(line)
+                if match:
+                    # unpacked: as star-args, the tuple grown from the map
+                    # left one more 11-tuple per row in CPython's tuple free
+                    # list, up to its 2000 (250 KiB)
+                    n, k, m0, m1, m2, m3, u, offset, sq, residue, e = map(
+                        int, match.groups())
+                    item: Witness | str = Witness(
+                        n, k, CubicParams(m0, m1, m2, m3, u), offset, sq, residue, e)
                 else:
-                    values = line.split(",")
-                    if len(values) != len(WITNESS_FIELDS):
-                        raise ValueError(
-                            f"expected {len(WITNESS_FIELDS)} columns, got {len(values)}"
-                        )
-                item: Witness | str = _witness_from_values(values)
+                    item = _read_row(line, is_json)
             except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 item = str(exc)
             yield lineno, item

@@ -3,12 +3,13 @@
 Everything here is deliberately independent of the construction: counts come
 from enumerating [0, N) and tallying digit sums through `digits`, and witness
 verification re-evaluates p(n) from scratch and rebuilds n = t(q^k) + e from
-its own statement of the cubic t (construction.build_cubic is never called),
-in one pass over any iterable, returning only the problems of the witnesses
-that fail.  Duplicate n are found without a map of every n: rows in the
-order construct writes them are pairwise distinct by L4, as the base-q^k
-digits of t(q^k) are the quadruple, so each costs one byte (its k), and only
-the other rows' n are mapped.  Enumeration advances p(n) by
+its own statement of the cubic t and of the admissible box (neither
+construction.build_cubic nor admissible_ranges is called), in one pass over
+any iterable, returning only the problems of the witnesses that fail.
+Duplicate n are found without a map of every n: rows in the order construct
+writes them are pairwise distinct by L4, as the base-q^k digits of t(q^k)
+are the quadruple, so each costs one byte (its k), and only the other rows'
+n are mapped.  Enumeration advances p(n) by
 intpoly.difference_walk, the stepper construct also runs along m0 (h
 additions per step, run in C by itertools.accumulate), and
 `digits.digit_sum_counts` tallies the values a chunk at a time.
@@ -187,11 +188,13 @@ def verify_witnesses(
     """Recheck every witness from first principles, in one pass.
 
     Each witness has s_q(p(n)) recomputed by direct evaluation and digit
-    expansion, its provenance (n rebuilt from the quadruple and k) replayed,
-    and its residue compared against g; duplicate n across the collection are
-    also flagged, each with the index where its n first appeared.  Returns
-    the problems of each failing index, in order; the dict is empty when
-    every witness passes.
+    expansion, its provenance replayed (its quadruple in the admissible box
+    of its own u, q^(u-1) <= m0, m2, m3 < q^u, 1 <= m1 and m1*D < q^u with
+    D = h*q*(6q)^h for p of degree h, and n rebuilt from the quadruple and
+    k), and its residue compared against g; duplicate n across the
+    collection are also flagged, each with the index where its n first
+    appeared.  Returns the problems of each failing index, in order; the
+    dict is empty when every witness passes.
 
     Distinctness is proved by L4, not kept in a map of every n.  For
     q^(u-1) <= m0, m2, m3 < q^u, 1 <= m1 < q^u and k >= u, the base-q^k
@@ -212,7 +215,11 @@ def verify_witnesses(
     per row.  The index reported is the first of the two hits, as a map of
     every n reports it.
 
-    The work per witness is bounded by its size and by VALUE_BITS_CAP: n is
+    The work per witness is bounded by its size and by VALUE_BITS_CAP.  A
+    box is built only at a u with (u-1)*(bits(q)-1) < bits(max(m0, m2, m3)),
+    as q^(u-1) exceeds the quadruple at any other u, and D only when
+    h*(bits(6q)-1) < bits(q^u), as m1*D would otherwise pass q^u; the last
+    u's box is kept, so a file of one u builds one box.  n is
     not rebuilt when k < 1 (no construction picks such a k), or when
     2^(k*(bits(q)-1)) <= q^k reaches 2^max(bits(m1), bits(n - e)): then
     x = q^k exceeds m1 and |n - e|, so t(x) = x*(m3*x^2 + m2*x - m1) + m0 >
@@ -228,6 +235,7 @@ def verify_witnesses(
         raise ValueError(f"modulus must be >= 1, got {m}")
     g %= m
     size_of_p = sum(map(abs, p.coeffs)).bit_length()
+    h = p.degree
     a, b = log2_bracket(q)
     failures: dict[int, list[str]] = {}
     loose: dict[int, int] = {}
@@ -237,11 +245,26 @@ def verify_witnesses(
     # and the run its next row would continue
     e0 = u0 = None
     lo = hi = k_base = low = high = 0
+    # the box of the last u built: [box_lo, box_hi) and m1 <= box_m1
+    box_u = box_lo = box_hi = box_m1 = 0
     next_index = next_m0 = run_m1 = run_m2 = run_m3 = -1
     for index, w in enumerate(witnesses):
         problems = []
         params, n, k = w.params, w.n, w.k
-        m0, m1, m2, m3 = params.m0, params.m1, params.m2, params.m3
+        m0, m1, m2, m3, u = params.m0, params.m1, params.m2, params.m3, params.u
+        # q^(u-1) >= 2^((u-1)*(bits(q)-1)) exceeds m0, m2 and m3 at a u that
+        # fails this test, so q^u is built only near the quadruple's scale
+        if u != box_u and ((u - 1) * (q.bit_length() - 1)
+                           < (m0 | m2 | m3).bit_length()):
+            box_u, box_hi = u, q**u
+            box_lo = box_hi // q
+            # D = h*q*(6q)^h >= 2^(h*(bits(6q)-1)), and no box has h < 1
+            box_m1 = ((box_hi - 1) // (h * q * (6 * q) ** h) if h >= 1
+                      and h * ((6 * q).bit_length() - 1) < box_hi.bit_length() else 0)
+        in_box = (u == box_u and box_lo <= m0 < box_hi and box_lo <= m2 < box_hi
+                  and box_lo <= m3 < box_hi and 1 <= m1 <= box_m1)
+        if not in_box:
+            problems.append(f"quadruple outside the admissible box at u {u}")
         matched = False
         size = max(m1.bit_length(), abs(n - w.e).bit_length())
         if k < 1 or k * (q.bit_length() - 1) >= size:
@@ -269,7 +292,7 @@ def verify_witnesses(
                 f"sq {w.sq_value} inconsistent with k*(q-1)+offset "
                 f"{decimal_str(k * (q - 1) + w.offset)}"
             )
-        if size_of_p + p.degree * n.bit_length() > VALUE_BITS_CAP:
+        if size_of_p + h * n.bit_length() > VALUE_BITS_CAP:
             problems.append(f"p(n) could exceed the {VALUE_BITS_CAP}-bit cap")
         elif (value := poly_eval(p, n)) < 0:
             problems.append(f"p(n) = {decimal_str(value)} is negative")
@@ -288,14 +311,11 @@ def verify_witnesses(
             and w.e == e0 and 0 <= (byte := k - k_base) < 256
         )
         if not joined:
-            if matched and e0 is None and params.u <= k:
-                # a matching row in its own box starts the chain; q^u is at
-                # most the q^k just built
-                top = q**params.u
-                if top // q <= min(m0, m2, m3) and max(m0, m1, m2, m3) < top:
-                    e0, u0, lo, hi = w.e, params.u, top // q, top
-                    k_base = max(u0, k - _K_BELOW)
-                    low = high = k - k_base
+            if matched and e0 is None and in_box and u <= k:
+                # a matching row in its own box starts the chain
+                e0, u0, lo, hi = w.e, u, box_lo, box_hi
+                k_base = max(u0, k - _K_BELOW)
+                low = high = k - k_base
             boxed = lo <= m0 < hi and lo <= m2 < hi and lo <= m3 < hi and m1 < hi
             joined = (
                 matched and w.e == e0 and boxed and 0 <= (byte := k - k_base) < 256

@@ -8,9 +8,12 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digitwitness import bounds, cli, construction, oracle, parallel
 from digitwitness.construction import ConsistencyError, CubicParams, Witness, build_cubic
@@ -1161,6 +1164,25 @@ class TestVerify:
         assert "n rebuilt at k 1450000 could exceed the 4194304-bit cap" in detail
         assert "does not match" not in detail
 
+    def test_a_declared_u_off_the_quadruples_box_fails(self, tmp_path, capsys):
+        detail, _ = self.edited_row_records(tmp_path, capsys, {"u": 99})
+        assert detail == "quadruple outside the admissible box at u 99"
+
+    def test_m1_past_the_box_fails_with_n_and_sq_consistent(self, tmp_path, capsys):
+        # at q=2, h=3, u=15, m1 * 3*2*12^3 < 2^15 leaves m1 <= 3.  The second
+        # row's quadruple with m1 = 4, at the first k whose digit sum is 1
+        # mod 3, rebuilt with its own n, sq and offset: only the box fails
+        assert construction.admissible_ranges(2, 3, 15).m1_max == 3
+        params = CubicParams(m0=16385, m1=4, m2=16384, m3=16384, u=15)
+        for k in range(52, 70):
+            n = poly_eval(build_cubic(params), 2**k)
+            sq = digit_sum(n**3, 2)
+            if sq % 3 == 1:
+                break
+        edits = {"n": str(n), "k": k, "m1": "4", "M": sq - k, "sq": sq}
+        detail, _ = self.edited_row_records(tmp_path, capsys, edits)
+        assert detail == "quadruple outside the admissible box at u 15"
+
     def test_wrong_target_residue_fails(self, tmp_path, capsys):
         path = self.construct_file(tmp_path, limit=2)
         code, _ = run_lines(
@@ -1169,6 +1191,164 @@ class TestVerify:
              "--in", str(path)],
         )
         assert code == 1
+
+
+# The reader's equivalence: a row that the writer's pattern reads must give
+# what the general reader, _read_row, gives; every other row goes to it.
+# Construct rows of x^3 at (2, 3), x^8 at (3, 5), x^2 and x^3 - 2x (e = 2)
+# at (10, 7), each in both formats, as cells: JSON [key, value text] pairs
+# after the schema, CSV value texts.
+READER_CASES = [(2, 3, 1, "x^3"), (3, 5, 2, "x^8"), (10, 7, 0, "x^2"),
+                (10, 7, 3, "1,0,-2,0")]
+READER_EDITS = [
+    "none", "truncate", "replace", "leading-zero", "minus-zero", "plus", "space",
+    "swap", "duplicate", "extra", "string", "float", "true", "long",
+]
+S = cli.STR_DIGITS
+
+
+@cache
+def reader_rows(fmt):
+    """Four construct rows of each case, in the writer's bytes."""
+    line = cli._Record(fmt, "witness/1", cli.WITNESS_FIELDS).line
+    rows = []
+    for q, m, g, poly in READER_CASES:
+        target = construction.CongruenceTarget(q=q, m=m, g=g)
+        plan = construction.make_plan(target, cli.parse_poly(poly))
+        rows += cli._witness_lines(line, plan, 0, 4).splitlines()
+    return rows
+
+
+def row_cells(fmt, row):
+    if fmt == "csv":
+        return row.split(",")
+    pairs = json.loads(row)
+    return [[key, json.dumps(value)] for key, value in pairs.items()]
+
+
+def row_text(fmt, cells, spaced=-1):
+    if fmt == "csv":
+        return ",".join(cells)
+    return "{" + ",".join(
+        f'"{key}":{" " if i == spaced else ""}{value}'
+        for i, (key, value) in enumerate(cells)
+    ) + "}"
+
+
+def edit_row(data, fmt, row):
+    """row with one drawn edit."""
+    kind = data.draw(st.sampled_from(READER_EDITS), label="edit")
+    cells = row_cells(fmt, row)
+    assert row_text(fmt, cells) == row  # the cells are the writer's bytes
+    if kind == "truncate":
+        return row[: data.draw(st.integers(1, len(row) - 1))]
+    if kind == "replace":
+        at = data.draw(st.sampled_from([i for i, c in enumerate(row) if c.isdigit()]))
+        char = data.draw(st.sampled_from("x -+.,:\"}٣é012"))
+        return row[:at] + char + row[at + 1 :]
+    i = data.draw(st.integers(0, len(cells) - 1), label="cell")
+    j = data.draw(st.integers(0, len(cells) - 1), label="other cell")
+    text = cells[i][1] if fmt == "json" else cells[i]
+    quote = '"' if text.startswith('"') else ""
+    value = text.strip('"')
+
+    def put(new):
+        if fmt == "json":
+            cells[i][1] = new
+        else:
+            cells[i] = new
+
+    if kind == "leading-zero":
+        put(quote + ("-0" + value[1:] if value.startswith("-") else "0" + value)
+            + quote)
+    elif kind == "minus-zero":
+        put(quote + "-0" + quote)
+    elif kind == "plus":
+        put(quote + "+5" + quote)
+    elif kind == "space":
+        if fmt == "csv":
+            put(" " + text)
+        else:
+            return row_text(fmt, cells, spaced=i)
+    elif kind == "swap":
+        cells[i], cells[j] = cells[j], cells[i]
+    elif kind == "duplicate":
+        cells.insert(j, list(cells[i]) if fmt == "json" else cells[i])
+    elif kind == "extra":
+        cells.insert(j, ["x", "1"] if fmt == "json" else "1")
+    elif kind == "string":
+        put(value if quote else f'"{value}"')
+    elif kind == "float":
+        put(quote + value + ".0" + quote)
+    elif kind == "true":
+        put("true")
+    elif kind == "long":
+        digits = data.draw(st.sampled_from(["1" * S, "9" * (S + 1), "-" + "7" * S,
+                                            "-" + "3" * (S + 1)]))
+        put(quote + digits + quote)
+    return row_text(fmt, cells)
+
+
+def reference_item(line, is_json):
+    """_read_row's witness of line as a tuple of its fields, or its message."""
+    try:
+        w = cli._read_row(line, is_json)
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        return str(exc)
+    return witness_fields(w)
+
+
+def witness_fields(w):
+    p = w.params
+    return (w.n, w.k, p.m0, p.m1, p.m2, p.m3, p.u, w.offset, w.sq_value,
+            w.residue, w.e)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_construct_rows_take_the_writers_pattern(fmt):
+    # and json's default separators take the general reader
+    for row in reader_rows(fmt):
+        assert cli._row_pattern(fmt)(row)
+        if fmt == "json":
+            assert not cli._row_pattern(fmt)(json.dumps(json.loads(row)))
+
+
+def test_only_verify_builds_the_row_pattern(tmp_path, capsys):
+    path = tmp_path / "witnesses.json"
+    cli._row_pattern.cache_clear()
+    for argv in (
+        ["construct", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+         "--limit", "3", "--out", str(path)],
+        ["density", "--q", "2", "--m", "3", "--poly", "x^2", "--N", "100",
+         "--tolerance", "1"],
+        ["certify", "--q", "2", "--m", "3", "--poly", "x^3", "--N", "N0"],
+        ["lemma", "--q", "2", "--l", "3"],
+    ):
+        assert cli.main(argv) == 0
+    assert cli._row_pattern.cache_info().currsize == 0
+    assert cli.main(["verify", "--q", "2", "--m", "3", "--g", "1", "--poly", "x^3",
+                     "--in", str(path)]) == 0
+    assert cli._row_pattern.cache_info().currsize == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_edited_rows_read_as_the_general_reader_reads_them(tmp_path_factory, fmt, data):
+    rows = reader_rows(fmt)
+    lines = [edit_row(data, fmt, data.draw(st.sampled_from(rows), label="row"))
+             for _ in range(3)]
+    # a first row that sets the format: the header or a construct row
+    first = ",".join(cli.WITNESS_FIELDS) if fmt == "csv" else rows[0]
+    path = tmp_path_factory.getbasetemp() / f"rows.{fmt}"
+    path.write_text("\n".join([first] + lines) + "\n", encoding="utf-8")
+    got = {lineno: witness_fields(item) if isinstance(item, Witness) else item
+           for lineno, item in cli.read_witness_file(str(path))}
+    want = {lineno: reference_item(line, fmt == "json")
+            for lineno, line in enumerate([first] + lines, 1)
+            if line.strip() and (fmt == "json" or lineno > 1)}
+    assert got == want
 
 
 class TestCertify:

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from digitwitness.construction import (
     CongruenceTarget,
     CubicParams,
     Witness,
+    admissible_ranges,
     construct_family,
 )
 from digitwitness.digits import VALUE_BITS_CAP, expand
@@ -355,3 +357,63 @@ class TestDuplicatesMatchTheReference:
         assert failures == reference_failures(rows, 2, 3, 1, X3)
         assert failures[5][-1] == "duplicate n, first seen at index 1"
         assert decoded == [rows[1].n.bit_length()]
+
+
+class TestOwnBox:
+    """Each row's quadruple must lie in the admissible box of its own u."""
+
+    MESSAGE = "quadruple outside the admissible box at u {}"
+
+    def setup_method(self):
+        # x^3 at q=2, u=15: m0, m2, m3 in [2^14, 2^15), m1 in [1, 3]
+        target = CongruenceTarget(q=2, m=3, g=1)
+        self.family = list(construct_family(target, X3, limit=3))
+        assert admissible_ranges(2, 3, 15).m1_max == 3
+
+    def box_problem(self, row, p=X3, q=2):
+        message = self.MESSAGE.format(row.params.u)
+        return message in verify_witnesses([row], q, 3, 1, p).get(0, [])
+
+    @pytest.mark.parametrize(
+        "edit, outside",
+        [(dict(m1=3), False), (dict(m1=4), True), (dict(u=14), True),
+         (dict(u=16), True)]
+        + [({name: value}, outside) for name in ("m0", "m2", "m3")
+           for value, outside in ((2**14 - 1, True), (2**14, False),
+                                  (2**15 - 1, False), (2**15, True))],
+    )
+    def test_box_edges(self, edit, outside):
+        w = self.family[0]
+        # n rebuilt at w's k, so only the box can fail in the provenance
+        assert self.box_problem(rebuilt(w, 2, **edit)) == outside
+
+    def test_no_box_below_degree_one(self):
+        assert self.box_problem(self.family[0], p=IntPolynomial.from_coeffs([1]))
+
+    def test_a_far_off_u_builds_no_power(self):
+        # 2^(10^9) takes seconds; the bit lengths decide first
+        start = time.perf_counter()
+        assert self.box_problem(edited(self.family[0], u=10**9))
+        assert time.perf_counter() - start < 0.5
+
+    def test_a_divisor_past_q_to_the_u_is_not_built(self):
+        # at a 4300-digit q and h = 1024, D = h*q*(6q)^h has 14.6 Mbit and
+        # takes seconds; q^u = q at u = 1 is built, D only compared by bits
+        q = 10**4299 + 7
+        row = Witness(5, 1, CubicParams(1, 1, 1, 1, 1), 0, 5, 0, 0)
+        start = time.perf_counter()
+        assert self.box_problem(row, p=IntPolynomial.monomial(1024), q=q)
+        assert time.perf_counter() - start < 0.5
+
+    def test_the_last_box_is_kept(self, monkeypatch):
+        # a file of one u pays one q^u: count the powers of q that are built
+        powers = []
+
+        class Base(int):
+            def __pow__(self, other, *args):
+                powers.append(other)
+                return int(self) ** other
+
+        rows = list(construct_family(CongruenceTarget(2, 3, 1), X3, limit=50))
+        assert verify_witnesses(rows, Base(2), 3, 1, X3) == {}
+        assert powers.count(15) == 1
